@@ -7,9 +7,6 @@ from .algebra import (
     all_vectors,
     canonicalize,
     complement,
-    contains,
-    coset_reduce,
-    dot,
     enumerate_subgroups,
     full_subgroup,
     intersect,
@@ -18,8 +15,6 @@ from .algebra import (
     random_subgroup,
     subgroup_sum,
     trivial_subgroup,
-    vec_add,
-    vec_sub,
 )
 from .bounds import (
     BoundReport,
@@ -49,7 +44,6 @@ from .oracle import (
 from .qsim import (
     DEFAULT_SIM_CAP,
     QCounter,
-    RegisterLayout,
     SparseState,
     apply_oracle,
     dump_state_text,

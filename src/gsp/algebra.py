@@ -144,18 +144,6 @@ class VectorP:
         return self.digits()
 
 
-def vec_add(a: VectorP, b: VectorP) -> VectorP:
-    return a + b
-
-
-def vec_sub(a: VectorP, b: VectorP) -> VectorP:
-    return a - b
-
-
-def dot(a: VectorP, b: VectorP) -> int:
-    return a.dot(b)
-
-
 def all_vectors(p: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[VectorP]:
     """All of Z_p^n in lexicographic order."""
     if p**n > cap:
@@ -307,14 +295,6 @@ def canonicalize(p: int, n: int, rows: Iterable[VectorP]) -> Subgroup:
         mat.append(row.coords)
     red = _rref(p, n, mat)
     return Subgroup(p, n, tuple(VectorP(p, r) for r in red))
-
-
-def contains(h: Subgroup, x: VectorP) -> bool:
-    return h.contains(x)
-
-
-def coset_reduce(h: Subgroup, x: VectorP) -> VectorP:
-    return h.coset_reduce(x)
 
 
 def _require_same_group_space(h: Subgroup, k: Subgroup) -> None:

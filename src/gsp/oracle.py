@@ -153,6 +153,8 @@ def instance_from_text(text: str) -> HiddenInstance:
         obfuscate = fields["obfuscate"].strip()
     except KeyError as exc:
         raise ParameterError(f"instance file missing field {exc}") from exc
+    except ValueError as exc:  # int() of a non-integer field
+        raise ParameterError(f"bad instance field: {exc}") from exc
     if obfuscate not in ("0", "1"):
         raise ParameterError(f"obfuscate must be 0 or 1, got {obfuscate!r}")
     return HiddenInstance(p, n, k, secret, label_seed, obfuscate == "1")
@@ -164,5 +166,9 @@ def write_instance(inst: HiddenInstance, path: str) -> None:
 
 
 def read_instance(path: str) -> HiddenInstance:
-    with open(path, "r", encoding="ascii") as fh:
-        return instance_from_text(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"instance file {path} is not ASCII: {exc}") from exc
+    return instance_from_text(text)

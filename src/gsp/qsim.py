@@ -3,10 +3,15 @@
 The register file is: a main register of dimension p^n, a label register of
 dimension p^n (labels live in Z_p^n, so the oracle is a basis permutation),
 one flag qudit of dimension p per subgroup-shrinking step, and one auxiliary
-qudit for the exact amplitude amplification.  A state is a map from composite
-basis tuples to complex amplitudes; entries below 1e-12 are pruned, and the
-norm is asserted after every operation, never corrected, so unitarity bugs
-cannot hide behind renormalization.
+qudit for the exact amplitude amplification, in that order.  A state is two
+flat arrays: int64 mixed-radix basis keys (main register most significant)
+and their complex128 amplitudes.  Every gate is one of three primitives: a
+unitary on one register (both Fourier transforms and the auxiliary
+rotation), a key permutation by vectorized base-p digit arithmetic (the
+oracle and both halves of the shrink step), or a sign flip by mask (the two
+reflections).  Entries below 1e-12 are pruned after each unitary, and the
+norm is asserted there, never corrected, so unitarity bugs cannot hide
+behind renormalization.
 
 The Fourier transform on a register of dimension p^m uses the kernel
 omega^(g.h) with omega = exp(2*pi*i/p) and g.h the dot product of the base-p
@@ -21,20 +26,21 @@ run on a deliberately deflated target: an auxiliary-qudit rotation scales
 the success probability down to sin^2(pi/(2(2j+1))) for the integer
 iteration count j = ceil(pi/(4*arcsin(sqrt(a))) - 1/2), after which j full
 iterations land the good-subspace amplitude on 1 up to double-precision
-error.  Reading any surviving main-register basis value therefore yields a
-fresh independent element with certainty, and n-k rounds recover the
-orthogonal subgroup, hence the secret.
+error.  Since a >= 1/2, j is always 1, so a round costs exactly 2j+1 = 3
+oracle calls.  Reading any surviving main-register basis value therefore
+yields a fresh independent element with certainty, and n-k rounds recover
+the orthogonal subgroup, hence the secret.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Subgroup, VectorP, canonicalize, orthogonal
+from .algebra import VectorP, canonicalize, orthogonal
 from .errors import ParameterError, ResourceCapError
 from .oracle import HiddenInstance
 from .solvers import SolverResult
@@ -46,68 +52,46 @@ BAD_AMPLITUDE_EPS = 1e-9
 #: Largest p**n the simulator accepts by default.
 DEFAULT_SIM_CAP = 512
 
-
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Qudit registers of a simulation: roles and dimensions, in order."""
-
-    p: int
-    roles: tuple[str, ...]
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.roles) != len(self.dims):
-            raise ParameterError("roles and dims must have equal length")
-        for dim in self.dims:
-            m = 0
-            d = dim
-            while d > 1 and d % self.p == 0:
-                d //= self.p
-                m += 1
-            if d != 1:
-                raise ParameterError(f"register dimension {dim} is not a power of p={self.p}")
-
-    def index_of(self, role: str, occurrence: int = 0) -> int:
-        seen = 0
-        for i, r in enumerate(self.roles):
-            if r == role:
-                if seen == occurrence:
-                    return i
-                seen += 1
-        raise ParameterError(f"no register with role {role!r} (occurrence {occurrence})")
-
-    def exponent(self, reg: int) -> int:
-        m, d = 0, self.dims[reg]
-        while d > 1:
-            d //= self.p
-            m += 1
-        return m
+#: Fixed register positions; flags follow the label, the aux qudit is last.
+MAIN, LABEL = 0, 1
 
 
 @dataclass
 class SparseState:
-    """Complex amplitudes over composite basis tuples, one int per register."""
+    """Amplitudes ``amps[i]`` of the mixed-radix basis keys ``keys[i]``.
 
-    layout: RegisterLayout
-    amps: dict[tuple[int, ...], complex] = field(default_factory=dict)
+    ``dims`` are the register dimensions, each a power of ``p``, most
+    significant first; a key is unique within a state.
+    """
+
+    p: int
+    dims: tuple[int, ...]
+    keys: np.ndarray
+    amps: np.ndarray
+
+    def __post_init__(self) -> None:
+        for dim in self.dims:
+            if dim < self.p or self.p ** round(math.log(dim, self.p)) != dim:
+                raise ParameterError(f"register dimension {dim} is not a positive power of p={self.p}")
+
+    def stride(self, reg: int) -> int:
+        return math.prod(self.dims[reg + 1 :])
+
+    def digit(self, reg: int) -> np.ndarray:
+        """The basis value of one register, per key."""
+        return self.keys // self.stride(reg) % self.dims[reg]
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amps.values())
-
-    def prune(self) -> None:
-        dead = [b for b, a in self.amps.items() if abs(a) < PRUNE_EPS]
-        for b in dead:
-            del self.amps[b]
+        return float(np.vdot(self.amps, self.amps).real)
 
     def marginal(self, reg: int) -> dict[int, float]:
         """Probability of each basis value of one register."""
-        out: dict[int, float] = {}
-        for basis, amp in self.amps.items():
-            out[basis[reg]] = out.get(basis[reg], 0.0) + abs(amp) ** 2
-        return out
+        values, which = np.unique(self.digit(reg), return_inverse=True)
+        probs = np.bincount(which, weights=np.abs(self.amps) ** 2)
+        return dict(zip(values.tolist(), probs.tolist()))
 
     def support(self, reg: int) -> set[int]:
-        return {basis[reg] for basis in self.amps}
+        return set(np.unique(self.digit(reg)).tolist())
 
 
 @dataclass
@@ -117,8 +101,8 @@ class QCounter:
     oracle_calls: int = 0
 
 
-def zero_state(layout: RegisterLayout) -> SparseState:
-    return SparseState(layout, {(0,) * len(layout.dims): 1.0 + 0.0j})
+def zero_state(p: int, dims: tuple[int, ...]) -> SparseState:
+    return SparseState(p, tuple(dims), np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
 
 
 def _assert_normalized(state: SparseState) -> None:
@@ -127,19 +111,41 @@ def _assert_normalized(state: SparseState) -> None:
         raise ArithmeticError(f"state norm drifted by {drift:.3e}")
 
 
-def _digit_vectors(p: int, m: int) -> np.ndarray:
-    dim = p**m
-    coords = np.zeros((dim, m), dtype=np.int64)
-    idxs = np.arange(dim)
-    for j in range(m - 1, -1, -1):
-        coords[:, j] = idxs % p
-        idxs = idxs // p
-    return coords
+def _unitary(state: SparseState, reg: int, mat: np.ndarray) -> SparseState:
+    """Primitive: ``mat`` on one register, then prune and check the norm."""
+    dim, stride = state.dims[reg], state.stride(reg)
+    digit = state.digit(reg)
+    rest, row = np.unique(state.keys - digit * stride, return_inverse=True)
+    block = np.zeros((len(rest), dim), dtype=complex)
+    block[row, digit] = state.amps
+    out = block @ mat.T
+    keep = np.abs(out) >= PRUNE_EPS
+    keys = (rest[:, None] + np.arange(dim, dtype=np.int64) * stride)[keep]
+    result = SparseState(state.p, state.dims, keys, out[keep])
+    _assert_normalized(result)
+    return result
+
+
+def _permute(state: SparseState, reg: int, values: np.ndarray) -> SparseState:
+    """Primitive: set one register to ``values``, a bijection of the keys."""
+    keys = state.keys + (values - state.digit(reg)) * state.stride(reg)
+    return SparseState(state.p, state.dims, keys, state.amps)
+
+
+def _flip(state: SparseState, mask: np.ndarray) -> SparseState:
+    """Primitive: negate the amplitudes where ``mask`` holds."""
+    return SparseState(state.p, state.dims, state.keys, np.where(mask, -state.amps, state.amps))
+
+
+def _vec_add(p: int, n: int, a: np.ndarray, b: np.ndarray, sign: int = 1) -> np.ndarray:
+    """Digitwise a + sign*b (mod p) of base-p encoded vectors of Z_p^n."""
+    powers = p ** np.arange(n, dtype=np.int64)
+    return ((a[:, None] // powers + sign * (b[:, None] // powers)) % p * powers).sum(axis=1)
 
 
 @lru_cache(maxsize=None)
 def _fourier_matrix(p: int, m: int) -> np.ndarray:
-    coords = _digit_vectors(p, m)
+    coords = np.stack(np.unravel_index(np.arange(p**m), (p,) * m), axis=1)  # digits, msb first
     dots = (coords @ coords.T) % p
     roots = np.exp(2j * np.pi * np.arange(p) / p)
     mat = roots[dots] / math.sqrt(p**m)
@@ -147,49 +153,22 @@ def _fourier_matrix(p: int, m: int) -> np.ndarray:
     return mat
 
 
-def _index_addsub(p: int, n: int, a: int, b: int, subtract: bool) -> int:
-    """Digitwise (mod p) sum or difference of two base-p encoded vectors."""
-    out, power = 0, 1
-    for _ in range(n):
-        da, a = a % p, a // p
-        db, b = b % p, b // p
-        d = (da - db) % p if subtract else (da + db) % p
-        out += d * power
-        power *= p
-    return out
-
-
 @lru_cache(maxsize=None)
-def _label_index_table(inst: HiddenInstance) -> tuple[int, ...]:
-    dim = inst.p**inst.n
-    return tuple(
-        inst.evaluate(VectorP.from_index(inst.p, inst.n, g)).to_index()
-        for g in range(dim)
+def _label_index_table(inst: HiddenInstance) -> np.ndarray:
+    table = np.array(
+        [inst.evaluate(VectorP.from_index(inst.p, inst.n, g)).to_index() for g in range(inst.p**inst.n)],
+        dtype=np.int64,
     )
+    table.setflags(write=False)
+    return table
 
 
 def fourier(state: SparseState, reg: int, inverse: bool = False) -> SparseState:
     """Fourier transform (kernel omega^(g.h)) on one register."""
-    layout = state.layout
-    if not (0 <= reg < len(layout.dims)):
+    if not (0 <= reg < len(state.dims)):
         raise ParameterError(f"register index {reg} out of range")
-    mat = _fourier_matrix(layout.p, layout.exponent(reg))
-    if inverse:
-        mat = mat.conj()
-    groups: dict[tuple[int, ...], tuple[list[int], list[complex]]] = {}
-    for basis, amp in state.amps.items():
-        key = basis[:reg] + basis[reg + 1 :]
-        idxs, amps = groups.setdefault(key, ([], []))
-        idxs.append(basis[reg])
-        amps.append(amp)
-    out: dict[tuple[int, ...], complex] = {}
-    for key, (idxs, amps) in groups.items():
-        vec = mat[:, idxs] @ np.asarray(amps)
-        for val in np.flatnonzero(np.abs(vec) >= PRUNE_EPS):
-            out[key[:reg] + (int(val),) + key[reg:]] = complex(vec[val])
-    result = SparseState(layout, out)
-    _assert_normalized(result)
-    return result
+    mat = _fourier_matrix(state.p, round(math.log(state.dims[reg], state.p)))
+    return _unitary(state, reg, mat.conj() if inverse else mat)
 
 
 def apply_oracle(
@@ -199,17 +178,10 @@ def apply_oracle(
     inverse: bool = False,
 ) -> SparseState:
     """|g>|y> -> |g>|y ± f(g)>; one oracle call either way."""
-    layout = state.layout
-    main = layout.index_of("main")
-    label = layout.index_of("label")
-    table = _label_index_table(inst)
-    p, n = inst.p, inst.n
-    out = {}
-    for basis, amp in state.amps.items():
-        shifted = _index_addsub(p, n, basis[label], table[basis[main]], inverse)
-        out[basis[:label] + (shifted,) + basis[label + 1 :]] = amp
+    labels = _label_index_table(inst)[state.digit(MAIN)]
+    shifted = _vec_add(inst.p, inst.n, state.digit(LABEL), labels, -1 if inverse else 1)
     counter.oracle_calls += 1
-    return SparseState(layout, out)
+    return _permute(state, LABEL, shifted)
 
 
 def simon_subroutine(inst: HiddenInstance, counter: QCounter) -> SparseState:
@@ -219,24 +191,10 @@ def simon_subroutine(inst: HiddenInstance, counter: QCounter) -> SparseState:
     (1/sqrt|T0|) sum_t |phi_t S_perp>|f(t)> over a transversal T0 of the
     secret, with the first register supported exactly on S_perp.
     """
-    layout = _base_layout(inst)
-    state = zero_state(layout)
-    state = fourier(state, layout.index_of("main"), inverse=True)
-    state = apply_oracle(state, inst, counter)
-    state = fourier(state, layout.index_of("main"))
-    _assert_normalized(state)
-    return state
-
-
-def _base_layout(inst: HiddenInstance, flags: int = 0, aux: bool = False) -> RegisterLayout:
     dim = inst.p**inst.n
-    roles: tuple[str, ...] = ("main", "label") + ("flag",) * flags + (("aux",) if aux else ())
-    dims = (dim, dim) + (inst.p,) * flags + ((inst.p,) if aux else ())
-    return RegisterLayout(inst.p, roles, dims)
-
-
-def _apply_perm(state: SparseState, fn) -> SparseState:
-    return SparseState(state.layout, {fn(basis): amp for basis, amp in state.amps.items()})
+    state = fourier(zero_state(inst.p, (dim, dim)), MAIN, inverse=True)
+    state = apply_oracle(state, inst, counter)
+    return fourier(state, MAIN)
 
 
 def _shrink_step(
@@ -252,90 +210,34 @@ def _shrink_step(
     (main_j * y_j^-1), subtract coefficient*y from the main register, then
     inverse-Fourier the flag so each branch carries the basis state |g.y>.
     """
-    p, n = state.layout.p, y.n
-    main = state.layout.index_of("main")
+    p, n = state.p, y.n
     if y.coords[j] == 0:
         raise ParameterError(f"shrink coordinate {j} is zero in y={y}")
     c_inv = pow(y.coords[j], p - 2, p)
-    y_multiple_idx = [y.scale(c).to_index() for c in range(p)]
+    y_multiples = np.array([y.scale(c).to_index() for c in range(p)], dtype=np.int64)
 
-    def u1(basis: tuple[int, ...], sign: int) -> tuple[int, ...]:
-        digit = (basis[main] // p ** (n - 1 - j)) % p  # j-th coordinate, msb first
-        flag = (basis[flag_reg] + sign * digit * c_inv) % p
-        return basis[:flag_reg] + (flag,) + basis[flag_reg + 1 :]
+    def copy_coefficient(state: SparseState, sign: int) -> SparseState:
+        coefficient = state.digit(MAIN) // p ** (n - 1 - j) % p * c_inv  # j-th coordinate, msb first
+        return _permute(state, flag_reg, (state.digit(flag_reg) + sign * coefficient) % p)
 
-    def u2(basis: tuple[int, ...], subtract: bool) -> tuple[int, ...]:
-        shifted = _index_addsub(p, n, basis[main], y_multiple_idx[basis[flag_reg]], subtract)
-        return basis[:main] + (shifted,) + basis[main + 1 :]
+    def shift_main(state: SparseState, sign: int) -> SparseState:
+        shift = y_multiples[state.digit(flag_reg)]
+        return _permute(state, MAIN, _vec_add(p, n, state.digit(MAIN), shift, sign))
 
     if not inverse:
-        state = _apply_perm(state, lambda b: u1(b, +1))
-        state = _apply_perm(state, lambda b: u2(b, True))
-        state = fourier(state, flag_reg, inverse=True)
-    else:
-        state = fourier(state, flag_reg, inverse=False)
-        state = _apply_perm(state, lambda b: u2(b, False))
-        state = _apply_perm(state, lambda b: u1(b, -1))
-    return state
+        state = shift_main(copy_coefficient(state, +1), -1)
+        return fourier(state, flag_reg, inverse=True)
+    state = fourier(state, flag_reg, inverse=False)
+    return copy_coefficient(shift_main(state, +1), -1)
 
 
-def shrink_subgroup(
-    state: SparseState, y: VectorP, j: int, counter: QCounter
-) -> SparseState:
-    """Public shrink: appends a fresh flag qudit, then runs the shrink step.
+def shrink_subgroup(state: SparseState, y: VectorP, j: int) -> SparseState:
+    """Public shrink: appends a flag qudit as the last register, then shrinks.
 
-    Makes no oracle queries; ``counter`` is accepted for interface symmetry.
+    Makes no oracle queries.
     """
-    layout = state.layout
-    new_layout = RegisterLayout(
-        layout.p, layout.roles + ("flag",), layout.dims + (layout.p,)
-    )
-    widened = SparseState(
-        new_layout, {basis + (0,): amp for basis, amp in state.amps.items()}
-    )
-    result = _shrink_step(widened, y, j, len(new_layout.dims) - 1)
-    _assert_normalized(result)
-    return result
-
-
-def _reflect_zero(state: SparseState) -> SparseState:
-    zero = (0,) * len(state.layout.dims)
-    out = dict(state.amps)
-    if zero in out:
-        out[zero] = -out[zero]
-    return SparseState(state.layout, out)
-
-
-def _reflect_good(state: SparseState, main: int, aux: int) -> SparseState:
-    out = {
-        basis: (-amp if basis[main] != 0 and basis[aux] == 1 else amp)
-        for basis, amp in state.amps.items()
-    }
-    return SparseState(state.layout, out)
-
-
-def _aux_rotation(state: SparseState, aux: int, phi: float, inverse: bool) -> SparseState:
-    """Rotation by phi in the {|0>,|1>} plane of the auxiliary qudit."""
-    c, s = math.cos(phi), math.sin(phi)
-    if inverse:
-        s = -s
-    out: dict[tuple[int, ...], complex] = {}
-    for basis, amp in state.amps.items():
-        v = basis[aux]
-        if v >= 2:
-            out[basis] = out.get(basis, 0.0) + amp
-            continue
-        b0 = basis[:aux] + (0,) + basis[aux + 1 :]
-        b1 = basis[:aux] + (1,) + basis[aux + 1 :]
-        if v == 0:
-            out[b0] = out.get(b0, 0.0) + c * amp
-            out[b1] = out.get(b1, 0.0) + s * amp
-        else:
-            out[b0] = out.get(b0, 0.0) - s * amp
-            out[b1] = out.get(b1, 0.0) + c * amp
-    result = SparseState(state.layout, out)
-    result.prune()
-    return result
+    widened = SparseState(state.p, state.dims + (state.p,), state.keys * state.p, state.amps)
+    return _shrink_step(widened, y, j, len(widened.dims) - 1)
 
 
 def exact_amplify(
@@ -358,56 +260,46 @@ def exact_amplify(
     span = canonicalize(p, n, known)
     if span.rank != m:
         raise ParameterError("known elements are not linearly independent")
-    shrink_rows = span.basis
-    shrink_cols = span.pivots()
-
-    layout = _base_layout(inst, flags=m, aux=True)
-    main = layout.index_of("main")
-    aux = layout.index_of("aux")
+    shrinks = [(row, col, LABEL + 1 + i) for i, (row, col) in enumerate(zip(span.basis, span.pivots()))]
+    dims = (p**n, p**n) + (p,) * (m + 1)
+    aux = len(dims) - 1
 
     a = 1.0 - float(p) ** -(n - k - m)
     theta = math.asin(math.sqrt(a))
     iters = math.ceil(math.pi / (4.0 * theta) - 0.5)
     theta_bar = math.pi / (2.0 * (2 * iters + 1))
     phi = math.asin(math.sin(theta_bar) / math.sqrt(a))
+    rot = np.eye(p, dtype=complex)  # rotation by phi in the {|0>,|1>} plane of the aux qudit
+    rot[:2, :2] = [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
 
     def apply_a(state: SparseState, inverse: bool) -> SparseState:
         if not inverse:
-            state = fourier(state, main, inverse=True)
+            state = fourier(state, MAIN, inverse=True)
             state = apply_oracle(state, inst, counter)
-            state = fourier(state, main)
-            for i in range(m):
-                state = _shrink_step(
-                    state, shrink_rows[i], shrink_cols[i], layout.index_of("flag", i)
-                )
-            return _aux_rotation(state, aux, phi, inverse=False)
-        state = _aux_rotation(state, aux, phi, inverse=True)
-        for i in range(m - 1, -1, -1):
-            state = _shrink_step(
-                state, shrink_rows[i], shrink_cols[i], layout.index_of("flag", i), inverse=True
-            )
-        state = fourier(state, main, inverse=True)
+            state = fourier(state, MAIN)
+            for row, col, flag in shrinks:
+                state = _shrink_step(state, row, col, flag)
+            return _unitary(state, aux, rot)
+        state = _unitary(state, aux, rot.T)
+        for row, col, flag in reversed(shrinks):
+            state = _shrink_step(state, row, col, flag, inverse=True)
+        state = fourier(state, MAIN, inverse=True)
         state = apply_oracle(state, inst, counter, inverse=True)
-        return fourier(state, main)
+        return fourier(state, MAIN)
 
-    state = apply_a(zero_state(layout), inverse=False)
+    state = apply_a(zero_state(p, dims), inverse=False)
     for _ in range(iters):
-        state = _reflect_good(state, main, aux)
+        state = _flip(state, (state.digit(MAIN) != 0) & (state.digit(aux) == 1))
         state = apply_a(state, inverse=True)
-        state = _reflect_zero(state)
+        state = _flip(state, state.keys == 0)
         state = apply_a(state, inverse=False)
-        _assert_normalized(state)
 
-    bad = max(
-        (abs(amp) for basis, amp in state.amps.items()
-         if basis[main] == 0 or basis[aux] != 1),
-        default=0.0,
-    )
+    mains = state.digit(MAIN)
+    bad = float(np.abs(state.amps[(mains == 0) | (state.digit(aux) != 1)]).max(initial=0.0))
     if bad > BAD_AMPLITUDE_EPS:
         raise ArithmeticError(f"bad-outcome amplitude {bad:.3e} after amplification")
 
-    measured = min(b[main] for b in state.amps if b[main] != 0)
-    result = VectorP.from_index(p, n, measured)
+    result = VectorP.from_index(p, n, int(mains[mains != 0].min()))
     return (result, state) if return_state else result
 
 
@@ -436,13 +328,8 @@ def quantum_find_s(
 
 def dump_state_text(state: SparseState) -> str:
     """One ``index re im`` line per surviving amplitude, mixed-radix index."""
-    lines = []
-    entries = []
-    for basis, amp in state.amps.items():
-        idx = 0
-        for value, dim in zip(basis, state.layout.dims):
-            idx = idx * dim + value
-        entries.append((idx, amp))
-    for idx, amp in sorted(entries):
-        lines.append(f"{idx} {amp.real:.17g} {amp.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    order = np.argsort(state.keys, kind="stable")
+    return "".join(
+        f"{idx} {amp.real:.17g} {amp.imag:.17g}\n"
+        for idx, amp in zip(state.keys[order].tolist(), state.amps[order].tolist())
+    )

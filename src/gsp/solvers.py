@@ -176,12 +176,18 @@ def find_group(
         s_cur = _grow_partial_secret(s_cur, secret_elem, k)
 
     if debug_secret is not None:
-        assert b_new.rank == d
-        assert intersect(a_grp, b_new).is_trivial()
-        assert intersect(subgroup_sum(a_grp, b_new), debug_secret).is_trivial()
-        assert all(row in debug_secret for row in s_cur.basis)
-        assert all(row in s_cur for row in s1.basis)
-        assert all(b in log.cache for b in b_new.elements())
+        # explicit checks, not ``assert``: ``python -O`` would strip those
+        checks = {
+            "B has rank d": b_new.rank == d,
+            "A ∩ B = {0}": intersect(a_grp, b_new).is_trivial(),
+            "(A+B) ∩ S = {0}": intersect(subgroup_sum(a_grp, b_new), debug_secret).is_trivial(),
+            "S2 <= S": all(row in debug_secret for row in s_cur.basis),
+            "S1 <= S2": all(row in s_cur for row in s1.basis),
+            "span(B) queried": all(b in log.cache for b in b_new.elements()),
+        }
+        failed = [name for name, ok in checks.items() if not ok]
+        if failed:
+            raise AssertionError(f"find_group invariants failed: {', '.join(failed)}")
     return b_new, s_cur
 
 

@@ -213,17 +213,19 @@ def test_criterion_7_orthogonal_support_law():
 
 
 def test_criterion_8_quantum_exactness_and_calls():
-    worst = 0.0
+    # exact amplification spends 2*iters + 1 calls per round, and iters = 1
+    # because the success probability 1 - p^-(n-k-m) is at least 1/2
+    per_round = set()
     for p, n, k in QGRID:
         for seed in range(10):
             inst = make_instance(p, n, k, seed, _label_seed(seed), bool(seed % 2))
             counter = QCounter()
             res = quantum_find_s(inst, counter)  # raises if bad amplitude > 1e-9
             assert res.recovered == inst.secret
-            worst = max(worst, counter.oracle_calls / (n - k))
-    ok = worst <= 8.0
+            per_round.add(counter.oracle_calls / (n - k))
+    ok = per_round == {3.0}
     print(f"\nACCEPTANCE 8 quantum-exactness: {'PASS' if ok else 'FAIL'} "
-          f"(max oracle calls per round = {worst:.2f}, limit 8)")
+          f"(oracle calls per round = {sorted(per_round)}, exactly 3)")
     assert ok
 
 

@@ -66,6 +66,18 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--in", "/nonexistent/i.txt")
         assert code == 1 and err
 
+    def test_non_integer_field(self, capsys, fixture_file, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(open(fixture_file).read().replace("p=2\n", "p=abc\n", 1))
+        code, _, err = run(capsys, "solve", "--in", str(path))
+        assert code == 1 and err.startswith("error:") and "abc" in err
+
+    def test_non_ascii_file(self, capsys, fixture_file, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(open(fixture_file, "rb").read() + "# caf\u00e9\n".encode("utf-8"))
+        code, _, err = run(capsys, "solve", "--in", str(path))
+        assert code == 1 and err.startswith("error:") and "not ASCII" in err
+
     def test_promise_violation_exit_code(self, capsys, fixture_file, monkeypatch):
         def boom(*args, **kwargs):
             raise PromiseViolationError("inconsistent labels")
@@ -149,6 +161,16 @@ class TestBench:
                          "--k", "7", "--out", str(out))
         assert code == 0
         assert out.read_text().strip() == ",".join(cli._CSV_HEADER)
+
+    def test_det_past_enumeration_cap(self, capsys, tmp_path):
+        # find_s never enumerates Z_p^n, so p^n > 2^20 is no reason to skip
+        out = tmp_path / "det.csv"
+        code, _, err = run(capsys, "bench", "--p", "2", "--n", "21", "--k", "19",
+                           "--solver", "det", "--seeds", "1", "--out", str(out))
+        assert code == 0 and err == ""
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and rows[0]["recovered_ok"] == "True"
 
     def test_over_cap_cell_skipped_with_warning(self, capsys, tmp_path):
         out = tmp_path / "cap.csv"

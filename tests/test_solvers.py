@@ -1,5 +1,10 @@
 """Deterministic solver, baselines, and their query accounting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gsp import (
@@ -105,6 +110,21 @@ class TestFindGroup:
                     flat_would_fail += 1
         print(f"\nper-call formula report: nontrivial-A runs exceeding the flat "
               f"+gain count: {flat_would_fail} (re-query cost is real)")
+
+    def test_wrong_debug_secret_fails_under_optimize(self):
+        # python -O strips ``assert`` statements; the debug checks must still raise
+        code = (
+            "import sys\n"
+            "from gsp import QueryLog, find_s, full_subgroup, make_instance\n"
+            "print(sys.flags.optimize)\n"
+            "find_s(QueryLog(make_instance(2, 4, 2, 0)), 1, debug_secret=full_subgroup(2, 4))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert proc.stdout.strip() == "1"
+        assert proc.returncode != 0
+        assert "find_group invariants failed: (A+B) ∩ S = {0}" in proc.stderr
 
 
 class TestFindS:
