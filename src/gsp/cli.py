@@ -38,15 +38,14 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _add_instance_source(sub: argparse.ArgumentParser, file_only: bool = False) -> None:
+def _add_instance_source(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--in", dest="infile", help="instance file to read")
-    if not file_only:
-        sub.add_argument("--p", type=int)
-        sub.add_argument("--n", type=int)
-        sub.add_argument("--k", type=int)
-        sub.add_argument("--seed", type=int, default=0, help="subgroup seed")
-        sub.add_argument("--label-seed", type=int, default=None)
-        sub.add_argument("--obfuscate", type=int, choices=(0, 1), default=0)
+    sub.add_argument("--p", type=int)
+    sub.add_argument("--n", type=int)
+    sub.add_argument("--k", type=int)
+    sub.add_argument("--seed", type=int, default=0, help="subgroup seed")
+    sub.add_argument("--label-seed", type=int, default=None)
+    sub.add_argument("--obfuscate", type=int, choices=(0, 1), default=0)
 
 
 def _load_instance(args: argparse.Namespace) -> HiddenInstance:
@@ -132,13 +131,16 @@ def _cmd_birthday(args: argparse.Namespace) -> int:
 def _parse_int_list(text: str) -> list[int]:
     """Comma list and/or a..b ranges: "3,5" or "3..8" or "2,4..6"."""
     out: list[int] = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if ".." in tok:
-            lo, hi = tok.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        elif tok:
-            out.append(int(tok))
+    try:
+        for tok in text.split(","):
+            tok = tok.strip()
+            if ".." in tok:
+                lo, hi = tok.split("..")
+                out.extend(range(int(lo), int(hi) + 1))
+            elif tok:
+                out.append(int(tok))
+    except ValueError as exc:
+        raise ParameterError(f"bad integer list {text!r}") from exc
     return out
 
 

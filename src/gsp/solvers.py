@@ -32,9 +32,10 @@ Implementation notes that matter for the query counts:
 * The label of 0^n is needed to recognize accidental queries that land
   inside S (a collision against the zero element), so the solver asks it
   once up front.
-* The "query a fresh element u" step always takes the lexicographically
-  smallest vector outside the current excluded span, so traces are
-  reproducible.
+* ``find_group`` grows B one generator at a time in a single loop.  Its
+  fresh element u is the lexicographically smallest vector outside
+  S2 + A + B, read off the RREF pivots (the unit vector at the last
+  non-pivot column), so traces are reproducible.
 * Span queries are checked for collisions as they are issued and stop at
   the first hit; the remaining elements of an abandoned span are never
   asked.  This only lowers counts relative to the query-everything-first
@@ -97,12 +98,15 @@ def _ask(log: QueryLog, x: VectorP) -> VectorP:
 
 
 def _lex_smallest_outside(excluded: Subgroup) -> VectorP:
-    p, n = excluded.p, excluded.n
-    for idx in range(1, p**n):
-        v = VectorP.from_index(p, n, idx)
-        if not excluded.contains(v):
-            return v
-    raise PromiseViolationError("excluded span covers the whole group")
+    """Least nonzero vector outside ``excluded`` in index order.
+
+    That is the unit vector at the last non-pivot column j: every vector
+    supported right of j is a combination of the unit rows there, and a
+    nonzero vector that is zero on every pivot column lies outside."""
+    free = set(range(excluded.n)).difference(excluded.pivots())
+    if not free:
+        raise PromiseViolationError("excluded span covers the whole group")
+    return VectorP.unit(excluded.p, excluded.n, max(free))
 
 
 def _grow_partial_secret(partial: Subgroup, element: VectorP, k: int) -> Subgroup:
@@ -138,57 +142,48 @@ def find_group(
     if d == 0:
         return trivial_subgroup(p, n), s1
 
+    # labels of span(B) and of span(A) minus 0 (queried by the caller); each
+    # map is one-to-one since span(A) ∩ S = span(B) ∩ S = {0}
     zero = VectorP.zero(p, n)
-    if zero not in log.cache:
-        log.query(zero)
-    b_prev, s_cur = find_group(log, a_grp, s1, d - 1, debug_secret=debug_secret)
+    b_label_of = {_ask(log, zero): zero}
+    a_label_of = {_ask(log, a): a for a in sorted(a_grp.elements()) if not a.is_zero()}
 
-    # labels of the nonzero elements of span(A), all queried by the caller
-    a_label_of = {}
-    for a in sorted(a_grp.elements()):
-        if not a.is_zero():
-            a_label_of.setdefault(_ask(log, a), a)
-    b_prev_span = set(b_prev.elements())
-
-    while True:
-        # pick fresh u until it collides with nothing in span(B')
-        while True:
-            excluded = subgroup_sum(subgroup_sum(s_cur, a_grp), b_prev)
-            u = _lex_smallest_outside(excluded)
-            fu = _ask(log, u)
-            hit = next((b for b in sorted(b_prev_span) if _ask(log, b) == fu), None)
-            if hit is None:
-                break
+    b_grp, s_cur = trivial_subgroup(p, n), s1
+    while b_grp.rank < d:
+        # the least u outside S2+A+B; a collision with span(B) grows S2
+        u = _lex_smallest_outside(canonicalize(p, n, s_cur.basis + a_grp.basis + b_grp.basis))
+        hit = b_label_of.get(_ask(log, u))
+        if hit is not None:
             s_cur = _grow_partial_secret(s_cur, hit - u, k)
-        # query the rest of span(B' ∪ u); stop at the first collision with A
-        b_new = canonicalize(p, n, b_prev.basis + (u,))
-        candidates = [u] + sorted(
-            b for b in b_new.elements() if b not in b_prev_span and b != u
-        )
-        secret_elem = None
-        for b in candidates:
-            a = a_label_of.get(_ask(log, b))
-            if a is not None:
-                secret_elem = a - b
+            continue
+        # query u, then the rest of span(B ∪ u); a collision with A grows S2
+        # and abandons the span
+        span = sorted(b + u.scale(c) for b in b_grp.elements() for c in range(1, p))
+        span.remove(u)
+        span.insert(0, u)
+        for b in span:
+            label = _ask(log, b)
+            if label in a_label_of:
+                s_cur = _grow_partial_secret(s_cur, a_label_of[label] - b, k)
                 break
-        if secret_elem is None:
-            break
-        s_cur = _grow_partial_secret(s_cur, secret_elem, k)
+        else:
+            b_grp = canonicalize(p, n, b_grp.basis + (u,))
+            b_label_of.update((_ask(log, b), b) for b in span)
 
     if debug_secret is not None:
         # explicit checks, not ``assert``: ``python -O`` would strip those
         checks = {
-            "B has rank d": b_new.rank == d,
-            "A ∩ B = {0}": intersect(a_grp, b_new).is_trivial(),
-            "(A+B) ∩ S = {0}": intersect(subgroup_sum(a_grp, b_new), debug_secret).is_trivial(),
+            "B has rank d": b_grp.rank == d,
+            "A ∩ B = {0}": intersect(a_grp, b_grp).is_trivial(),
+            "(A+B) ∩ S = {0}": intersect(subgroup_sum(a_grp, b_grp), debug_secret).is_trivial(),
             "S2 <= S": all(row in debug_secret for row in s_cur.basis),
             "S1 <= S2": all(row in s_cur for row in s1.basis),
-            "span(B) queried": all(b in log.cache for b in b_new.elements()),
+            "span(B) queried": all(b in log.cache for b in b_grp.elements()),
         }
         failed = [name for name, ok in checks.items() if not ok]
         if failed:
             raise AssertionError(f"find_group invariants failed: {', '.join(failed)}")
-    return b_new, s_cur
+    return b_grp, s_cur
 
 
 def find_s(

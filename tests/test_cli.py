@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: formats, determinism, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +193,21 @@ class TestVerifyBounds:
         assert lines[0].startswith("p n k t1 t2")
         assert all(line.endswith("pass") for line in lines[1:])
         assert any(line.startswith("2 4 2 35 7 ") for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--p", "x", "--n", "3"],
+    ["bench", "--p", "2", "--n", "3..a"],
+    ["bench", "--p", "2", "--n", "3", "--k", "1,x"],
+    ["verify-bounds", "--p", "2", "--n", "x"],
+])
+def test_bad_integer_list(argv, tmp_path):
+    # a malformed list exits 1 with an error line, not a traceback
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if argv[0] == "bench":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    proc = subprocess.run([sys.executable, "-m", "gsp.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: bad integer list")
+    assert "Traceback" not in proc.stderr

@@ -1,5 +1,6 @@
 """Deterministic solver, baselines, and their query accounting."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from gsp import (
     enumerate_subgroups,
     find_group,
     find_s,
+    full_subgroup,
     intersect,
     make_instance,
     random_subgroup,
@@ -29,7 +31,38 @@ from gsp import (
     trivial_subgroup,
 )
 from gsp.bounds import det_query_bound
+from gsp.solvers import _lex_smallest_outside
 from conftest import vec
+
+GOLDEN_TRACES = Path(__file__).parent / "data" / "find_s_traces.txt"
+
+
+def _golden_runs():
+    """(p, n, k, obfuscate, d, subgroup seed, label seed) of every golden trace.
+
+    Every run of the acceptance grid at subgroup seed 0 (label seed
+    0 ^ 0x9E3779B9), both label modes and every d; then the six cells of the
+    benchmark's ``scale`` workload, obfuscated, at ``choose_d``.
+    """
+    for p in (2, 3, 5):
+        for n in range(2, 7):
+            if p**n > 4096:
+                continue
+            for k in range(1, n):
+                for obfuscate in (0, 1):
+                    for d in range(n - k + 1):
+                        yield p, n, k, obfuscate, d, 0, 0x9E3779B9
+    for n in (14, 15, 16):
+        for k in (n // 4, n // 4 + 1):
+            yield 2, n, k, 1, choose_d(2, n, k), 0, 0
+
+
+def _trace_line(p, n, k, obfuscate, d, subgroup_seed, label_seed):
+    """``p n k obfuscate d queries sha256``, hashing what ``gsp solve --trace`` writes."""
+    res = find_s(QueryLog(make_instance(p, n, k, subgroup_seed, label_seed, bool(obfuscate))), d)
+    text = "".join(f"{element.digits()} {label.digits()}\n" for element, label in res.trace)
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    return f"{p} {n} {k} {obfuscate} {d} {res.queries} {digest}"
 
 
 class TestChooseD:
@@ -56,6 +89,25 @@ class TestChooseD:
             choose_d(2, 4, 0)
         with pytest.raises(ParameterError):
             choose_d(2, 4, 4)
+
+
+class TestLexSmallestOutside:
+    @staticmethod
+    def _scan(excluded):
+        # reference: walk Z_p^n in index order
+        p, n = excluded.p, excluded.n
+        return next(v for v in (VectorP.from_index(p, n, i) for i in range(1, p**n))
+                    if not excluded.contains(v))
+
+    @pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2)])
+    def test_matches_index_scan(self, p, n):
+        for k in range(n):
+            for excluded in enumerate_subgroups(p, n, k):
+                assert _lex_smallest_outside(excluded) == self._scan(excluded), excluded.to_text()
+
+    def test_full_group_raises(self):
+        with pytest.raises(PromiseViolationError):
+            _lex_smallest_outside(full_subgroup(3, 3))
 
 
 class TestFindGroup:
@@ -192,6 +244,13 @@ class TestFindS:
         assert res.recovered == inst.secret
         assert res.queries <= det_query_bound(2, 15, 4, d)
 
+    def test_recovers_secret_at_n_24(self):
+        inst = make_instance(2, 24, 8, 0, 0, True)
+        d = choose_d(2, 24, 8)
+        res = find_s(QueryLog(inst), d)
+        assert res.recovered == inst.secret
+        assert res.queries <= det_query_bound(2, 24, 8, d)
+
     def test_promise_violation_diagnostic(self, ref_secret):
         class ConstantOracle(HiddenInstance):
             def evaluate(self, x):
@@ -200,6 +259,13 @@ class TestFindS:
         lying = ConstantOracle(2, 4, 2, ref_secret, 0, False)
         with pytest.raises(PromiseViolationError):
             find_s(QueryLog(lying), 0)
+
+
+def test_traces_match_golden_file():
+    # any refactor of find_s must leave every trace byte-identical
+    expect = [line for line in GOLDEN_TRACES.read_text().splitlines() if not line.startswith("#")]
+    assert len(expect) == 266
+    assert [_trace_line(*run) for run in _golden_runs()] == expect
 
 
 def test_coset_meets_secret_law():
