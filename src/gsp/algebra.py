@@ -297,40 +297,16 @@ def canonicalize(p: int, n: int, rows: Iterable[VectorP]) -> Subgroup:
     return Subgroup(p, n, tuple(VectorP(p, r) for r in red))
 
 
-def _require_same_group_space(h: Subgroup, k: Subgroup) -> None:
-    if h.p != k.p or h.n != k.n:
-        raise DimensionMismatchError(
-            f"subgroups over Z_{h.p}^{h.n} and Z_{k.p}^{k.n}"
-        )
-
-
 def subgroup_sum(h: Subgroup, k: Subgroup) -> Subgroup:
     """Canonical basis of H + K."""
-    _require_same_group_space(h, k)
+    if h.p != k.p or h.n != k.n:
+        raise DimensionMismatchError(f"subgroups over Z_{h.p}^{h.n} and Z_{k.p}^{k.n}")
     return canonicalize(h.p, h.n, h.basis + k.basis)
 
 
 def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
-    """Canonical basis of H ∩ K via a kernel computation.
-
-    x = sum_i a_i h_i lies in K iff g·x = 0 for every g in a basis of the
-    orthogonal subgroup of K, which is a linear system in the a_i.
-    """
-    _require_same_group_space(h, k)
-    if h.is_trivial() or k.is_trivial():
-        return trivial_subgroup(h.p, h.n)
-    constraints = orthogonal(k).basis
-    if not constraints:  # K is the full group
-        return h
-    matrix = [[g.dot(hi) for hi in h.basis] for g in constraints]
-    gens = []
-    for alpha in _nullspace(h.p, h.rank, matrix):
-        v = VectorP.zero(h.p, h.n)
-        for a, row in zip(alpha, h.basis):
-            if a:
-                v = v + row.scale(a)
-        gens.append(v)
-    return canonicalize(h.p, h.n, gens)
+    """Canonical basis of H ∩ K, the orthogonal subgroup of H^⊥ + K^⊥."""
+    return orthogonal(subgroup_sum(orthogonal(h), orthogonal(k)))
 
 
 def complement(h: Subgroup) -> Subgroup:
@@ -372,6 +348,16 @@ def enumerate_subgroups(
             yield Subgroup(p, n, tuple(VectorP(p, tuple(row)) for row in mat))
 
 
+def _independent_rows(rng: random.Random, p: int, n: int, count: int) -> list[tuple[int, ...]]:
+    """``count`` linearly independent rows of Z_p^n, rejection-sampled from ``rng``."""
+    rows: list[tuple[int, ...]] = []
+    while len(rows) < count:
+        cand = tuple(rng.randrange(p) for _ in range(n))
+        if len(_rref(p, n, rows + [cand])) > len(rows):
+            rows.append(cand)
+    return rows
+
+
 def random_subgroup(p: int, n: int, k: int, seed: int) -> Subgroup:
     """A uniformly random rank-k subgroup, deterministic in ``seed``.
 
@@ -381,10 +367,5 @@ def random_subgroup(p: int, n: int, k: int, seed: int) -> Subgroup:
     _check_prime(p)
     if not (0 <= k <= n):
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
-    rng = random.Random(seed)
-    rows: list[VectorP] = []
-    while len(rows) < k:
-        cand = VectorP(p, tuple(rng.randrange(p) for _ in range(n)))
-        if len(_rref(p, n, [r.coords for r in rows] + [cand.coords])) > len(rows):
-            rows.append(cand)
-    return canonicalize(p, n, rows)
+    rows = _independent_rows(random.Random(seed), p, n, k)
+    return canonicalize(p, n, [VectorP(p, row) for row in rows])

@@ -8,6 +8,7 @@ treated as an internal error (it would mean the formula was mistyped).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -93,6 +94,8 @@ class BoundReport:
 def bound_report(p: int, n: int, k: int) -> BoundReport:
     if not (1 <= k < n):
         raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+    if k * p ** (n - k) > sys.float_info.max:
+        raise ParameterError(f"p^(n-k) = {p}^{n - k} is too large for the float lower bounds")
     return BoundReport(
         p=p,
         n=n,

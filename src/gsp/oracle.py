@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import Subgroup, VectorP, _rref, random_subgroup
+from .algebra import Subgroup, VectorP, _independent_rows, random_subgroup
 from .errors import DimensionMismatchError, ParameterError
 
 _INSTANCE_HEADER = "gsp-instance v1"
@@ -48,11 +48,7 @@ class HiddenInstance:
     def _bijection(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
         """Seeded invertible affine map (matrix, shift) plus coordinate permutation."""
         rng = random.Random(self.label_seed)
-        rows: list[tuple[int, ...]] = []
-        while len(rows) < self.n:
-            cand = tuple(rng.randrange(self.p) for _ in range(self.n))
-            if len(_rref(self.p, self.n, rows + [cand])) > len(rows):
-                rows.append(cand)
+        rows = _independent_rows(rng, self.p, self.n, self.n)
         shift = tuple(rng.randrange(self.p) for _ in range(self.n))
         perm = list(range(self.n))
         rng.shuffle(perm)

@@ -32,6 +32,10 @@ Implementation notes that matter for the query counts:
 * The label of 0^n is needed to recognize accidental queries that land
   inside S (a collision against the zero element), so the solver asks it
   once up front.
+* Each group travels as a label map (the label of every element of its
+  span, 0^n included, to that element): ``find_group`` takes A's map and
+  returns B's, and ``find_s`` hands the first call's map to the second
+  call and to the coset harvest, so no span is built twice.
 * ``find_group`` grows B one generator at a time in a single loop.  Its
   fresh element u is the lexicographically smallest vector outside
   S2 + A + B, read off the RREF pivots (the unit vector at the last
@@ -40,6 +44,9 @@ Implementation notes that matter for the query counts:
   the first hit; the remaining elements of an abandoned span are never
   asked.  This only lowers counts relative to the query-everything-first
   reading and leaves the returned invariants intact.
+* ``find_s`` finally checks every cached answer: two elements must share
+  a label exactly when they share a coset of the recovered group, or it
+  raises ``PromiseViolationError`` instead of returning a wrong subgroup.
 
 ``brute_force_solve`` is the correctness oracle (queries everything) and
 ``birthday_solve`` the randomized collision baseline.
@@ -123,31 +130,28 @@ def _grow_partial_secret(partial: Subgroup, element: VectorP, k: int) -> Subgrou
 def find_group(
     log: QueryLog,
     a_grp: Subgroup,
+    a_label_of: dict[VectorP, VectorP],
     s1: Subgroup,
     d: int,
     *,
     debug_secret: Subgroup | None = None,
-) -> tuple[Subgroup, Subgroup]:
+) -> tuple[Subgroup, dict[VectorP, VectorP], Subgroup]:
     """Find B of rank d with A ∩ B = {0} and (A+B) ∩ S = {0}, querying span(B).
 
-    Returns (B, S2) with S1 <= S2 <= S; S2 collects every secret element
-    betrayed by collisions along the way.  Requires the label of 0^n (and of
-    all of span(A), when A is nontrivial) to be known already; a standalone
-    call on a fresh log asks for 0^n itself.
+    ``a_label_of`` maps the label of every element of span(A), 0^n
+    included, to that element; the caller has queried all of them.
+    Returns (B, B's map of the same kind, S2) with S1 <= S2 <= S; S2
+    collects every secret element betrayed by collisions along the way.
+    Reads labels through the log's cache, so d = 0 makes no query.
     """
     inst = log.instance
     p, n, k = inst.p, inst.n, inst.k
     if not (0 <= d <= n - k):
         raise ParameterError(f"need 0 <= d <= n-k, got d={d}")
-    if d == 0:
-        return trivial_subgroup(p, n), s1
 
-    # labels of span(B) and of span(A) minus 0 (queried by the caller); each
-    # map is one-to-one since span(A) ∩ S = span(B) ∩ S = {0}
+    # each map is one-to-one since span(A) ∩ S = span(B) ∩ S = {0}
     zero = VectorP.zero(p, n)
     b_label_of = {_ask(log, zero): zero}
-    a_label_of = {_ask(log, a): a for a in sorted(a_grp.elements()) if not a.is_zero()}
-
     b_grp, s_cur = trivial_subgroup(p, n), s1
     while b_grp.rank < d:
         # the least u outside S2+A+B; a collision with span(B) grows S2
@@ -158,7 +162,7 @@ def find_group(
             continue
         # query u, then the rest of span(B ∪ u); a collision with A grows S2
         # and abandons the span
-        span = sorted(b + u.scale(c) for b in b_grp.elements() for c in range(1, p))
+        span = sorted(b + u.scale(c) for b in b_label_of.values() for c in range(1, p))
         span.remove(u)
         span.insert(0, u)
         for b in span:
@@ -178,12 +182,13 @@ def find_group(
             "(A+B) ∩ S = {0}": intersect(subgroup_sum(a_grp, b_grp), debug_secret).is_trivial(),
             "S2 <= S": all(row in debug_secret for row in s_cur.basis),
             "S1 <= S2": all(row in s_cur for row in s1.basis),
-            "span(B) queried": all(b in log.cache for b in b_grp.elements()),
+            "B's map holds span(B)": {b: f for f, b in b_label_of.items()}
+            == {b: log.cache.get(b) for b in b_grp.elements()},
         }
         failed = [name for name, ok in checks.items() if not ok]
         if failed:
             raise AssertionError(f"find_group invariants failed: {', '.join(failed)}")
-    return b_grp, s_cur
+    return b_grp, b_label_of, s_cur
 
 
 def find_s(
@@ -204,19 +209,19 @@ def find_s(
     if not (0 <= d <= n - k):
         raise ParameterError(f"need 0 <= d <= n-k, got d={d}")
     triv = trivial_subgroup(p, n)
-    log.query(VectorP.zero(p, n))
+    zero = VectorP.zero(p, n)
 
-    b_grp, s1 = find_group(log, triv, triv, n - k - d, debug_secret=debug_secret)
-    a_grp, s2 = find_group(log, b_grp, s1, d, debug_secret=debug_secret)
+    b_grp, b_label_of, s1 = find_group(
+        log, triv, {log.query(zero): zero}, triv, n - k - d, debug_secret=debug_secret
+    )
+    a_grp, a_label_of, s2 = find_group(log, b_grp, b_label_of, s1, d, debug_secret=debug_secret)
 
     v = subgroup_sum(a_grp, b_grp)
     w = complement(subgroup_sum(v, s2))
-    b_label_of = {_ask(log, b): b for b in sorted(b_grp.elements())}
-
     gens = list(s2.basis)
     for w_i in w.basis:
         found = None
-        for a in sorted(elem + w_i for elem in a_grp.elements()):
+        for a in sorted(elem + w_i for elem in a_label_of.values()):
             b = b_label_of.get(_ask(log, a))
             if b is not None:
                 found = a - b
@@ -232,6 +237,10 @@ def find_s(
         raise PromiseViolationError(
             f"recovered rank {recovered.rank}, promised k={k}"
         )
+    # every cached answer must label exactly the cosets of the recovered group
+    pairs = {(recovered.coset_reduce(x), label) for x, label in log.cache.items()}
+    if not len(pairs) == len({rep for rep, _ in pairs}) == len({label for _, label in pairs}):
+        raise PromiseViolationError(f"the labels seen are not constant exactly on cosets of {recovered}")
     return SolverResult(recovered, log.count, d, tuple(log.trace))
 
 
@@ -266,6 +275,8 @@ def birthday_solve(
     when their span reaches rank k; a lower-rank result is a failure value,
     never a wrong answer.
     """
+    if not 0 < budget_multiplier < math.inf:
+        raise ParameterError(f"budget multiplier must be positive and finite, got {budget_multiplier}")
     inst = log.instance
     p, n, k = inst.p, inst.n, inst.k
     budget = math.ceil(budget_multiplier * math.sqrt(k * p ** (n - k)))

@@ -194,6 +194,27 @@ class TestVerifyBounds:
         assert all(line.endswith("pass") for line in lines[1:])
         assert any(line.startswith("2 4 2 35 7 ") for line in lines)
 
+    def test_float_range(self, capsys):
+        # sqrt(p^(n-k)) fits a float at n = 70; past 2^1024 it is an error, not an OverflowError
+        code, out, _ = run(capsys, "verify-bounds", "--p", "2", "--n", "70", "--k", "1")
+        assert code == 0
+        assert out.splitlines()[1] == (
+            "2 70 1 1180591620717411303423 1 24296003999.808 24296003999.808 "
+            "68719476736 pass(identity-only)"
+        )
+        code, _, err = run(capsys, "verify-bounds", "--p", "2", "--n", "1100", "--k", "1")
+        assert code == 1
+        assert err.startswith("error: p^(n-k) = 2^1099 is too large")
+
+
+def _run_cli(argv, tmp_path):
+    """Run ``python -m gsp.cli`` in a subprocess; bench writes its CSV under tmp_path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if argv[0] == "bench":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    return subprocess.run([sys.executable, "-m", "gsp.cli", *argv], env=env, capture_output=True, text=True)
+
 
 @pytest.mark.parametrize("argv", [
     ["bench", "--p", "x", "--n", "3"],
@@ -203,11 +224,21 @@ class TestVerifyBounds:
 ])
 def test_bad_integer_list(argv, tmp_path):
     # a malformed list exits 1 with an error line, not a traceback
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    if argv[0] == "bench":
-        argv = argv + ["--out", str(tmp_path / "out.csv")]
-    proc = subprocess.run([sys.executable, "-m", "gsp.cli", *argv], env=env, capture_output=True, text=True)
+    proc = _run_cli(argv, tmp_path)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: bad integer list")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["birthday", "--p", "2", "--n", "6", "--k", "2", "--multiplier", "nan"],
+    ["birthday", "--p", "2", "--n", "6", "--k", "2", "--multiplier", "inf"],
+    ["birthday", "--p", "2", "--n", "6", "--k", "2", "--multiplier", "-3"],
+    ["bench", "--p", "2", "--n", "4", "--k", "2", "--solver", "birthday", "--multiplier", "0", "--seeds", "1"],
+])
+def test_bad_multiplier(argv, tmp_path):
+    # a multiplier that is not positive and finite exits 1, not with a traceback or a zero budget
+    proc = _run_cli(argv, tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: budget multiplier must be positive and finite")
     assert "Traceback" not in proc.stderr

@@ -2,8 +2,10 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -110,20 +112,28 @@ class TestLexSmallestOutside:
             _lex_smallest_outside(full_subgroup(3, 3))
 
 
+def _zero_label_of(log):
+    """The label map of the trivial group, querying 0^n."""
+    zero = VectorP.zero(log.instance.p, log.instance.n)
+    return {log.query(zero): zero}
+
+
 class TestFindGroup:
     def test_d_zero_no_queries(self, ref_instance):
         log = QueryLog(ref_instance)
+        zero_label_of = _zero_label_of(log)
         s1 = trivial_subgroup(2, 4)
-        b, s2 = find_group(log, trivial_subgroup(2, 4), s1, 0)
-        assert b.is_trivial() and s2 == s1 and log.count == 0
+        b, b_label_of, s2 = find_group(log, trivial_subgroup(2, 4), zero_label_of, s1, 0)
+        assert b.is_trivial() and b_label_of == zero_label_of and s2 == s1 and log.count == 1
 
     def test_full_corank_build(self, ref_instance, ref_secret):
         log = QueryLog(ref_instance)
         triv = trivial_subgroup(2, 4)
-        b, s2 = find_group(log, triv, triv, 2, debug_secret=ref_secret)
+        b, b_label_of, s2 = find_group(log, triv, _zero_label_of(log), triv, 2, debug_secret=ref_secret)
         assert b.rank == 2
         assert intersect(b, ref_secret).is_trivial()
         assert all(x in log.cache for x in b.elements())
+        assert b_label_of == {log.cache[x]: x for x in b.elements()}
 
     @pytest.mark.parametrize("p,n,k", [(2, 5, 2), (3, 4, 1), (2, 6, 3), (5, 3, 1)])
     def test_trivial_a_query_count_formula(self, p, n, k):
@@ -133,10 +143,10 @@ class TestFindGroup:
             inst = make_instance(p, n, k, subgroup_seed=seed, label_seed=seed)
             for d in range(n - k + 1):
                 log = QueryLog(inst)
-                log.query(VectorP.zero(p, n))
+                zero_label_of = _zero_label_of(log)
                 base = log.count
                 triv = trivial_subgroup(p, n)
-                b, s2 = find_group(log, triv, triv, d, debug_secret=inst.secret)
+                b, _, s2 = find_group(log, triv, zero_label_of, triv, d, debug_secret=inst.secret)
                 assert log.count - base == p**d - 1 + s2.rank
 
     def test_nontrivial_a_per_call_bound(self):
@@ -149,12 +159,13 @@ class TestFindGroup:
                 inst = make_instance(p, n, k, subgroup_seed=seed, label_seed=seed)
                 d_a = 1
                 log = QueryLog(inst)
-                log.query(VectorP.zero(p, n))
                 triv = trivial_subgroup(p, n)
-                a_grp, s1 = find_group(log, triv, triv, d_a, debug_secret=inst.secret)
+                a_grp, a_label_of, s1 = find_group(
+                    log, triv, _zero_label_of(log), triv, d_a, debug_secret=inst.secret
+                )
                 base = log.count
                 d = n - k - d_a
-                b, s2 = find_group(log, a_grp, s1, d, debug_secret=inst.secret)
+                b, _, s2 = find_group(log, a_grp, a_label_of, s1, d, debug_secret=inst.secret)
                 used = log.count - base
                 gain = s2.rank - s1.rank
                 assert used <= p**d - 1 + gain * (p**d - p ** (d - 1))
@@ -261,6 +272,53 @@ class TestFindS:
             find_s(QueryLog(lying), 0)
 
 
+@dataclass(frozen=True)
+class _AdversarialInstance(HiddenInstance):
+    """An instance whose oracle breaks the promise in one of several ways."""
+
+    mode: str = "random"
+
+    def evaluate(self, x):
+        p, n, k = self.p, self.n, self.k
+        if self.mode == "constant":
+            return VectorP.zero(p, n)
+        if self.mode == "injective":
+            return x
+        if self.mode == "lower-rank":
+            return canonicalize(p, n, self.secret.basis[1:]).coset_reduce(x)
+        if self.mode == "higher-rank":
+            outside = _lex_smallest_outside(self.secret)
+            return canonicalize(p, n, self.secret.basis + (outside,)).coset_reduce(x)
+        rng = random.Random(f"{self.label_seed}:{x.digits()}")
+        return VectorP(p, tuple(rng.randrange(p) for _ in range(n)))
+
+
+def _consistent(recovered, trace):
+    """Labels in ``trace`` agree exactly when their elements share a coset of ``recovered``."""
+    pairs = {(recovered.coset_reduce(x), label) for x, label in trace}
+    return len(pairs) == len({rep for rep, _ in pairs}) == len({label for _, label in pairs})
+
+
+@pytest.mark.parametrize("mode", ["constant", "injective", "lower-rank", "higher-rank", "random"])
+def test_adversarial_oracle_never_misleads(mode):
+    # a broken promise ends in PromiseViolationError or in an answer that
+    # explains every label seen; any other exception fails the test
+    returned = 0
+    for p, n in [(2, 5), (3, 4), (5, 3), (2, 8)]:
+        for k in range(1, n):
+            for seed in range(3):
+                inst = _AdversarialInstance(p, n, k, random_subgroup(p, n, k, seed), seed, False, mode)
+                for d in range(n - k + 1):
+                    for dedup in (True, False):
+                        try:
+                            res = find_s(QueryLog(inst, dedup=dedup), d)
+                        except PromiseViolationError:
+                            continue
+                        assert _consistent(res.recovered, res.trace), (p, n, k, seed, d, dedup)
+                        returned += 1
+    print(f"\nadversarial {mode}: {returned} consistent answers")
+
+
 def test_traces_match_golden_file():
     # any refactor of find_s must leave every trace byte-identical
     expect = [line for line in GOLDEN_TRACES.read_text().splitlines() if not line.startswith("#")]
@@ -314,8 +372,12 @@ class TestBirthday:
         assert hits > 0
 
     def test_zero_budget_fails(self, ref_instance):
-        res = birthday_solve(QueryLog(ref_instance), seed=0, budget_multiplier=0.0)
-        assert res.queries == 0 and res.recovered.rank == 0
+        # a budget that is not positive and finite is a parameter error, made before any query
+        for multiplier in (0.0, -3.0, float("nan"), float("inf")):
+            log = QueryLog(ref_instance)
+            with pytest.raises(ParameterError):
+                birthday_solve(log, seed=0, budget_multiplier=multiplier)
+            assert log.count == 0
 
     def test_monte_carlo_rate(self):
         successes = 0
