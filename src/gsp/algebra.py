@@ -6,6 +6,15 @@ plain ``==`` on their bases and gives every subgroup a unique textual
 serialization.  All arithmetic is exact integer arithmetic; p must be a
 prime below 2**16 and n at most 64.
 
+Validation happens at the boundary.  The public constructors
+(``VectorP(p, coords)``, ``Subgroup(p, n, basis)``, ``from_digits``,
+``Subgroup.from_text``) and the public functions that take a bare p and n
+check everything they are given.  Values computed from already valid ones
+(vector arithmetic, RREF rows, enumerated subgroups, coset representatives)
+are valid by construction and are built through the unchecked private
+constructors ``VectorP._unchecked`` and ``Subgroup._unchecked``, which take
+Python ints only.
+
 Everything in this module is a pure function on immutable values and is
 safe to share across threads.
 """
@@ -28,6 +37,10 @@ DEFAULT_ENUMERATION_CAP = 1 << 20
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
+# The unchecked constructors set fields as a frozen dataclass does; writing
+# to the instance ``__dict__`` instead would cost 64 bytes more per object.
+_new, _set = object.__new__, object.__setattr__
+
 
 @lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
@@ -41,9 +54,11 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _check_prime(p: int) -> None:
+def _check_space(p: int, n: int) -> None:
     if not (2 <= p < MAX_PRIME) or not is_prime(p):
         raise ParameterError(f"p must be a prime in [2, {MAX_PRIME}), got {p}")
+    if not (0 <= n <= MAX_DIM):
+        raise ParameterError(f"n must be in [0, {MAX_DIM}], got {n}")
 
 
 def _inv_mod(a: int, p: int) -> int:
@@ -59,13 +74,19 @@ class VectorP:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_prime(self.p)
         coords = tuple(int(c) for c in self.coords)
-        if len(coords) > MAX_DIM:
-            raise ParameterError(f"n must be at most {MAX_DIM}, got {len(coords)}")
+        _check_space(self.p, len(coords))
         if any(c < 0 or c >= self.p for c in coords):
             raise ParameterError(f"coordinates must lie in [0, {self.p}), got {coords}")
         object.__setattr__(self, "coords", coords)
+
+    @classmethod
+    def _unchecked(cls, p: int, coords: tuple[int, ...]) -> "VectorP":
+        """A vector built without checks: p a valid prime, coords Python ints in [0, p)."""
+        v = _new(cls)
+        _set(v, "p", p)
+        _set(v, "coords", coords)
+        return v
 
     @property
     def n(self) -> int:
@@ -73,12 +94,14 @@ class VectorP:
 
     @classmethod
     def zero(cls, p: int, n: int) -> "VectorP":
-        return cls(p, (0,) * n)
+        _check_space(p, n)
+        return cls._unchecked(p, (0,) * n)
 
     @classmethod
     def unit(cls, p: int, n: int, j: int) -> "VectorP":
         """Standard basis vector with a 1 at column j (0-based)."""
-        return cls(p, tuple(1 if i == j else 0 for i in range(n)))
+        _check_space(p, n)
+        return cls._unchecked(p, tuple(1 if i == j else 0 for i in range(n)))
 
     def _require_same_space(self, other: "VectorP") -> None:
         if self.p != other.p or self.n != other.n:
@@ -88,18 +111,22 @@ class VectorP:
 
     def __add__(self, other: "VectorP") -> "VectorP":
         self._require_same_space(other)
-        return VectorP(self.p, tuple((a + b) % self.p for a, b in zip(self.coords, other.coords)))
+        p = self.p
+        return VectorP._unchecked(p, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "VectorP") -> "VectorP":
         self._require_same_space(other)
-        return VectorP(self.p, tuple((a - b) % self.p for a, b in zip(self.coords, other.coords)))
+        p = self.p
+        return VectorP._unchecked(p, tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "VectorP":
-        return VectorP(self.p, tuple((-a) % self.p for a in self.coords))
+        p = self.p
+        return VectorP._unchecked(p, tuple((-a) % p for a in self.coords))
 
     def scale(self, c: int) -> "VectorP":
-        c %= self.p
-        return VectorP(self.p, tuple((c * a) % self.p for a in self.coords))
+        p = self.p
+        c = int(c) % p
+        return VectorP._unchecked(p, tuple((c * a) % p for a in self.coords))
 
     def dot(self, other: "VectorP") -> int:
         self._require_same_space(other)
@@ -121,10 +148,12 @@ class VectorP:
 
     @classmethod
     def from_index(cls, p: int, n: int, idx: int) -> "VectorP":
+        _check_space(p, n)
         coords = [0] * n
+        idx = int(idx)
         for i in range(n - 1, -1, -1):
             idx, coords[i] = divmod(idx, p)
-        return cls(p, tuple(coords))
+        return cls._unchecked(p, tuple(coords))
 
     def digits(self) -> str:
         """Base-p digit string, most significant coordinate first."""
@@ -146,10 +175,11 @@ class VectorP:
 
 def all_vectors(p: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[VectorP]:
     """All of Z_p^n in lexicographic order."""
+    _check_space(p, n)
     if p**n > cap:
         raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {cap}")
     for coords in itertools.product(range(p), repeat=n):
-        yield VectorP(p, coords)
+        yield VectorP._unchecked(p, coords)
 
 
 def _rref(p: int, n: int, rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -176,7 +206,7 @@ def _rref(p: int, n: int, rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]
 def _nullspace(p: int, ncols: int, rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     """Basis of {x : M x = 0 mod p} for the matrix M given by ``rows``."""
     red = _rref(p, ncols, rows)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in red]
+    pivots = [row.index(1) for row in red]
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
     for f in free:
@@ -201,9 +231,7 @@ class Subgroup:
     basis: tuple[VectorP, ...]
 
     def __post_init__(self) -> None:
-        _check_prime(self.p)
-        if not (0 <= self.n <= MAX_DIM):
-            raise ParameterError(f"n must be in [0, {MAX_DIM}], got {self.n}")
+        _check_space(self.p, self.n)
         basis = tuple(self.basis)
         object.__setattr__(self, "basis", basis)
         for row in basis:
@@ -211,6 +239,15 @@ class Subgroup:
                 raise DimensionMismatchError("basis row does not live over (p, n)")
         if [r.coords for r in basis] != _rref(self.p, self.n, [r.coords for r in basis]):
             raise ParameterError("basis is not in reduced row echelon form")
+
+    @classmethod
+    def _unchecked(cls, p: int, n: int, basis: tuple[VectorP, ...]) -> "Subgroup":
+        """A subgroup built without checks: (p, n) valid, basis RREF rows over (p, n)."""
+        h = _new(cls)
+        _set(h, "p", p)
+        _set(h, "n", n)
+        _set(h, "basis", basis)
+        return h
 
     @property
     def rank(self) -> int:
@@ -224,12 +261,14 @@ class Subgroup:
         return not self.basis
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row.coords) if x) for row in self.basis)
+        # an RREF row is zero up to its pivot, which is 1
+        return tuple(row.coords.index(1) for row in self.basis)
 
     def elements(self) -> Iterator[VectorP]:
         """Every element of the span, ordered by coefficient tuples."""
+        zero = VectorP._unchecked(self.p, (0,) * self.n)
         for coeffs in itertools.product(range(self.p), repeat=self.rank):
-            v = VectorP.zero(self.p, self.n)
+            v = zero
             for c, row in zip(coeffs, self.basis):
                 if c:
                     v = v + row.scale(c)
@@ -248,11 +287,13 @@ class Subgroup:
         """
         if x.p != self.p or x.n != self.n:
             raise DimensionMismatchError("vector does not live over (p, n)")
+        p, coords = self.p, x.coords
         for row in self.basis:
-            c = x.coords[next(j for j, v in enumerate(row.coords) if v)]
+            r = row.coords
+            c = coords[r.index(1)]  # the pivot column, as in ``pivots``
             if c:
-                x = x - row.scale(c)
-        return x
+                coords = tuple((a - c * b) % p for a, b in zip(coords, r))
+        return VectorP._unchecked(p, coords)
 
     def to_text(self) -> str:
         """``p=<p> n=<n> rows=<row;row;...>`` with rows as base-p digit strings."""
@@ -279,22 +320,29 @@ class Subgroup:
 
 
 def trivial_subgroup(p: int, n: int) -> Subgroup:
-    return Subgroup(p, n, ())
+    _check_space(p, n)
+    return Subgroup._unchecked(p, n, ())
 
 
 def full_subgroup(p: int, n: int) -> Subgroup:
-    return Subgroup(p, n, tuple(VectorP.unit(p, n, j) for j in range(n)))
+    _check_space(p, n)
+    return Subgroup._unchecked(p, n, tuple(VectorP.unit(p, n, j) for j in range(n)))
+
+
+def _span(p: int, n: int, rows: Iterable[Sequence[int]]) -> Subgroup:
+    """The subgroup generated by int rows over a valid (p, n)."""
+    return Subgroup._unchecked(p, n, tuple(VectorP._unchecked(p, r) for r in _rref(p, n, rows)))
 
 
 def canonicalize(p: int, n: int, rows: Iterable[VectorP]) -> Subgroup:
     """The subgroup generated by ``rows``, in canonical RREF form."""
+    _check_space(p, n)
     mat = []
     for row in rows:
         if row.p != p or row.n != n:
             raise DimensionMismatchError("generator does not live over (p, n)")
         mat.append(row.coords)
-    red = _rref(p, n, mat)
-    return Subgroup(p, n, tuple(VectorP(p, r) for r in red))
+    return _span(p, n, mat)
 
 
 def subgroup_sum(h: Subgroup, k: Subgroup) -> Subgroup:
@@ -312,14 +360,13 @@ def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
 def complement(h: Subgroup) -> Subgroup:
     """A direct complement of H: standard basis vectors at H's non-pivot columns."""
     pivots = set(h.pivots())
-    rows = [VectorP.unit(h.p, h.n, j) for j in range(h.n) if j not in pivots]
-    return Subgroup(h.p, h.n, tuple(rows))
+    rows = tuple(VectorP.unit(h.p, h.n, j) for j in range(h.n) if j not in pivots)
+    return Subgroup._unchecked(h.p, h.n, rows)
 
 
 def orthogonal(h: Subgroup) -> Subgroup:
     """The orthogonal subgroup {g : g·h = 0 for all h in H}."""
-    null = _nullspace(h.p, h.n, [row.coords for row in h.basis])
-    return canonicalize(h.p, h.n, [VectorP(h.p, v) for v in null])
+    return _span(h.p, h.n, _nullspace(h.p, h.n, [row.coords for row in h.basis]))
 
 
 def enumerate_subgroups(
@@ -329,23 +376,29 @@ def enumerate_subgroups(
 
     RREF bases are generated directly: choose the pivot columns, then run
     over all assignments of the free entries.  Uniqueness of the RREF makes
-    the stream duplicate-free.
+    the stream duplicate-free.  The free entries of different rows are
+    independent, so each row's candidates are built once per pivot choice
+    and the bases are their product (row-major, last entry fastest).
     """
-    _check_prime(p)
+    _check_space(p, n)
     if not (0 <= k <= n):
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
     if p**n > cap:
         raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {cap}")
     for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivot_set]
-        for values in itertools.product(range(p), repeat=len(free)):
-            mat = [[0] * n for _ in range(k)]
-            for r in range(k):
-                mat[r][pivots[r]] = 1
-            for (r, c), v in zip(free, values):
-                mat[r][c] = v
-            yield Subgroup(p, n, tuple(VectorP(p, tuple(row)) for row in mat))
+        candidates = []
+        for pivot in pivots:
+            free = [c for c in range(pivot + 1, n) if c not in pivots]
+            rows = []
+            for values in itertools.product(range(p), repeat=len(free)):
+                row = [0] * n
+                row[pivot] = 1
+                for c, v in zip(free, values):
+                    row[c] = v
+                rows.append(VectorP._unchecked(p, tuple(row)))
+            candidates.append(rows)
+        for basis in itertools.product(*candidates):
+            yield Subgroup._unchecked(p, n, basis)
 
 
 def _independent_rows(rng: random.Random, p: int, n: int, count: int) -> list[tuple[int, ...]]:
@@ -364,8 +417,7 @@ def random_subgroup(p: int, n: int, k: int, seed: int) -> Subgroup:
     Rejection-samples k linearly independent vectors; every rank-k subgroup
     has the same number of ordered bases, so the draw is uniform.
     """
-    _check_prime(p)
+    _check_space(p, n)
     if not (0 <= k <= n):
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
-    rows = _independent_rows(random.Random(seed), p, n, k)
-    return canonicalize(p, n, [VectorP(p, row) for row in rows])
+    return _span(p, n, _independent_rows(random.Random(seed), p, n, k))

@@ -104,5 +104,5 @@ def bound_report(p: int, n: int, k: int) -> BoundReport:
         t2=t2_count(p, n, k),
         lower_adaptive=max(float(k), math.sqrt(p ** (n - k))),
         lower_nonadaptive=max(float(k), math.sqrt(k * p ** (n - k))),
-        upper_det=min(det_query_bound(p, n, k, d) for d in range(n - k + 1)),
+        upper_det=det_query_bound(p, n, k, optimal_d(p, n, k)),
     )

@@ -51,7 +51,7 @@ def _add_instance_source(sub: argparse.ArgumentParser) -> None:
 def _load_instance(args: argparse.Namespace) -> HiddenInstance:
     if args.infile:
         return read_instance(args.infile)
-    if getattr(args, "p", None) is None:
+    if None in (args.p, args.n, args.k):
         raise ParameterError("provide --in FILE or --p/--n/--k/--seed")
     label_seed = args.seed if args.label_seed is None else args.label_seed
     return make_instance(args.p, args.n, args.k, args.seed, label_seed, bool(args.obfuscate))

@@ -64,7 +64,7 @@ class HiddenInstance:
             (sum(m * c for m, c in zip(row, rep.coords)) + s) % self.p
             for row, s in zip(matrix, shift)
         )
-        return VectorP(self.p, tuple(mixed[perm[i]] for i in range(self.n)))
+        return VectorP._unchecked(self.p, tuple(mixed[i] for i in perm))
 
 
 def make_instance(

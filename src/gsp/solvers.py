@@ -44,12 +44,13 @@ Implementation notes that matter for the query counts:
   the first hit; the remaining elements of an abandoned span are never
   asked.  This only lowers counts relative to the query-everything-first
   reading and leaves the returned invariants intact.
-* ``find_s`` finally checks every cached answer: two elements must share
-  a label exactly when they share a coset of the recovered group, or it
-  raises ``PromiseViolationError`` instead of returning a wrong subgroup.
 
 ``brute_force_solve`` is the correctness oracle (queries everything) and
-``birthday_solve`` the randomized collision baseline.
+``birthday_solve`` the randomized collision baseline.  Each solver checks
+a rank-k answer against every cached label before returning it
+(``_check_labels``): two elements must share a label exactly when they
+share a coset of the answer, or it raises ``PromiseViolationError`` instead
+of returning a wrong subgroup.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .algebra import (
     DEFAULT_ENUMERATION_CAP,
     Subgroup,
     VectorP,
+    all_vectors,
     canonicalize,
     complement,
     intersect,
@@ -114,6 +116,13 @@ def _lex_smallest_outside(excluded: Subgroup) -> VectorP:
     if not free:
         raise PromiseViolationError("excluded span covers the whole group")
     return VectorP.unit(excluded.p, excluded.n, max(free))
+
+
+def _check_labels(log: QueryLog, answer: Subgroup) -> None:
+    """Raise unless cached elements share a label exactly when they share a coset of ``answer``."""
+    pairs = {(answer.coset_reduce(x), label) for x, label in log.cache.items()}
+    if not len(pairs) == len({rep for rep, _ in pairs}) == len({label for _, label in pairs}):
+        raise PromiseViolationError(f"the labels seen are not constant exactly on cosets of {answer}")
 
 
 def _grow_partial_secret(partial: Subgroup, element: VectorP, k: int) -> Subgroup:
@@ -237,10 +246,7 @@ def find_s(
         raise PromiseViolationError(
             f"recovered rank {recovered.rank}, promised k={k}"
         )
-    # every cached answer must label exactly the cosets of the recovered group
-    pairs = {(recovered.coset_reduce(x), label) for x, label in log.cache.items()}
-    if not len(pairs) == len({rep for rep, _ in pairs}) == len({label for _, label in pairs}):
-        raise PromiseViolationError(f"the labels seen are not constant exactly on cosets of {recovered}")
+    _check_labels(log, recovered)
     return SolverResult(recovered, log.count, d, tuple(log.trace))
 
 
@@ -253,16 +259,13 @@ def brute_force_solve(
     if p**n > cap:
         raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {cap}")
     zero_label = log.query(VectorP.zero(p, n))
-    members = []
-    for idx in range(p**n):
-        x = VectorP.from_index(p, n, idx)
-        if log.query(x) == zero_label:
-            members.append(x)
+    members = [x for x in all_vectors(p, n, cap) if log.query(x) == zero_label]
     recovered = canonicalize(p, n, members)
     if recovered.rank != inst.k:
         raise PromiseViolationError(
             f"collision set of 0^n spans rank {recovered.rank}, promised k={inst.k}"
         )
+    _check_labels(log, recovered)
     return SolverResult(recovered, log.count, None, tuple(log.trace))
 
 
@@ -273,21 +276,29 @@ def birthday_solve(
 
     All pairwise collision differences lie in S, so the run succeeds exactly
     when their span reaches rank k; a lower-rank result is a failure value,
-    never a wrong answer.
+    never a wrong answer.  A span of rank above k, or a rank-k span that
+    does not explain every label seen, raises ``PromiseViolationError``.
     """
-    if not 0 < budget_multiplier < math.inf:
-        raise ParameterError(f"budget multiplier must be positive and finite, got {budget_multiplier}")
     inst = log.instance
     p, n, k = inst.p, inst.n, inst.k
-    budget = math.ceil(budget_multiplier * math.sqrt(k * p ** (n - k)))
+    budget = budget_multiplier * math.sqrt(k * p ** (n - k))
+    if not 0 < budget < math.inf:  # also false for a nan multiplier
+        raise ParameterError(
+            f"budget multiplier must be positive and finite, and so must the budget "
+            f"{budget_multiplier} * sqrt({k} * {p}^{n - k})"
+        )
     rng = random.Random(seed)
     first_with_label: dict[VectorP, VectorP] = {}
     diffs = []
-    for _ in range(budget):
-        x = VectorP(p, tuple(rng.randrange(p) for _ in range(n)))
+    for _ in range(math.ceil(budget)):
+        x = VectorP._unchecked(p, tuple(rng.randrange(p) for _ in range(n)))
         label = log.query(x)
         seen = first_with_label.setdefault(label, x)
         if seen != x:
             diffs.append(x - seen)
     recovered = canonicalize(p, n, diffs)
+    if recovered.rank > k:
+        raise PromiseViolationError(f"collision differences span rank {recovered.rank}, promised k={k}")
+    if recovered.rank == k:
+        _check_labels(log, recovered)
     return SolverResult(recovered, log.count, None, tuple(log.trace))

@@ -81,6 +81,24 @@ class TestVectorOps:
         with pytest.raises(ParameterError):
             VectorP(3, (0, 3))  # residue out of range
 
+    def test_factory_errors(self):
+        # factories given a bare p and n check both before building unchecked values
+        factories = [
+            VectorP.zero,
+            lambda p, n: VectorP.unit(p, n, 0),
+            lambda p, n: VectorP.from_index(p, n, 0),
+            lambda p, n: next(all_vectors(p, n)),
+            trivial_subgroup,
+            full_subgroup,
+            lambda p, n: canonicalize(p, n, []),
+            lambda p, n: random_subgroup(p, n, 0, 0),
+            lambda p, n: next(enumerate_subgroups(p, n, 0)),
+        ]
+        for make in factories:
+            for p, n in [(4, 2), (1, 2), (2, -1), (2, 70)]:
+                with pytest.raises(ParameterError):
+                    make(p, n)
+
     def test_index_roundtrip(self):
         for v in all_vectors(3, 3):
             assert VectorP.from_index(3, 3, v.to_index()) == v
@@ -312,3 +330,7 @@ class TestSerialization:
             Subgroup.from_text("p=2 rows=01")
         with pytest.raises(ParameterError):
             Subgroup.from_text("p=2 n=3 rows=01")
+        # with no rows to check, p and n are still checked
+        for text in ("p=4 n=3 rows=", "p=2 n=-1 rows=", "p=2 n=70 rows="):
+            with pytest.raises(ParameterError):
+                Subgroup.from_text(text)

@@ -235,9 +235,12 @@ def test_bad_integer_list(argv, tmp_path):
     ["birthday", "--p", "2", "--n", "6", "--k", "2", "--multiplier", "inf"],
     ["birthday", "--p", "2", "--n", "6", "--k", "2", "--multiplier", "-3"],
     ["bench", "--p", "2", "--n", "4", "--k", "2", "--solver", "birthday", "--multiplier", "0", "--seeds", "1"],
+    ["birthday", "--p", "2", "--n", "4", "--k", "1", "--multiplier", "1e308"],
+    ["bench", "--p", "2", "--n", "4", "--k", "1", "--solver", "birthday", "--multiplier", "1e308", "--seeds", "1"],
 ])
 def test_bad_multiplier(argv, tmp_path):
-    # a multiplier that is not positive and finite exits 1, not with a traceback or a zero budget
+    # a multiplier that is not positive and finite, or whose budget overflows,
+    # exits 1, not with a traceback or a zero budget
     proc = _run_cli(argv, tmp_path)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: budget multiplier must be positive and finite")

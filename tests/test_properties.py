@@ -1,12 +1,15 @@
-"""Property tests: subgroup laws, the label promise and the deterministic solver."""
+"""Property tests: subgroup laws, unchecked construction, the label promise and the deterministic solver."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsp import (
     QueryLog,
+    Subgroup,
     VectorP,
     brute_force_solve,
+    canonicalize,
+    enumerate_subgroups,
     find_s,
     intersect,
     make_instance,
@@ -43,6 +46,53 @@ def instances(draw, max_n=6):
 
 def _vectors(p, n):
     return st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(lambda c: VectorP(p, tuple(c)))
+
+
+def _assert_valid(v):
+    """``v`` is what the checked constructor builds from its coordinates."""
+    assert all(type(c) is int and 0 <= c < v.p for c in v.coords)
+    assert v == VectorP(v.p, v.coords)
+
+
+@PROPERTY
+@given(st.data())
+def test_unchecked_vectors_pass_the_checked_constructor(data):
+    p, n = data.draw(st.sampled_from(SPACES))
+    x, y = data.draw(_vectors(p, n)), data.draw(_vectors(p, n))
+    c = data.draw(st.integers(-3 * p, 3 * p))
+    idx = data.draw(st.integers(0, p**n - 1))
+    h = data.draw(subgroups(p, n))
+    for v in (x + y, x - y, -x, x.scale(c), VectorP.from_index(p, n, idx), h.coset_reduce(x)):
+        _assert_valid(v)
+    assert (x + y).coords == tuple((a + b) % p for a, b in zip(x.coords, y.coords))
+    assert x.scale(c) == VectorP(p, tuple(c * a % p for a in x.coords))
+    assert VectorP.from_index(p, n, idx).to_index() == idx
+
+
+def test_enumerated_subgroups_pass_the_full_check():
+    # the unchecked enumeration against the public constructor's RREF check
+    for p, n in [(2, 5), (3, 3), (5, 2)]:
+        for k in range(n + 1):
+            for h in enumerate_subgroups(p, n, k):
+                for row in h.basis:
+                    _assert_valid(row)
+                assert h == Subgroup(h.p, h.n, h.basis)
+
+
+@PROPERTY
+@given(st.data())
+def test_rref_is_unique(data):
+    # any generating set of H, in any order, canonicalizes to H's basis
+    p, n = data.draw(st.sampled_from(SPACES))
+    h = data.draw(subgroups(p, n))
+    coefficients = st.lists(st.integers(0, p - 1), min_size=h.rank, max_size=h.rank)
+    gens = [row.scale(data.draw(st.integers(1, p - 1))) for row in h.basis]
+    for coeffs in data.draw(st.lists(coefficients, max_size=4)):
+        combo = VectorP.zero(p, n)
+        for a, row in zip(coeffs, h.basis):
+            combo = combo + row.scale(a)
+        gens.append(combo)
+    assert canonicalize(p, n, data.draw(st.permutations(gens))).basis == h.basis
 
 
 @PROPERTY

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -301,22 +302,29 @@ def _consistent(recovered, trace):
 
 @pytest.mark.parametrize("mode", ["constant", "injective", "lower-rank", "higher-rank", "random"])
 def test_adversarial_oracle_never_misleads(mode):
-    # a broken promise ends in PromiseViolationError or in an answer that
-    # explains every label seen; any other exception fails the test
-    returned = 0
+    # a broken promise ends in PromiseViolationError or in a rank-k answer
+    # that explains every label seen (or, from birthday_solve only, in a
+    # lower-rank failure value); any other exception fails the test
+    returned = failures = 0
     for p, n in [(2, 5), (3, 4), (5, 3), (2, 8)]:
         for k in range(1, n):
             for seed in range(3):
                 inst = _AdversarialInstance(p, n, k, random_subgroup(p, n, k, seed), seed, False, mode)
-                for d in range(n - k + 1):
+                solves = [(f"find_s d={d}", partial(find_s, d=d)) for d in range(n - k + 1)]
+                solves += [("brute", brute_force_solve), ("birthday", partial(birthday_solve, seed=seed))]
+                for name, solve in solves:
                     for dedup in (True, False):
                         try:
-                            res = find_s(QueryLog(inst, dedup=dedup), d)
+                            res = solve(QueryLog(inst, dedup=dedup))
                         except PromiseViolationError:
                             continue
-                        assert _consistent(res.recovered, res.trace), (p, n, k, seed, d, dedup)
+                        where = (p, n, k, seed, name, dedup)
+                        if name == "birthday" and res.recovered.rank < k:
+                            failures += 1
+                            continue
+                        assert res.recovered.rank == k and _consistent(res.recovered, res.trace), where
                         returned += 1
-    print(f"\nadversarial {mode}: {returned} consistent answers")
+    print(f"\nadversarial {mode}: {returned} consistent answers, {failures} birthday failures")
 
 
 def test_traces_match_golden_file():
