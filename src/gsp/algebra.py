@@ -149,8 +149,10 @@ class VectorP:
     @classmethod
     def from_index(cls, p: int, n: int, idx: int) -> "VectorP":
         _check_space(p, n)
-        coords = [0] * n
         idx = int(idx)
+        if not 0 <= idx < p**n:
+            raise ParameterError(f"index {idx} is outside [0, {p}^{n})")
+        coords = [0] * n
         for i in range(n - 1, -1, -1):
             idx, coords[i] = divmod(idx, p)
         return cls._unchecked(p, tuple(coords))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 from .algebra import Subgroup, VectorP, _independent_rows, random_subgroup
 from .errors import DimensionMismatchError, ParameterError
@@ -45,26 +46,23 @@ class HiddenInstance:
             raise ParameterError("label_seed must fit in 64 bits")
 
     @cached_property
-    def _bijection(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-        """Seeded invertible affine map (matrix, shift) plus coordinate permutation."""
+    def _bijection(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Seeded invertible affine map (matrix, shift), with a seeded output permutation folded in."""
         rng = random.Random(self.label_seed)
         rows = _independent_rows(rng, self.p, self.n, self.n)
         shift = tuple(rng.randrange(self.p) for _ in range(self.n))
         perm = list(range(self.n))
         rng.shuffle(perm)
-        return tuple(rows), shift, tuple(perm)
+        return tuple(rows[i] for i in perm), tuple(shift[i] for i in perm)
 
     def evaluate(self, x: VectorP) -> VectorP:
         """The label f(x); constant exactly on cosets of the secret."""
         rep = self.secret.coset_reduce(x)
         if not self.obfuscate:
             return rep
-        matrix, shift, perm = self._bijection
-        mixed = tuple(
-            (sum(m * c for m, c in zip(row, rep.coords)) + s) % self.p
-            for row, s in zip(matrix, shift)
-        )
-        return VectorP._unchecked(self.p, tuple(mixed[i] for i in perm))
+        p, coords = self.p, rep.coords
+        mixed = tuple((sum(map(mul, row, coords)) + s) % p for row, s in zip(*self._bijection))
+        return VectorP._unchecked(p, mixed)
 
 
 def make_instance(

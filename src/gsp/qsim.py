@@ -15,8 +15,11 @@ behind renormalization.
 
 The Fourier transform on a register of dimension p^m uses the kernel
 omega^(g.h) with omega = exp(2*pi*i/p) and g.h the dot product of the base-p
-digit vectors; for m = 1 this is the ordinary p-point transform.  Each
-application of the oracle or its inverse counts as one query.
+digit vectors.  The kernel factors over the digits, so the transform is the
+p-point transform applied to each of the m digits in turn: on the rows x p^m
+block of a state that costs O(rows * p^m * m * p) instead of the
+O(rows * p^2m) of a dense matrix, and no matrix larger than p x p is built.
+Each application of the oracle or its inverse counts as one query.
 
 One solver iteration prepares, via the Simon subroutine and the accumulated
 shrinks, a uniform superposition over the subgroup of still-unknown
@@ -40,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import VectorP, canonicalize, orthogonal
+from .algebra import VectorP, all_vectors, canonicalize, orthogonal
 from .errors import ParameterError, ResourceCapError
 from .oracle import HiddenInstance
 from .solvers import SolverResult
@@ -50,7 +53,7 @@ NORM_EPS = 1e-9
 BAD_AMPLITUDE_EPS = 1e-9
 
 #: Largest p**n the simulator accepts by default.
-DEFAULT_SIM_CAP = 512
+DEFAULT_SIM_CAP = 4096
 
 #: Fixed register positions; flags follow the label, the aux qudit is last.
 MAIN, LABEL = 0, 1
@@ -112,16 +115,17 @@ def _assert_normalized(state: SparseState) -> None:
 
 
 def _unitary(state: SparseState, reg: int, mat: np.ndarray) -> SparseState:
-    """Primitive: ``mat`` on one register, then prune and check the norm."""
-    dim, stride = state.dims[reg], state.stride(reg)
+    """Primitive: the p x p ``mat`` on each base-p digit of one register, then prune and check the norm."""
+    p, dim, stride = state.p, state.dims[reg], state.stride(reg)
     digit = state.digit(reg)
     rest, row = np.unique(state.keys - digit * stride, return_inverse=True)
     block = np.zeros((len(rest), dim), dtype=complex)
     block[row, digit] = state.amps
-    out = block @ mat.T
-    keep = np.abs(out) >= PRUNE_EPS
+    for _ in range(round(math.log(dim, p))):  # transform the last digit and rotate it to the front
+        block = (mat @ block.reshape(len(rest), -1, p).transpose(0, 2, 1)).reshape(block.shape)
+    keep = np.abs(block) >= PRUNE_EPS
     keys = (rest[:, None] + np.arange(dim, dtype=np.int64) * stride)[keep]
-    result = SparseState(state.p, state.dims, keys, out[keep])
+    result = SparseState(p, state.dims, keys, block[keep])
     _assert_normalized(result)
     return result
 
@@ -138,27 +142,26 @@ def _flip(state: SparseState, mask: np.ndarray) -> SparseState:
 
 
 def _vec_add(p: int, n: int, a: np.ndarray, b: np.ndarray, sign: int = 1) -> np.ndarray:
-    """Digitwise a + sign*b (mod p) of base-p encoded vectors of Z_p^n."""
-    powers = p ** np.arange(n, dtype=np.int64)
-    return ((a[:, None] // powers + sign * (b[:, None] // powers)) % p * powers).sum(axis=1)
+    """Digitwise a + sign*b (mod p) of base-p vectors of Z_p^n, by one add table on ceil(n/2)-digit halves."""
+    half = (n + 1) // 2
+    base, powers = p**half, p ** np.arange(half, dtype=np.int64)
+    digits = np.arange(base, dtype=np.int64)[:, None] // powers % p
+    table = (digits[:, None] + sign * digits) % p @ powers
+    return table[a // base, b // base] * base + table[a % base, b % base]
 
 
 @lru_cache(maxsize=None)
-def _fourier_matrix(p: int, m: int) -> np.ndarray:
-    coords = np.stack(np.unravel_index(np.arange(p**m), (p,) * m), axis=1)  # digits, msb first
-    dots = (coords @ coords.T) % p
-    roots = np.exp(2j * np.pi * np.arange(p) / p)
-    mat = roots[dots] / math.sqrt(p**m)
+def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
+    """The p-point transform omega^(+-g*h)/sqrt(p), applied to each digit of a register."""
+    roots = np.exp((-2j if inverse else 2j) * np.pi * np.arange(p) / p)
+    mat = roots[np.outer(np.arange(p), np.arange(p)) % p] / math.sqrt(p)
     mat.setflags(write=False)
     return mat
 
 
 @lru_cache(maxsize=None)
 def _label_index_table(inst: HiddenInstance) -> np.ndarray:
-    table = np.array(
-        [inst.evaluate(VectorP.from_index(inst.p, inst.n, g)).to_index() for g in range(inst.p**inst.n)],
-        dtype=np.int64,
-    )
+    table = np.array([inst.evaluate(x).to_index() for x in all_vectors(inst.p, inst.n)], dtype=np.int64)
     table.setflags(write=False)
     return table
 
@@ -167,8 +170,7 @@ def fourier(state: SparseState, reg: int, inverse: bool = False) -> SparseState:
     """Fourier transform (kernel omega^(g.h)) on one register."""
     if not (0 <= reg < len(state.dims)):
         raise ParameterError(f"register index {reg} out of range")
-    mat = _fourier_matrix(state.p, round(math.log(state.dims[reg], state.p)))
-    return _unitary(state, reg, mat.conj() if inverse else mat)
+    return _unitary(state, reg, _fourier_matrix(state.p, inverse))
 
 
 def apply_oracle(

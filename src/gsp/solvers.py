@@ -278,6 +278,8 @@ def birthday_solve(
     when their span reaches rank k; a lower-rank result is a failure value,
     never a wrong answer.  A span of rank above k, or a rank-k span that
     does not explain every label seen, raises ``PromiseViolationError``.
+    A budget above ``DEFAULT_ENUMERATION_CAP`` samples raises
+    ``ResourceCapError``.
     """
     inst = log.instance
     p, n, k = inst.p, inst.n, inst.k
@@ -287,10 +289,13 @@ def birthday_solve(
             f"budget multiplier must be positive and finite, and so must the budget "
             f"{budget_multiplier} * sqrt({k} * {p}^{n - k})"
         )
+    samples = math.ceil(budget)
+    if samples > DEFAULT_ENUMERATION_CAP:
+        raise ResourceCapError(f"sample budget {budget:.6g} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
     rng = random.Random(seed)
     first_with_label: dict[VectorP, VectorP] = {}
     diffs = []
-    for _ in range(math.ceil(budget)):
+    for _ in range(samples):
         x = VectorP._unchecked(p, tuple(rng.randrange(p) for _ in range(n)))
         label = log.query(x)
         seen = first_with_label.setdefault(label, x)

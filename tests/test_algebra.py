@@ -98,6 +98,10 @@ class TestVectorOps:
             for p, n in [(4, 2), (1, 2), (2, -1), (2, 70)]:
                 with pytest.raises(ParameterError):
                     make(p, n)
+        # an index outside [0, p^n) is an error, not a wrapped vector
+        for idx in (9, 8, -1):
+            with pytest.raises(ParameterError):
+                VectorP.from_index(2, 3, idx)
 
     def test_index_roundtrip(self):
         for v in all_vectors(3, 3):

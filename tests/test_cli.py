@@ -110,7 +110,7 @@ class TestQsolve:
 
     def test_resource_cap_exit_code(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
-        run(capsys, "gen", "--p", "2", "--n", "12", "--k", "2", "--out", str(path))
+        run(capsys, "gen", "--p", "2", "--n", "13", "--k", "2", "--out", str(path))
         code, _, err = run(capsys, "qsolve", "--in", str(path))
         assert code == 3 and "resource cap" in err
 
@@ -178,10 +178,10 @@ class TestBench:
 
     def test_over_cap_cell_skipped_with_warning(self, capsys, tmp_path):
         out = tmp_path / "cap.csv"
-        code, _, err = run(capsys, "bench", "--p", "2", "--n", "12", "--k", "2",
+        code, _, err = run(capsys, "bench", "--p", "2", "--n", "13", "--k", "2",
                            "--solver", "quantum", "--seeds", "1", "--out", str(out))
         assert code == 0
-        assert "warning: skipped p=2 n=12 k=2" in err
+        assert "warning: skipped p=2 n=13 k=2" in err
         assert out.read_text().strip() == ",".join(cli._CSV_HEADER)
 
 
@@ -213,7 +213,9 @@ def _run_cli(argv, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     if argv[0] == "bench":
         argv = argv + ["--out", str(tmp_path / "out.csv")]
-    return subprocess.run([sys.executable, "-m", "gsp.cli", *argv], env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-m", "gsp.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -244,4 +246,12 @@ def test_bad_multiplier(argv, tmp_path):
     proc = _run_cli(argv, tmp_path)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: budget multiplier must be positive and finite")
+    assert "Traceback" not in proc.stderr
+
+
+def test_budget_over_cap(tmp_path):
+    # a finite budget past the enumeration cap is refused before any sampling
+    proc = _run_cli(["birthday", "--p", "2", "--n", "2", "--k", "1", "--multiplier", "1e300"], tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource cap: sample budget")
     assert "Traceback" not in proc.stderr

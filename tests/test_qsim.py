@@ -29,6 +29,7 @@ from gsp import (
     simon_subroutine,
     zero_state,
 )
+from gsp.qsim import _vec_add
 from conftest import vec
 
 
@@ -100,6 +101,54 @@ class TestFourier:
             zero_state(2, (4, 6))
         with pytest.raises(ParameterError):
             zero_state(3, (1,))
+
+
+class TestKernels:
+    """The digit-factored transform and the table-driven digit addition against direct references."""
+
+    @pytest.mark.parametrize("p,m_max", [(2, 9), (3, 5), (5, 3), (7, 3)])
+    def test_fourier_matches_dense_kernel(self, p, m_max):
+        rng = np.random.default_rng(p)
+        for m in range(1, m_max + 1):
+            dim = p**m
+            digits = np.stack(np.unravel_index(np.arange(dim), (p,) * m), axis=1)
+            dense = np.exp(2j * np.pi * (digits @ digits.T % p) / p) / math.sqrt(dim)
+            dims = (p, dim, p)  # the transformed register sits between two others
+            for _ in range(3):
+                keys = rng.choice(dim * p * p, size=6, replace=False).astype(np.int64)
+                amps = rng.normal(size=6) + 1j * rng.normal(size=6)
+                state = SparseState(p, dims, keys, amps / np.linalg.norm(amps))
+                before = np.zeros(dim * p * p, dtype=complex)
+                before[state.keys] = state.amps
+                for inverse in (False, True):
+                    out = fourier(state, 1, inverse=inverse)
+                    after = np.zeros(dim * p * p, dtype=complex)
+                    after[out.keys] = out.amps
+                    mat = dense.conj() if inverse else dense
+                    expect = np.einsum("hg,agb->ahb", mat, before.reshape(dims)).reshape(-1)
+                    assert np.abs(after - expect).max() < 1e-12, (p, m, inverse)
+
+    @staticmethod
+    def digitwise(p, n, a, b, sign):
+        out = 0
+        for i in range(n):
+            place = p**i
+            out += (a // place % p + sign * (b // place % p)) % p * place
+        return out
+
+    @pytest.mark.parametrize("p,n_max", [(2, 12), (3, 7), (5, 5), (7, 4)])
+    def test_vec_add_matches_digitwise_reference(self, p, n_max):
+        rng = np.random.default_rng(n_max)
+        for n in range(1, n_max + 1):
+            size = p**n
+            if size <= 64:  # every pair
+                a, b = (g.ravel() for g in np.meshgrid(np.arange(size), np.arange(size)))
+            else:
+                a, b = rng.integers(0, size, size=(2, 500))
+            for sign in (1, -1):
+                got = _vec_add(p, n, a.astype(np.int64), b.astype(np.int64), sign)
+                expect = [self.digitwise(p, n, int(x), int(y), sign) for x, y in zip(a, b)]
+                assert got.tolist() == expect, (p, n, sign)
 
 
 class TestOracle:
@@ -235,7 +284,7 @@ class TestQuantumFindS:
                 assert res.queries == 3 * (n - k)
 
     def test_cap(self):
-        inst = make_instance(2, 12, 2, 0)
+        inst = make_instance(2, 13, 2, 0)
         with pytest.raises(ResourceCapError):
             quantum_find_s(inst)
 

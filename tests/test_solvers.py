@@ -387,6 +387,14 @@ class TestBirthday:
                 birthday_solve(log, seed=0, budget_multiplier=multiplier)
             assert log.count == 0
 
+    def test_budget_over_enumeration_cap(self, ref_instance):
+        # a finite budget past the cap would sample until killed; it is refused before any query
+        for multiplier in (1e300, 2.0**20):
+            log = QueryLog(ref_instance)
+            with pytest.raises(ResourceCapError):
+                birthday_solve(log, seed=0, budget_multiplier=multiplier)
+            assert log.count == 0
+
     def test_monte_carlo_rate(self):
         successes = 0
         for seed in range(200):
