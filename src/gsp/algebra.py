@@ -404,11 +404,27 @@ def enumerate_subgroups(
 
 
 def _independent_rows(rng: random.Random, p: int, n: int, count: int) -> list[tuple[int, ...]]:
-    """``count`` linearly independent rows of Z_p^n, rejection-sampled from ``rng``."""
+    """``count`` linearly independent rows of Z_p^n, rejection-sampled from ``rng``.
+
+    Each draw is reduced against an echelon basis of the rows kept so far
+    and kept when something is left; the remainder, scaled to 1 at its
+    first nonzero column, joins the basis with that column as its pivot.
+    A remainder is zero at every earlier pivot, so one pass over the basis
+    in the order it was built clears them all.
+    """
     rows: list[tuple[int, ...]] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot, row)
     while len(rows) < count:
         cand = tuple(rng.randrange(p) for _ in range(n))
-        if len(_rref(p, n, rows + [cand])) > len(rows):
+        v = list(cand)
+        for pivot, row in echelon:
+            c = v[pivot]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, row)]
+        lead = next((j for j, a in enumerate(v) if a), None)
+        if lead is not None:
+            inv = _inv_mod(v[lead], p)
+            echelon.append((lead, [(inv * a) % p for a in v]))
             rows.append(cand)
     return rows
 

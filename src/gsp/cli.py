@@ -16,7 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .algebra import VectorP, is_prime
+from .algebra import VectorP, enumerate_subgroups, is_prime
 from .bounds import bound_report, det_query_bound, t1_count, t2_count
 from .errors import GspError, ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import HiddenInstance, QueryLog, make_instance, read_instance, write_instance
@@ -254,12 +254,12 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
                 rep = bound_report(p, n, k)
                 identity_ok = rep.t1 * (p**k - 1) == rep.t2 * (p**n - 1)
                 if p**n <= args.enum_cap and rep.t1 <= 20000:
-                    from .algebra import enumerate_subgroups
-
-                    subs = list(enumerate_subgroups(p, n, k))
                     e = VectorP.from_index(p, n, 1)
-                    t2_brute = sum(1 for h in subs if h.contains(e))
-                    enum_ok = len(subs) == rep.t1 and t2_brute == rep.t2
+                    t1_brute = t2_brute = 0
+                    for h in enumerate_subgroups(p, n, k, cap=args.enum_cap):
+                        t1_brute += 1
+                        t2_brute += h.contains(e)
+                    enum_ok = t1_brute == rep.t1 and t2_brute == rep.t2
                     verdict = "pass" if (identity_ok and enum_ok) else "FAIL"
                 else:
                     verdict = "pass(identity-only)" if identity_ok else "FAIL"

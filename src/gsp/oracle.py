@@ -7,11 +7,21 @@ structure.  Labels live in Z_p^n (not an abstract finite set) so that the
 quantum oracle |g>|y> -> |g>|f(g)+y> can add them group-wise.
 
 f(x) = f(y) holds exactly when x - y is in S, for both label modes.
+
+Both modes compile to one affine map over F_p, f(x) = L x + s.  Coset
+reduction by an RREF basis is linear and the bijection is affine (the
+identity with zero shift in plain mode), so L is the bijection's matrix
+times the reduction's, built once per instance.  Each column of L is
+packed into one Python int, coordinate i in lane i, with lanes of 8, 16, 32
+or 64 bits, wide enough that no lane carries.  A label is then one C-level
+sum of n int products, unpacked lane by lane mod p.
 """
 
 from __future__ import annotations
 
 import random
+import struct
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
@@ -20,6 +30,9 @@ from .algebra import Subgroup, VectorP, _independent_rows, random_subgroup
 from .errors import DimensionMismatchError, ParameterError
 
 _INSTANCE_HEADER = "gsp-instance v1"
+
+#: Unsigned memoryview formats by bit width, the lane widths of a packed label.
+_LANE_FORMATS = {8 * struct.calcsize(code): code for code in "BHIQ"}
 
 
 @dataclass(frozen=True)
@@ -55,14 +68,41 @@ class HiddenInstance:
         rng.shuffle(perm)
         return tuple(rows[i] for i in perm), tuple(shift[i] for i in perm)
 
+    @cached_property
+    def _label_map(self) -> tuple[tuple[int, ...], int, int, str]:
+        """(packed columns of L, packed s, byte length, lane format) of f(x) = L x + s.
+
+        Coset reduction is x -> x - sum_i x[pivot_i] * row_i, since each
+        RREF row is zero at the other rows' pivots.  A lane's sum is at most
+        n(p-1)^2 + (p-1), which the lane width must hold.
+        """
+        p, n = self.p, self.n
+        reduce_cols = [[int(i == j) for i in range(n)] for j in range(n)]
+        for row in self.secret.basis:
+            r = row.coords
+            pivot = r.index(1)  # the reduction's column there is e_pivot - row
+            reduce_cols[pivot] = [(int(i == pivot) - a) % p for i, a in enumerate(r)]
+        if self.obfuscate:
+            rows, shift = self._bijection
+            cols = [[sum(map(mul, m, col)) % p for m in rows] for col in reduce_cols]
+        else:
+            cols, shift = reduce_cols, (0,) * n
+        width = next(w for w in sorted(_LANE_FORMATS) if n * (p - 1) ** 2 + (p - 1) < 1 << w)
+
+        def pack(lanes):
+            return sum(v << (width * i) for i, v in enumerate(lanes))
+
+        return tuple(map(pack, cols)), pack(shift), n * width // 8, _LANE_FORMATS[width]
+
     def evaluate(self, x: VectorP) -> VectorP:
-        """The label f(x); constant exactly on cosets of the secret."""
-        rep = self.secret.coset_reduce(x)
-        if not self.obfuscate:
-            return rep
-        p, coords = self.p, rep.coords
-        mixed = tuple((sum(map(mul, row, coords)) + s) % p for row, s in zip(*self._bijection))
-        return VectorP._unchecked(p, mixed)
+        """The label f(x) = L x + s; constant exactly on cosets of the secret."""
+        if x.p != self.p or len(x.coords) != self.n:
+            raise DimensionMismatchError("vector does not live over (p, n)")
+        cols, shift, nbytes, fmt = self._label_map
+        total = sum(map(mul, x.coords, cols), shift)
+        # native byte order on both sides, so the lanes read back on any host
+        lanes = memoryview(total.to_bytes(nbytes, sys.byteorder)).cast(fmt).tolist()
+        return VectorP._unchecked(self.p, tuple(map(self.p.__rmod__, lanes)))
 
 
 def make_instance(

@@ -194,6 +194,14 @@ class TestVerifyBounds:
         assert all(line.endswith("pass") for line in lines[1:])
         assert any(line.startswith("2 4 2 35 7 ") for line in lines)
 
+    def test_enum_cap_reaches_the_enumerator(self, capsys):
+        # p^n = 1062961 is above the enumerator's default cap of 2^20
+        code, out, err = run(capsys, "verify-bounds", "--p", "1031", "--n", "2", "--k", "1",
+                             "--enum-cap", "2000000")
+        assert code == 0 and not err
+        assert out.splitlines()[1].startswith("1031 2 1 1032 1 ")
+        assert out.splitlines()[1].endswith(" pass")
+
     def test_float_range(self, capsys):
         # sqrt(p^(n-k)) fits a float at n = 70; past 2^1024 it is an error, not an OverflowError
         code, out, _ = run(capsys, "verify-bounds", "--p", "2", "--n", "70", "--k", "1")

@@ -53,6 +53,17 @@ def test_reference_fixture(ref_instance, ref_secret):
     assert ref_instance.evaluate(x) == ref_instance.evaluate(x)
 
 
+@pytest.mark.parametrize("obfuscate", [False, True])
+def test_evaluate_dimension_errors(obfuscate):
+    inst = make_instance(3, 4, 2, subgroup_seed=3, label_seed=8, obfuscate=obfuscate)
+    with pytest.raises(DimensionMismatchError):
+        inst.evaluate(vec(3, "210"))  # wrong length
+    with pytest.raises(DimensionMismatchError):
+        inst.evaluate(vec(3, "21012"))
+    with pytest.raises(DimensionMismatchError):
+        inst.evaluate(vec(5, "2101"))  # same length, another prime
+
+
 def test_make_instance_determinism():
     a = make_instance(3, 4, 2, subgroup_seed=9, label_seed=1, obfuscate=True)
     b = make_instance(3, 4, 2, subgroup_seed=9, label_seed=1, obfuscate=True)

@@ -1,5 +1,9 @@
 """Property tests: subgroup laws, unchecked construction, the label promise and the deterministic solver."""
 
+import random
+import struct
+from operator import mul
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +21,7 @@ from gsp import (
     random_subgroup,
     subgroup_sum,
 )
+from gsp.algebra import _independent_rows, _rref
 from gsp.bounds import det_query_bound
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -120,6 +125,55 @@ def test_labels_agree_exactly_on_cosets(data):
     s = data.draw(st.sampled_from(list(inst.secret.elements())))
     y = data.draw(st.one_of(_vectors(inst.p, inst.n), st.just(x + s)))
     assert (inst.evaluate(x) == inst.evaluate(y)) == ((x - y) in inst.secret)
+
+
+# Lane widths of the packed label: 8 bits up to n(p-1)^2 + (p-1) = 254 at
+# (3, 63), 16 bits from 258 at (3, 64), 64 bits at (65521, 64).
+LABEL_SPACES = {(2, 3): 8, (3, 4): 8, (5, 3): 8, (2, 64): 8, (3, 63): 8, (3, 64): 16, (65521, 64): 64}
+
+
+def _reference_label(inst, x):
+    """The label as defined: the canonical coset representative, then the bijection rows."""
+    rep = inst.secret.coset_reduce(x).coords
+    if not inst.obfuscate:
+        return rep
+    rows, shift = inst._bijection
+    return tuple((sum(map(mul, row, rep)) + s) % inst.p for row, s in zip(rows, shift))
+
+
+@PROPERTY
+@given(st.data())
+def test_compiled_label_matches_reference(data):
+    p, n = data.draw(st.sampled_from(sorted(LABEL_SPACES)))
+    k = data.draw(st.integers(1, n - 1))
+    seeds = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 2**32))
+    inst = make_instance(p, n, k, *seeds, obfuscate=data.draw(st.booleans()))
+    assert 8 * struct.calcsize(inst._label_map[3]) == LABEL_SPACES[p, n]
+    top = VectorP(p, (p - 1,) * n)  # the largest lane sums
+    for x in (top, data.draw(_vectors(p, n)), *inst.secret.basis):
+        label = inst.evaluate(x)
+        _assert_valid(label)
+        assert label.coords == _reference_label(inst, x)
+
+
+def _rejection_rows(rng, p, n, count):
+    """Independent rows as first written: keep a draw when it raises the rank of all rows so far."""
+    rows = []
+    while len(rows) < count:
+        cand = tuple(rng.randrange(p) for _ in range(n))
+        if len(_rref(p, n, rows + [cand])) > len(rows):
+            rows.append(cand)
+    return rows
+
+
+@PROPERTY
+@given(st.sampled_from(SPACES + [(2, 12), (7, 5)]).flatmap(
+    lambda s: st.tuples(st.just(s), st.integers(0, s[1]), st.integers(0, 2**32))))
+def test_independent_rows_match_rejection_loop(case):
+    (p, n), count, seed = case
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert _independent_rows(rng, p, n, count) == _rejection_rows(ref_rng, p, n, count)
+    assert rng.random() == ref_rng.random()  # the same draws were consumed
 
 
 @PROPERTY
