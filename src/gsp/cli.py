@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import statistics
 import sys
 import time
@@ -48,13 +49,18 @@ def _add_instance_source(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--obfuscate", type=int, choices=(0, 1), default=0)
 
 
+def _make_instance(args: argparse.Namespace) -> HiddenInstance:
+    """The instance named by --p/--n/--k/--seed; the label seed defaults to --seed."""
+    label_seed = args.seed if args.label_seed is None else args.label_seed
+    return make_instance(args.p, args.n, args.k, args.seed, label_seed, bool(args.obfuscate))
+
+
 def _load_instance(args: argparse.Namespace) -> HiddenInstance:
     if args.infile:
         return read_instance(args.infile)
     if None in (args.p, args.n, args.k):
         raise ParameterError("provide --in FILE or --p/--n/--k/--seed")
-    label_seed = args.seed if args.label_seed is None else args.label_seed
-    return make_instance(args.p, args.n, args.k, args.seed, label_seed, bool(args.obfuscate))
+    return _make_instance(args)
 
 
 def _report(result: SolverResult, inst: HiddenInstance, bound: int, check: bool) -> int:
@@ -71,10 +77,7 @@ def _report(result: SolverResult, inst: HiddenInstance, bound: int, check: bool)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.p is None or not is_prime(args.p):
-        raise ParameterError("p must be prime")
-    label_seed = args.seed if args.label_seed is None else args.label_seed
-    inst = make_instance(args.p, args.n, args.k, args.seed, label_seed, bool(args.obfuscate))
+    inst = _make_instance(args)
     write_instance(inst, args.out)
     if args.reveal:
         print(f"secret {inst.secret.to_text()}")
@@ -84,7 +87,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
     d = choose_d(inst.p, inst.n, inst.k) if args.d is None else args.d
-    log = QueryLog(inst, dedup=not args.strict_count)
+    log = QueryLog(inst)
     result = find_s(log, d)
     if args.trace:
         with open(args.trace, "w", encoding="ascii") as fh:
@@ -113,14 +116,14 @@ def _cmd_qsolve(args: argparse.Namespace) -> int:
 
 def _cmd_brute(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
-    log = QueryLog(inst, dedup=not args.strict_count)
+    log = QueryLog(inst)
     result = brute_force_solve(log)
     return _report(result, inst, inst.p**inst.n, args.check)
 
 
 def _cmd_birthday(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
-    log = QueryLog(inst, dedup=not args.strict_count)
+    log = QueryLog(inst)
     result = birthday_solve(log, args.sample_seed, args.multiplier)
     success = result.recovered.rank == inst.k
     print(f"recovered {result.recovered.to_text()}")
@@ -207,8 +210,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     tasks.append(
                         (p, n, k, seed, tuple(solvers), args.d, bool(args.obfuscate), args.multiplier)
                     )
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts every worker it is given at once, so ask for no more
+    # than there are tasks or cores
+    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_bench_cell, tasks))
     else:
         results = [_bench_cell(t) for t in tasks]
@@ -291,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_source(solve)
     solve.add_argument("--d", type=int, default=None, help="override the default split")
     solve.add_argument("--check", action="store_true")
-    solve.add_argument("--strict-count", action="store_true")
     solve.add_argument("--trace", help="write the query trace to a file")
     solve.set_defaults(func=_cmd_solve)
 
@@ -304,14 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     brute = sub.add_parser("brute", help="query everything (correctness oracle)")
     _add_instance_source(brute)
     brute.add_argument("--check", action="store_true")
-    brute.add_argument("--strict-count", action="store_true")
     brute.set_defaults(func=_cmd_brute)
 
     birthday = sub.add_parser("birthday", help="randomized collision baseline")
     _add_instance_source(birthday)
     birthday.add_argument("--sample-seed", type=int, default=0)
     birthday.add_argument("--multiplier", type=float, default=8.0)
-    birthday.add_argument("--strict-count", action="store_true")
     birthday.set_defaults(func=_cmd_birthday)
 
     bench = sub.add_parser("bench", help="grid benchmark to CSV")
@@ -342,19 +345,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PromiseViolationError as exc:
         print(f"promise violation: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except GspError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

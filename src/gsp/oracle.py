@@ -122,36 +122,33 @@ def make_instance(
 
 @dataclass
 class QueryLog:
-    """Counting and caching wrapper around an instance.
+    """Caching wrapper around an instance that records what a solver asked.
 
-    ``dedup=True`` (the default) counts distinct queried elements, matching
-    the usual "set of queried elements" accounting; ``dedup=False`` counts
-    every call (strict mode, for nonadaptive-style accounting).  Answers are
-    cached, so re-queries are always consistent.
+    The query count is the number of distinct queried elements: asking for
+    a label again returns the cached answer and costs nothing.  ``cache``
+    keeps insertion order, so ``trace`` lists each (element, label) pair in
+    the order it was first asked.
     """
 
     instance: HiddenInstance
-    dedup: bool = True
-    count: int = 0
     cache: dict[VectorP, VectorP] = field(default_factory=dict)
-    trace: list[tuple[VectorP, VectorP]] = field(default_factory=list)
 
     @property
-    def queried(self):
-        return self.cache.keys()
+    def count(self) -> int:
+        return len(self.cache)
+
+    @property
+    def trace(self) -> tuple[tuple[VectorP, VectorP], ...]:
+        return tuple(self.cache.items())
 
     def query(self, x: VectorP) -> VectorP:
-        if x.p != self.instance.p or x.n != self.instance.n:
-            raise DimensionMismatchError("query vector does not live over (p, n)")
-        if x in self.cache:
-            if not self.dedup:
-                self.count += 1
-                self.trace.append((x, self.cache[x]))
-            return self.cache[x]
-        label = self.instance.evaluate(x)
-        self.cache[x] = label
-        self.count += 1
-        self.trace.append((x, label))
+        # a vector over another (p, n) never equals a cached one, so the
+        # check on a miss covers every query
+        label = self.cache.get(x)
+        if label is None:
+            if x.p != self.instance.p or x.n != self.instance.n:
+                raise DimensionMismatchError("query vector does not live over (p, n)")
+            label = self.cache[x] = self.instance.evaluate(x)
         return label
 
 

@@ -100,12 +100,6 @@ def choose_d(p: int, n: int, k: int) -> int:
     return d
 
 
-def _ask(log: QueryLog, x: VectorP) -> VectorP:
-    """Label of x, reading the cache first so strict-count logs see no repeats."""
-    cached = log.cache.get(x)
-    return cached if cached is not None else log.query(x)
-
-
 def _lex_smallest_outside(excluded: Subgroup) -> VectorP:
     """Least nonzero vector outside ``excluded`` in index order.
 
@@ -151,7 +145,7 @@ def find_group(
     included, to that element; the caller has queried all of them.
     Returns (B, B's map of the same kind, S2) with S1 <= S2 <= S; S2
     collects every secret element betrayed by collisions along the way.
-    Reads labels through the log's cache, so d = 0 makes no query.
+    Labels already in the log's cache cost no query, so d = 0 makes none.
     """
     inst = log.instance
     p, n, k = inst.p, inst.n, inst.k
@@ -160,12 +154,12 @@ def find_group(
 
     # each map is one-to-one since span(A) ∩ S = span(B) ∩ S = {0}
     zero = VectorP.zero(p, n)
-    b_label_of = {_ask(log, zero): zero}
+    b_label_of = {log.query(zero): zero}
     b_grp, s_cur = trivial_subgroup(p, n), s1
     while b_grp.rank < d:
         # the least u outside S2+A+B; a collision with span(B) grows S2
         u = _lex_smallest_outside(canonicalize(p, n, s_cur.basis + a_grp.basis + b_grp.basis))
-        hit = b_label_of.get(_ask(log, u))
+        hit = b_label_of.get(log.query(u))
         if hit is not None:
             s_cur = _grow_partial_secret(s_cur, hit - u, k)
             continue
@@ -175,13 +169,13 @@ def find_group(
         span.remove(u)
         span.insert(0, u)
         for b in span:
-            label = _ask(log, b)
+            label = log.query(b)
             if label in a_label_of:
                 s_cur = _grow_partial_secret(s_cur, a_label_of[label] - b, k)
                 break
         else:
             b_grp = canonicalize(p, n, b_grp.basis + (u,))
-            b_label_of.update((_ask(log, b), b) for b in span)
+            b_label_of.update((log.query(b), b) for b in span)
 
     if debug_secret is not None:
         # explicit checks, not ``assert``: ``python -O`` would strip those
@@ -231,7 +225,7 @@ def find_s(
     for w_i in w.basis:
         found = None
         for a in sorted(elem + w_i for elem in a_label_of.values()):
-            b = b_label_of.get(_ask(log, a))
+            b = b_label_of.get(log.query(a))
             if b is not None:
                 found = a - b
                 break
@@ -247,7 +241,7 @@ def find_s(
             f"recovered rank {recovered.rank}, promised k={k}"
         )
     _check_labels(log, recovered)
-    return SolverResult(recovered, log.count, d, tuple(log.trace))
+    return SolverResult(recovered, log.count, d, log.trace)
 
 
 def brute_force_solve(
@@ -266,7 +260,7 @@ def brute_force_solve(
             f"collision set of 0^n spans rank {recovered.rank}, promised k={inst.k}"
         )
     _check_labels(log, recovered)
-    return SolverResult(recovered, log.count, None, tuple(log.trace))
+    return SolverResult(recovered, log.count, None, log.trace)
 
 
 def birthday_solve(
@@ -306,4 +300,4 @@ def birthday_solve(
         raise PromiseViolationError(f"collision differences span rank {recovered.rank}, promised k={k}")
     if recovered.rank == k:
         _check_labels(log, recovered)
-    return SolverResult(recovered, log.count, None, tuple(log.trace))
+    return SolverResult(recovered, log.count, None, log.trace)

@@ -118,7 +118,7 @@ class TestQsolve:
 class TestBruteAndBirthday:
     def test_brute(self, capsys, fixture_file):
         code, out, _ = run(capsys, "brute", "--in", fixture_file, "--check")
-        assert code == 0 and "queries=16" in out and "check PASS" in out
+        assert code == 0 and "queries=16 bound=16 queries<=bound PASS" in out and "check PASS" in out
 
     def test_birthday(self, capsys, fixture_file):
         code, out, _ = run(capsys, "birthday", "--in", fixture_file,
@@ -148,6 +148,44 @@ class TestBench:
         assert [r[4] for r in per_seed] == ["det", "brute", "birthday", "quantum"]
         assert all(r[7] == "True" for r in rows[1:])
         assert "cell p=2 n=3 k=1 solver=det" in stdout
+
+    def test_jobs_capped_by_tasks_and_cpus(self, capsys, tmp_path, monkeypatch):
+        # a stand-in pool that records the workers asked for and starts none
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        one_task = ["bench", "--p", "2", "--n", "3", "--k", "1", "--seeds", "1"]
+        assert run(capsys, *one_task, "--jobs", "64", "--out", str(tmp_path / "a.csv"))[0] == 0
+        assert max(asked, default=0) <= 1
+        three_tasks = ["bench", "--p", "2", "--n", "3", "--k", "1", "--seeds", "3"]
+        assert run(capsys, *three_tasks, "--jobs", "64", "--out", str(tmp_path / "b.csv"))[0] == 0
+        assert asked[-1:] == [2]
+
+    def test_parallel_rows_match_serial(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so the pool runs on a one-core host too
+        args = ["bench", "--p", "2", "--n", "3..4", "--solver", "all", "--seeds", "2"]
+
+        def rows(jobs):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert run(capsys, *args, "--jobs", str(jobs), "--out", str(out))[0] == 0
+            with open(out) as fh:
+                return [row[:-1] for row in csv.reader(fh)]  # drop wall_ms
+
+        assert rows(2) == rows(1)
 
     def test_det_rows_within_bound(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

@@ -41,14 +41,14 @@ LIMIT = {"gen": 1 << 12, "solve": 1 << 12, "brute": 1 << 10, "birthday": 1 << 12
 INSTANCE_FLAGS = ("--p", "--n", "--k", "--seed", "--label-seed", "--obfuscate")
 FLAGS = {
     "gen": INSTANCE_FLAGS + ("--reveal",),
-    "solve": INSTANCE_FLAGS + ("--in", "--d", "--check", "--strict-count"),
+    "solve": INSTANCE_FLAGS + ("--in", "--d", "--check"),
     "qsolve": INSTANCE_FLAGS + ("--in", "--check"),
-    "brute": INSTANCE_FLAGS + ("--in", "--check", "--strict-count"),
-    "birthday": INSTANCE_FLAGS + ("--in", "--sample-seed", "--multiplier", "--strict-count"),
+    "brute": INSTANCE_FLAGS + ("--in", "--check"),
+    "birthday": INSTANCE_FLAGS + ("--in", "--sample-seed", "--multiplier"),
     "bench": ("--p", "--n", "--k", "--d", "--solver", "--obfuscate", "--multiplier", "--seeds"),
     "verify-bounds": ("--p", "--n", "--k", "--enum-cap"),
 }
-SWITCHES = ("--reveal", "--check", "--strict-count")
+SWITCHES = ("--reveal", "--check")
 # A finite multiplier near 1e308 asks for about that many samples, so none is drawn.
 MULTIPLIERS = ["0", "-3", "0.5", "8", "nan", "inf", "-inf", "1e400"]
 

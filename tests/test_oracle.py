@@ -90,14 +90,7 @@ class TestQueryLog:
         log.query(x)
         log.query(x)
         assert log.count == 1
-        assert list(log.queried) == [x]
-
-    def test_strict_counting(self, ref_instance):
-        log = QueryLog(ref_instance, dedup=False)
-        x = vec(2, "1010")
-        log.query(x)
-        log.query(x)
-        assert log.count == 2
+        assert list(log.cache) == [x]
 
     def test_cached_answers_consistent(self, ref_instance):
         log = QueryLog(ref_instance)
@@ -121,6 +114,9 @@ class TestQueryLog:
         log = QueryLog(ref_instance)
         with pytest.raises(DimensionMismatchError):
             log.query(vec(2, "011"))
+        log.query(vec(2, "0110"))  # the same coordinates over another p are not a cache hit
+        with pytest.raises(DimensionMismatchError):
+            log.query(vec(3, "0110"))
 
 
 class TestInstanceFile:

@@ -181,7 +181,7 @@ def test_independent_rows_match_rejection_loop(case):
 def test_find_s_recovers_secret_within_bound(data):
     inst = data.draw(instances(max_n=12))
     d = data.draw(st.integers(0, inst.n - inst.k))
-    res = find_s(QueryLog(inst, dedup=data.draw(st.booleans())), d)
+    res = find_s(QueryLog(inst), d)
     assert res.recovered == inst.secret
     assert res.queries <= det_query_bound(inst.p, inst.n, inst.k, d)
     if inst.p**inst.n <= 4096:

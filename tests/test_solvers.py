@@ -227,13 +227,6 @@ class TestFindS:
         assert first == second
         assert first.trace == second.trace and len(first.trace) == first.queries
 
-    def test_strict_log_counts_match(self):
-        # the solver never re-asks a cached element, so strict accounting agrees
-        inst = make_instance(2, 5, 2, subgroup_seed=1, label_seed=2)
-        dedup = find_s(QueryLog(inst), 1)
-        strict = find_s(QueryLog(inst, dedup=False), 1)
-        assert dedup.queries == strict.queries
-
     def test_d_out_of_range(self, ref_instance):
         with pytest.raises(ParameterError):
             find_s(QueryLog(ref_instance), 3)
@@ -313,17 +306,16 @@ def test_adversarial_oracle_never_misleads(mode):
                 solves = [(f"find_s d={d}", partial(find_s, d=d)) for d in range(n - k + 1)]
                 solves += [("brute", brute_force_solve), ("birthday", partial(birthday_solve, seed=seed))]
                 for name, solve in solves:
-                    for dedup in (True, False):
-                        try:
-                            res = solve(QueryLog(inst, dedup=dedup))
-                        except PromiseViolationError:
-                            continue
-                        where = (p, n, k, seed, name, dedup)
-                        if name == "birthday" and res.recovered.rank < k:
-                            failures += 1
-                            continue
-                        assert res.recovered.rank == k and _consistent(res.recovered, res.trace), where
-                        returned += 1
+                    try:
+                        res = solve(QueryLog(inst))
+                    except PromiseViolationError:
+                        continue
+                    where = (p, n, k, seed, name)
+                    if name == "birthday" and res.recovered.rank < k:
+                        failures += 1
+                        continue
+                    assert res.recovered.rank == k and _consistent(res.recovered, res.trace), where
+                    returned += 1
     print(f"\nadversarial {mode}: {returned} consistent answers, {failures} birthday failures")
 
 
