@@ -3,7 +3,9 @@
 Subcommands: ``gen``, ``solve``, ``qsolve``, ``brute``, ``birthday``,
 ``bench``, ``verify-bounds``.  All outputs are plain text; ``bench`` writes
 one CSV row per (grid cell, seed, solver).  Exit codes: 0 success, 1
-parameter error, 2 promise violation, 3 resource cap exceeded.
+parameter error, 2 promise violation, 3 resource cap exceeded.  ``main``
+is re-entrant: every call in a process parses with one shared parser,
+built on the first call.
 """
 
 from __future__ import annotations
@@ -279,6 +281,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A freshly built parser for every subcommand."""
     parser = _Parser(prog="gsp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -340,10 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.func(args)
     except PromiseViolationError as exc:
         print(f"promise violation: {exc}", file=sys.stderr)

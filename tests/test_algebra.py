@@ -74,6 +74,15 @@ class TestVectorOps:
             vec(2, "01") + vec(3, "01")
         with pytest.raises(DimensionMismatchError):
             vec(2, "01").dot(vec(3, "01"))
+        # membership and coset reduction of a vector over another p or another n
+        h = canonicalize(2, 2, [vec(2, "01")])
+        for x in (vec(3, "01"), vec(2, "011")):
+            with pytest.raises(DimensionMismatchError):
+                h.contains(x)
+            with pytest.raises(DimensionMismatchError):
+                x in h
+            with pytest.raises(DimensionMismatchError):
+                h.coset_reduce(x)
 
     def test_construction_errors(self):
         with pytest.raises(ParameterError):

@@ -253,6 +253,39 @@ class TestVerifyBounds:
         assert err.startswith("error: p^(n-k) = 2^1099 is too large")
 
 
+class TestReentrancy:
+    ARGVS = [
+        ["solve", "--p", "3", "--n", "4", "--k", "x"],  # a usage error
+        ["solve", "--p", "3", "--n", "4", "--k", "2", "--seed", "3",
+         "--label-seed", "5", "--obfuscate", "1", "--check"],
+        ["solve", "--p", "3", "--n", "4", "--k", "2", "--seed", "3"],
+    ]
+
+    def test_shared_parser_matches_fresh_parser(self, capsys, monkeypatch):
+        # no flag or default of an earlier call leaks into a later one
+        monkeypatch.setattr(cli, "_parser", None)
+        shared = [run(capsys, *argv) for argv in self.ARGVS]
+        fresh = []
+        for argv in self.ARGVS:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(run(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [1, 0, 0]
+        assert "invalid int value" in shared[0][2]
+        assert "check PASS" in shared[1][1] and "check" not in shared[2][1]
+        argv = self.ARGVS[2]
+        assert vars(cli._parser.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "_parser", None)
+        for argv in self.ARGVS + [["verify-bounds", "--p", "2", "--n", "3"]]:
+            run(capsys, *argv)
+        assert len(built) == 1
+
+
 def _run_cli(argv, tmp_path):
     """Run ``python -m gsp.cli`` in a subprocess; bench writes its CSV under tmp_path."""
     src = str(Path(__file__).resolve().parents[1] / "src")

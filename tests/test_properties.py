@@ -1,4 +1,4 @@
-"""Property tests: subgroup laws, unchecked construction, the label promise and the deterministic solver."""
+"""Property tests: subgroup laws, coset reduction, unchecked construction, the label promise and the deterministic solver."""
 
 import random
 import struct
@@ -11,6 +11,7 @@ from gsp import (
     QueryLog,
     Subgroup,
     VectorP,
+    all_vectors,
     brute_force_solve,
     canonicalize,
     enumerate_subgroups,
@@ -98,6 +99,49 @@ def test_rref_is_unique(data):
             combo = combo + row.scale(a)
         gens.append(combo)
     assert canonicalize(p, n, data.draw(st.permutations(gens))).basis == h.basis
+
+
+def _sequential_reduce(h, x):
+    """Coset reduction as first written: eliminate the pivots one by one, mod p after each row."""
+    p, coords = h.p, x.coords
+    for row in h.basis:
+        r = row.coords
+        c = coords[r.index(1)]
+        if c:
+            coords = tuple((a - c * b) % p for a, b in zip(coords, r))
+    return coords
+
+
+def _assert_reduces_as_sequential(h, x):
+    rep = h.coset_reduce(x)
+    _assert_valid(rep)
+    assert rep.coords == _sequential_reduce(h, x)
+    assert h.contains(x) == (x in h) == rep.is_zero()
+
+
+def test_one_pass_reduction_matches_sequential_on_small_spaces():
+    for p, n in [(2, 4), (3, 3), (5, 2), (7, 2)]:
+        vectors = list(all_vectors(p, n))
+        for k in range(n + 1):
+            for h in enumerate_subgroups(p, n, k):
+                for x in vectors:
+                    _assert_reduces_as_sequential(h, x)
+
+
+@PROPERTY
+@given(st.data())
+def test_one_pass_reduction_matches_sequential_at_n64(data):
+    # the single mod at the end sees sums of up to n products (p-1)^2 at p = 65521
+    p, n = data.draw(st.sampled_from([(2, 64), (3, 64), (65521, 64)]))
+    h = data.draw(subgroups(p, n))
+    member = VectorP.zero(p, n)
+    for row in h.basis:
+        member = member + row.scale(data.draw(st.integers(0, p - 1)))
+    x = data.draw(_vectors(p, n))
+    for v in (VectorP(p, (p - 1,) * n), x, member, x + member):
+        _assert_reduces_as_sequential(h, v)
+    assert member in h
+    assert h.coset_reduce(x + member) == h.coset_reduce(x)
 
 
 @PROPERTY
