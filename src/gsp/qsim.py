@@ -5,13 +5,13 @@ dimension p^n (labels live in Z_p^n, so the oracle is a basis permutation),
 one flag qudit of dimension p per subgroup-shrinking step, and one auxiliary
 qudit for the exact amplitude amplification, in that order.  A state is two
 flat arrays: int64 mixed-radix basis keys (main register most significant)
-and their complex128 amplitudes.  Every gate is one of three primitives: a
+and their complex128 amplitudes.  Every gate is one of two primitives: a
 unitary on one register (both Fourier transforms and the auxiliary
-rotation), a key permutation by vectorized base-p digit arithmetic (the
-oracle and both halves of the shrink step), or a sign flip by mask (the two
-reflections).  Entries below 1e-12 are pruned after each unitary, and the
-norm is asserted there, never corrected, so unitarity bugs cannot hide
-behind renormalization.
+rotation), or a key permutation by vectorized base-p digit arithmetic (the
+oracle and the shrink step); the amplification's reflections only change
+signs and amplitudes on fixed keys.  Entries below 1e-12 are pruned after
+each unitary and after the reflections, and the norm is asserted there,
+never corrected, so unitarity bugs cannot hide behind renormalization.
 
 The Fourier transform on a register of dimension p^m uses the kernel
 omega^(g.h) with omega = exp(2*pi*i/p) and g.h the dot product of the base-p
@@ -19,7 +19,6 @@ digit vectors.  The kernel factors over the digits, so the transform is the
 p-point transform applied to each of the m digits in turn: on the rows x p^m
 block of a state that costs O(rows * p^m * m * p) instead of the
 O(rows * p^2m) of a dense matrix, and no matrix larger than p x p is built.
-Each application of the oracle or its inverse counts as one query.
 
 One solver iteration prepares, via the Simon subroutine and the accumulated
 shrinks, a uniform superposition over the subgroup of still-unknown
@@ -29,10 +28,16 @@ run on a deliberately deflated target: an auxiliary-qudit rotation scales
 the success probability down to sin^2(pi/(2(2j+1))) for the integer
 iteration count j = ceil(pi/(4*arcsin(sqrt(a))) - 1/2), after which j full
 iterations land the good-subspace amplitude on 1 up to double-precision
-error.  Since a >= 1/2, j is always 1, so a round costs exactly 2j+1 = 3
-oracle calls.  Reading any surviving main-register basis value therefore
-yields a fresh independent element with certainty, and n-k rounds recover
-the orthogonal subgroup, hence the secret.
+error.  An iteration is the circuit A S_0 A^-1 S_chi, where A prepares the
+round's state psi = A|0>, S_chi negates the good outcomes and S_0 negates
+|0>.  Since A S_0 A^-1 = I - 2|psi><psi| (Brassard, Hoyer, Mosca, Tapp,
+quant-ph/0005055), the simulator applies it as one overlap with psi on
+psi's own keys and never runs A^-1; the oracle count stays the circuit's,
+one call per oracle in A and in A^-1.  Since a >= 1/2, j is always 1, so a
+round costs exactly 2j+1 = 3 oracle calls and a solve 3(n-k).  Reading any
+surviving main-register basis value therefore yields a fresh independent
+element with certainty, and n-k rounds recover the orthogonal subgroup,
+hence the secret.
 """
 
 from __future__ import annotations
@@ -99,7 +104,8 @@ class SparseState:
 
 @dataclass
 class QCounter:
-    """Number of oracle applications; the inverse oracle counts equally."""
+    """Oracle calls of the circuit: each ``apply_oracle``, plus the two that
+    each amplification iteration's A^-1 and A would make."""
 
     oracle_calls: int = 0
 
@@ -136,11 +142,6 @@ def _permute(state: SparseState, reg: int, values: np.ndarray) -> SparseState:
     return SparseState(state.p, state.dims, keys, state.amps)
 
 
-def _flip(state: SparseState, mask: np.ndarray) -> SparseState:
-    """Primitive: negate the amplitudes where ``mask`` holds."""
-    return SparseState(state.p, state.dims, state.keys, np.where(mask, -state.amps, state.amps))
-
-
 def _vec_add(p: int, n: int, a: np.ndarray, b: np.ndarray, sign: int = 1) -> np.ndarray:
     """Digitwise a + sign*b (mod p) of base-p vectors of Z_p^n, by one add table on ceil(n/2)-digit halves."""
     half = (n + 1) // 2
@@ -173,17 +174,11 @@ def fourier(state: SparseState, reg: int, inverse: bool = False) -> SparseState:
     return _unitary(state, reg, _fourier_matrix(state.p, inverse))
 
 
-def apply_oracle(
-    state: SparseState,
-    inst: HiddenInstance,
-    counter: QCounter,
-    inverse: bool = False,
-) -> SparseState:
-    """|g>|y> -> |g>|y ± f(g)>; one oracle call either way."""
+def apply_oracle(state: SparseState, inst: HiddenInstance, counter: QCounter) -> SparseState:
+    """|g>|y> -> |g>|y + f(g)>; one oracle call."""
     labels = _label_index_table(inst)[state.digit(MAIN)]
-    shifted = _vec_add(inst.p, inst.n, state.digit(LABEL), labels, -1 if inverse else 1)
     counter.oracle_calls += 1
-    return _permute(state, LABEL, shifted)
+    return _permute(state, LABEL, _vec_add(inst.p, inst.n, state.digit(LABEL), labels))
 
 
 def simon_subroutine(inst: HiddenInstance, counter: QCounter) -> SparseState:
@@ -199,47 +194,24 @@ def simon_subroutine(inst: HiddenInstance, counter: QCounter) -> SparseState:
     return fourier(state, MAIN)
 
 
-def _shrink_step(
-    state: SparseState,
-    y: VectorP,
-    j: int,
-    flag_reg: int,
-    inverse: bool = False,
-) -> SparseState:
-    """Collapse the first-register support group H to {h in H : h_j = 0}.
+def shrink_subgroup(state: SparseState, y: VectorP, j: int) -> SparseState:
+    """Append a flag qudit as the last register and collapse the main-register
+    support group H to {h in H : h_j = 0}.
 
-    Forward: copy the <y>-coefficient of the main value into the flag
-    (main_j * y_j^-1), subtract coefficient*y from the main register, then
-    inverse-Fourier the flag so each branch carries the basis state |g.y>.
+    Writes the <y>-coefficient of the main value (main_j * y_j^-1) into the
+    flag, subtracts coefficient*y from the main register, then inverse-Fouriers
+    the flag so each branch carries the basis state |g.y>.  Makes no oracle
+    queries.
     """
     p, n = state.p, y.n
     if y.coords[j] == 0:
         raise ParameterError(f"shrink coordinate {j} is zero in y={y}")
-    c_inv = pow(y.coords[j], p - 2, p)
+    main = state.digit(MAIN)
+    coefficient = main // p ** (n - 1 - j) % p * pow(y.coords[j], p - 2, p) % p  # j-th coordinate, msb first
     y_multiples = np.array([y.scale(c).to_index() for c in range(p)], dtype=np.int64)
-
-    def copy_coefficient(state: SparseState, sign: int) -> SparseState:
-        coefficient = state.digit(MAIN) // p ** (n - 1 - j) % p * c_inv  # j-th coordinate, msb first
-        return _permute(state, flag_reg, (state.digit(flag_reg) + sign * coefficient) % p)
-
-    def shift_main(state: SparseState, sign: int) -> SparseState:
-        shift = y_multiples[state.digit(flag_reg)]
-        return _permute(state, MAIN, _vec_add(p, n, state.digit(MAIN), shift, sign))
-
-    if not inverse:
-        state = shift_main(copy_coefficient(state, +1), -1)
-        return fourier(state, flag_reg, inverse=True)
-    state = fourier(state, flag_reg, inverse=False)
-    return copy_coefficient(shift_main(state, +1), -1)
-
-
-def shrink_subgroup(state: SparseState, y: VectorP, j: int) -> SparseState:
-    """Public shrink: appends a flag qudit as the last register, then shrinks.
-
-    Makes no oracle queries.
-    """
-    widened = SparseState(state.p, state.dims + (state.p,), state.keys * state.p, state.amps)
-    return _shrink_step(widened, y, j, len(widened.dims) - 1)
+    widened = SparseState(p, state.dims + (p,), state.keys * p + coefficient, state.amps)
+    shifted = _permute(widened, MAIN, _vec_add(p, n, main, y_multiples[coefficient], -1))
+    return fourier(shifted, len(widened.dims) - 1, inverse=True)
 
 
 def exact_amplify(
@@ -262,9 +234,6 @@ def exact_amplify(
     span = canonicalize(p, n, known)
     if span.rank != m:
         raise ParameterError("known elements are not linearly independent")
-    shrinks = [(row, col, LABEL + 1 + i) for i, (row, col) in enumerate(zip(span.basis, span.pivots()))]
-    dims = (p**n, p**n) + (p,) * (m + 1)
-    aux = len(dims) - 1
 
     a = 1.0 - float(p) ** -(n - k - m)
     theta = math.asin(math.sqrt(a))
@@ -274,27 +243,22 @@ def exact_amplify(
     rot = np.eye(p, dtype=complex)  # rotation by phi in the {|0>,|1>} plane of the aux qudit
     rot[:2, :2] = [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
 
-    def apply_a(state: SparseState, inverse: bool) -> SparseState:
-        if not inverse:
-            state = fourier(state, MAIN, inverse=True)
-            state = apply_oracle(state, inst, counter)
-            state = fourier(state, MAIN)
-            for row, col, flag in shrinks:
-                state = _shrink_step(state, row, col, flag)
-            return _unitary(state, aux, rot)
-        state = _unitary(state, aux, rot.T)
-        for row, col, flag in reversed(shrinks):
-            state = _shrink_step(state, row, col, flag, inverse=True)
-        state = fourier(state, MAIN, inverse=True)
-        state = apply_oracle(state, inst, counter, inverse=True)
-        return fourier(state, MAIN)
+    state = simon_subroutine(inst, counter)
+    for row, col in zip(span.basis, span.pivots()):
+        state = shrink_subgroup(state, row, col)
+    aux = len(state.dims)
+    psi = _unitary(SparseState(p, state.dims + (p,), state.keys * p, state.amps), aux, rot)
 
-    state = apply_a(zero_state(p, dims), inverse=False)
+    # A S_0 A^-1 S_chi with A S_0 A^-1 = I - 2|psi><psi|: the chi flip, then one overlap on psi's keys
+    good = (psi.digit(MAIN) != 0) & (psi.digit(aux) == 1)
+    amps = psi.amps
     for _ in range(iters):
-        state = _flip(state, (state.digit(MAIN) != 0) & (state.digit(aux) == 1))
-        state = apply_a(state, inverse=True)
-        state = _flip(state, state.keys == 0)
-        state = apply_a(state, inverse=False)
+        amps = np.where(good, -amps, amps)
+        amps = amps - 2 * np.vdot(psi.amps, amps) * psi.amps
+        counter.oracle_calls += 2  # the A^-1 and A that the identity replaces
+    keep = np.abs(amps) >= PRUNE_EPS
+    state = SparseState(p, psi.dims, psi.keys[keep], amps[keep])
+    _assert_normalized(state)
 
     mains = state.digit(MAIN)
     bad = float(np.abs(state.amps[(mains == 0) | (state.digit(aux) != 1)]).max(initial=0.0))

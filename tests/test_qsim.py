@@ -2,10 +2,13 @@
 
 import cmath
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsp import (
     HiddenInstance,
@@ -29,8 +32,9 @@ from gsp import (
     simon_subroutine,
     zero_state,
 )
-from gsp.qsim import _vec_add
+from gsp.qsim import LABEL, MAIN, _label_index_table, _permute, _unitary, _vec_add
 from conftest import vec
+from test_acceptance import QGRID, QGRID_LARGE
 
 
 GOLDEN = Path(__file__).parent / "data" / "qsim_final_states.txt"
@@ -49,8 +53,6 @@ def basis_amps(state):
 
 
 def random_sparse_state(p, dims, seed):
-    import random
-
     rng = random.Random(seed)
     amps = {}
     for _ in range(5):
@@ -58,6 +60,73 @@ def random_sparse_state(p, dims, seed):
         amps[basis] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
     return make_state(p, dims, {b: a / norm for b, a in amps.items()})
+
+
+def reference_inverse_oracle(state, inst, counter):
+    """|g>|y> -> |g>|y - f(g)>; one oracle call."""
+    labels = _label_index_table(inst)[state.digit(MAIN)]
+    counter.oracle_calls += 1
+    return _permute(state, LABEL, _vec_add(inst.p, inst.n, state.digit(LABEL), labels, -1))
+
+
+def reference_shrink(state, y, j, flag, sign):
+    """The shrink step on an existing, zeroed ``flag`` register (sign +1), or
+    its inverse (sign -1): the forward steps in reverse order with opposite signs."""
+    p, n = state.p, y.n
+    c_inv = pow(y.coords[j], p - 2, p)
+    y_multiples = np.array([y.scale(c).to_index() for c in range(p)], dtype=np.int64)
+
+    def copy_coefficient(state, sign):
+        coefficient = state.digit(MAIN) // p ** (n - 1 - j) % p * c_inv
+        return _permute(state, flag, (state.digit(flag) + sign * coefficient) % p)
+
+    def shift_main(state, sign):
+        return _permute(state, MAIN, _vec_add(p, n, state.digit(MAIN), y_multiples[state.digit(flag)], -sign))
+
+    if sign > 0:
+        return fourier(shift_main(copy_coefficient(state, 1), 1), flag, inverse=True)
+    return copy_coefficient(shift_main(fourier(state, flag), -1), -1)
+
+
+def reference_round(inst, known, counter):
+    """One amplified round as the explicit circuit A, then A S_0 A^-1 S_chi per iteration."""
+    p, n, k = inst.p, inst.n, inst.k
+    m = len(known)
+    span = canonicalize(p, n, known)
+    shrinks = [(row, col, LABEL + 1 + i) for i, (row, col) in enumerate(zip(span.basis, span.pivots()))]
+    dims = (p**n, p**n) + (p,) * (m + 1)
+    aux = len(dims) - 1
+    a = 1.0 - float(p) ** -(n - k - m)
+    iters = math.ceil(math.pi / (4.0 * math.asin(math.sqrt(a))) - 0.5)
+    phi = math.asin(math.sin(math.pi / (2.0 * (2 * iters + 1))) / math.sqrt(a))
+    rot = np.eye(p, dtype=complex)
+    rot[:2, :2] = [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
+
+    def forward(state):
+        state = fourier(state, MAIN, inverse=True)
+        state = apply_oracle(state, inst, counter)
+        state = fourier(state, MAIN)
+        for row, col, flag in shrinks:
+            state = reference_shrink(state, row, col, flag, 1)
+        return _unitary(state, aux, rot)
+
+    def backward(state):
+        state = _unitary(state, aux, rot.T)
+        for row, col, flag in reversed(shrinks):
+            state = reference_shrink(state, row, col, flag, -1)
+        state = fourier(state, MAIN, inverse=True)
+        state = reference_inverse_oracle(state, inst, counter)
+        return fourier(state, MAIN)
+
+    def flip(state, mask):
+        return SparseState(p, dims, state.keys, np.where(mask, -state.amps, state.amps))
+
+    state = forward(zero_state(p, dims))
+    for _ in range(iters):
+        state = flip(state, (state.digit(MAIN) != 0) & (state.digit(aux) == 1))
+        state = backward(state)
+        state = forward(flip(state, state.keys == 0))
+    return state
 
 
 class TestFourier:
@@ -162,10 +231,11 @@ class TestOracle:
         assert c.oracle_calls == 1
 
     def test_inverse_is_identity(self, ref_instance):
+        # the reference inverse oracle undoes apply_oracle on the Simon state
         c = QCounter()
         state = simon_subroutine(ref_instance, c)
         there = apply_oracle(state, ref_instance, c)
-        back = apply_oracle(there, ref_instance, c, inverse=True)
+        back = reference_inverse_oracle(there, ref_instance, c)
         assert c.oracle_calls == 3
         back = basis_amps(back)
         assert max(abs(back.get(b, 0) - a) for b, a in basis_amps(state).items()) < 1e-12
@@ -264,6 +334,46 @@ class TestExactAmplify:
         dependent = [vec(2, "1000"), vec(2, "1000")]
         with pytest.raises(ParameterError):
             exact_amplify(ref_instance, dependent, QCounter())
+
+
+def assert_round_matches_reference(inst, known):
+    fast, slow = QCounter(), QCounter()
+    y, state = exact_amplify(inst, known, fast, return_state=True)
+    expect = reference_round(inst, known, slow)
+    assert state.dims == expect.dims
+    got = dict(zip(state.keys.tolist(), state.amps.tolist()))
+    want = dict(zip(expect.keys.tolist(), expect.amps.tolist()))
+    assert got.keys() == want.keys(), (inst.p, inst.n, inst.k, len(known))
+    assert max(abs(got[i] - amp) for i, amp in want.items()) < 1e-12, (inst.p, inst.n, inst.k, len(known))
+    assert fast.oracle_calls == slow.oracle_calls == 3
+    return y
+
+
+class TestReferenceRound:
+    """``exact_amplify``'s one-overlap reflection against the explicit circuit with A^-1."""
+
+    @pytest.mark.parametrize("p,n,k", QGRID + QGRID_LARGE)
+    def test_every_round_of_acceptance_cell(self, p, n, k):
+        seed = n * 10 + k
+        inst = make_instance(p, n, k, seed, seed ^ 0x9E3779B9, bool(seed % 2))
+        found = []
+        for _ in range(n - k):
+            found.append(assert_round_matches_reference(inst, found))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.data())
+    def test_drawn_instances_and_known_counts(self, data):
+        p, n = data.draw(st.sampled_from([(2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (5, 2), (5, 3)]))
+        k = data.draw(st.integers(1, n - 1))
+        seeds = data.draw(st.tuples(*[st.integers(0, 2**32)] * 3))
+        inst = make_instance(p, n, k, seeds[0], seeds[1], data.draw(st.booleans()))
+        m = data.draw(st.integers(0, n - k - 1))
+        rng, perp, known = random.Random(seeds[2]), list(orthogonal(inst.secret).elements()), []
+        while len(known) < m:  # m independent elements of S_perp
+            v = rng.choice(perp)
+            if not canonicalize(p, n, known).contains(v):
+                known.append(v)
+        assert_round_matches_reference(inst, known)
 
 
 class TestQuantumFindS:
