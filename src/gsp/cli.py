@@ -194,24 +194,27 @@ def _bench_cell(task: tuple) -> list[tuple]:
     return rows
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    ps = _parse_int_list(args.p)
-    ns = _parse_int_list(args.n)
+def _grid(args: argparse.Namespace) -> list[tuple[int, int, int]]:
+    """The (p, n, k) cells of --p/--n/--k with 1 <= k < n; every p must be
+    prime, and a grid with no such cell is an error, not an empty table."""
+    ps, ns = _parse_int_list(args.p), _parse_int_list(args.n)
+    ks = None if args.k == "all" else _parse_int_list(args.k)
     for p in ps:
         if not is_prime(p):
             raise ParameterError(f"p must be prime, got {p}")
-    solvers = list(_SOLVER_ORDER) if args.solver == "all" else [args.solver]
-    tasks = []
-    for p in ps:
-        for n in ns:
-            ks = range(1, n) if args.k == "all" else _parse_int_list(args.k)
-            for k in ks:
-                if not 1 <= k < n:
-                    continue
-                for seed in range(args.seeds):
-                    tasks.append(
-                        (p, n, k, seed, tuple(solvers), args.d, bool(args.obfuscate), args.multiplier)
-                    )
+    cells = [(p, n, k) for p in ps for n in ns for k in (range(1, n) if ks is None else ks) if 1 <= k < n]
+    if not cells:
+        raise ParameterError(f"no cell with 1 <= k < n in --p {args.p!r} --n {args.n!r} --k {args.k!r}")
+    return cells
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    solvers = tuple(_SOLVER_ORDER) if args.solver == "all" else (args.solver,)
+    tasks = [
+        (p, n, k, seed, solvers, args.d, bool(args.obfuscate), args.multiplier)
+        for p, n, k in _grid(args)
+        for seed in range(args.seeds)
+    ]
     # the pool starts every worker it is given at once, so ask for no more
     # than there are tasks or cores
     jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
@@ -247,36 +250,28 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
-    ps = _parse_int_list(args.p)
-    ns = _parse_int_list(args.n)
+    cells = _grid(args)
     print("p n k t1 t2 lower_adaptive lower_nonadaptive upper_det check")
     failed = False
-    for p in ps:
-        if not is_prime(p):
-            raise ParameterError(f"p must be prime, got {p}")
-        for n in ns:
-            ks = range(1, n) if args.k == "all" else _parse_int_list(args.k)
-            for k in ks:
-                if not 1 <= k < n:
-                    continue
-                rep = bound_report(p, n, k)
-                identity_ok = rep.t1 * (p**k - 1) == rep.t2 * (p**n - 1)
-                if p**n <= args.enum_cap and rep.t1 <= 20000:
-                    e = VectorP.from_index(p, n, 1)
-                    t1_brute = t2_brute = 0
-                    for h in enumerate_subgroups(p, n, k, cap=args.enum_cap):
-                        t1_brute += 1
-                        t2_brute += h.contains(e)
-                    enum_ok = t1_brute == rep.t1 and t2_brute == rep.t2
-                    verdict = "pass" if (identity_ok and enum_ok) else "FAIL"
-                else:
-                    verdict = "pass(identity-only)" if identity_ok else "FAIL"
-                failed = failed or verdict == "FAIL"
-                print(
-                    f"{p} {n} {k} {rep.t1} {rep.t2} "
-                    f"{rep.lower_adaptive:.3f} {rep.lower_nonadaptive:.3f} "
-                    f"{rep.upper_det} {verdict}"
-                )
+    for p, n, k in cells:
+        rep = bound_report(p, n, k)
+        identity_ok = rep.t1 * (p**k - 1) == rep.t2 * (p**n - 1)
+        if p**n <= args.enum_cap and rep.t1 <= 20000:
+            e = VectorP.from_index(p, n, 1)
+            t1_brute = t2_brute = 0
+            for h in enumerate_subgroups(p, n, k, cap=args.enum_cap):
+                t1_brute += 1
+                t2_brute += h.contains(e)
+            enum_ok = t1_brute == rep.t1 and t2_brute == rep.t2
+            verdict = "pass" if (identity_ok and enum_ok) else "FAIL"
+        else:
+            verdict = "pass(identity-only)" if identity_ok else "FAIL"
+        failed = failed or verdict == "FAIL"
+        print(
+            f"{p} {n} {k} {rep.t1} {rep.t2} "
+            f"{rep.lower_adaptive:.3f} {rep.lower_nonadaptive:.3f} "
+            f"{rep.upper_det} {verdict}"
+        )
     return 1 if failed else 0
 
 

@@ -32,12 +32,14 @@ error.  An iteration is the circuit A S_0 A^-1 S_chi, where A prepares the
 round's state psi = A|0>, S_chi negates the good outcomes and S_0 negates
 |0>.  Since A S_0 A^-1 = I - 2|psi><psi| (Brassard, Hoyer, Mosca, Tapp,
 quant-ph/0005055), the simulator applies it as one overlap with psi on
-psi's own keys and never runs A^-1; the oracle count stays the circuit's,
-one call per oracle in A and in A^-1.  Since a >= 1/2, j is always 1, so a
-round costs exactly 2j+1 = 3 oracle calls and a solve 3(n-k).  Reading any
-surviving main-register basis value therefore yields a fresh independent
-element with certainty, and n-k rounds recover the orthogonal subgroup,
-hence the secret.
+psi's own keys and never runs A^-1.  The Simon state at the start of A
+depends only on the instance, so the simulator prepares it once per solve
+and every round starts from it; the oracle count stays the circuit's, one
+call per oracle in each round's A and in each iteration's A^-1 and A.
+Since a >= 1/2, j is always 1, so a round costs exactly 2j+1 = 3 oracle
+calls and a solve 3(n-k).  Reading any surviving main-register basis value
+therefore yields a fresh independent element with certainty, and n-k rounds
+recover the orthogonal subgroup, hence the secret.
 """
 
 from __future__ import annotations
@@ -104,8 +106,13 @@ class SparseState:
 
 @dataclass
 class QCounter:
-    """Oracle calls of the circuit: each ``apply_oracle``, plus the two that
-    each amplification iteration's A^-1 and A would make."""
+    """Oracle calls of the circuit.
+
+    ``apply_oracle`` counts its one call.  ``quantum_find_s`` prepares the
+    Simon state once per solve, on a counter of its own, and each round of
+    ``exact_amplify`` counts the circuit's calls in full: the one in its A,
+    plus the two that each amplification iteration's A^-1 and A would make.
+    """
 
     oracle_calls: int = 0
 
@@ -216,18 +223,24 @@ def shrink_subgroup(state: SparseState, y: VectorP, j: int) -> SparseState:
 
 def exact_amplify(
     inst: HiddenInstance,
+    simon: SparseState,
     known: tuple[VectorP, ...] | list[VectorP],
     counter: QCounter,
     return_state: bool = False,
 ):
     """One solver round: a certain fresh element of S_perp outside <known>.
 
-    ``known`` must be linearly independent (and, per the solver's invariant,
-    lie in S_perp).  The success probability a = 1 - p^-(n-k-m) is known, so
-    the amplification is calibrated to finish with the good-subspace
-    amplitude exactly 1 and the measured element is read off the support.
+    ``simon`` is ``simon_subroutine(inst, ...)``, the state the round's A
+    starts from; the round reads it and counts its oracle call, so the
+    counter gains the circuit's 2*iters + 1 = 3 calls.  ``known`` must be
+    linearly independent (and, per the solver's invariant, lie in S_perp).
+    The success probability a = 1 - p^-(n-k-m) is known, so the
+    amplification is calibrated to finish with the good-subspace amplitude
+    exactly 1 and the measured element is read off the support.
     """
     p, n, k = inst.p, inst.n, inst.k
+    if simon.p != p or simon.dims != (p**n, p**n):
+        raise ParameterError(f"Simon state dims {simon.dims} do not fit p={p} n={n}")
     m = len(known)
     if m >= n - k:
         raise ParameterError(f"already hold {m} elements; only n-k-1={n-k-1} rounds allowed")
@@ -243,7 +256,8 @@ def exact_amplify(
     rot = np.eye(p, dtype=complex)  # rotation by phi in the {|0>,|1>} plane of the aux qudit
     rot[:2, :2] = [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
 
-    state = simon_subroutine(inst, counter)
+    state = simon
+    counter.oracle_calls += 1  # the oracle in A, whose Simon state the caller prepared
     for row, col in zip(span.basis, span.pivots()):
         state = shrink_subgroup(state, row, col)
     aux = len(state.dims)
@@ -275,15 +289,16 @@ def quantum_find_s(
     cap: int = DEFAULT_SIM_CAP,
     return_final_state: bool = False,
 ):
-    """Recover the secret exactly with n-k amplified rounds; count oracle calls."""
+    """Recover the secret exactly with n-k amplified rounds from one Simon state; count oracle calls."""
     p, n, k = inst.p, inst.n, inst.k
     if p**n > cap:
         raise ResourceCapError(f"p^n = {p**n} exceeds simulation cap {cap}")
     counter = counter if counter is not None else QCounter()
+    simon = simon_subroutine(inst, QCounter())  # each round counts its own call
     found: list[VectorP] = []
     state = None
     for _ in range(n - k):
-        y, state = exact_amplify(inst, found, counter, return_state=True)
+        y, state = exact_amplify(inst, simon, found, counter, return_state=True)
         found.append(y)
     recovered = orthogonal(canonicalize(p, n, found))
     if recovered.rank != k:

@@ -198,11 +198,21 @@ class TestBench:
                 assert row["recovered_ok"] == "True"
 
     def test_empty_grid(self, capsys, tmp_path):
+        # a grid with no cell 1 <= k < n is an error, not a header-only CSV
         out = tmp_path / "empty.csv"
-        code, _, _ = run(capsys, "bench", "--p", "2", "--n", "3",
-                         "--k", "7", "--out", str(out))
+        for grid in (("--n", "3", "--k", "7"), ("--n", "5..3"), ("--n", ""), ("--n", "3", "--k", "")):
+            code, stdout, err = run(capsys, "bench", "--p", "2", *grid, "--out", str(out))
+            assert code == 1 and stdout == "", grid
+            assert err.startswith("error: no cell with 1 <= k < n") and len(err.splitlines()) == 1, grid
+            assert not out.exists()
+
+    def test_partial_grid_skips_invalid_cells(self, capsys, tmp_path):
+        out = tmp_path / "partial.csv"
+        code, _, _ = run(capsys, "bench", "--p", "2", "--n", "3..6", "--k", "3",
+                         "--seeds", "1", "--out", str(out))
         assert code == 0
-        assert out.read_text().strip() == ",".join(cli._CSV_HEADER)
+        with open(out) as fh:
+            assert [(r["n"], r["k"]) for r in csv.DictReader(fh)] == [("4", "3"), ("5", "3"), ("6", "3")]
 
     def test_det_past_enumeration_cap(self, capsys, tmp_path):
         # find_s never enumerates Z_p^n, so p^n > 2^20 is no reason to skip
@@ -251,6 +261,18 @@ class TestVerifyBounds:
         code, _, err = run(capsys, "verify-bounds", "--p", "2", "--n", "1100", "--k", "1")
         assert code == 1
         assert err.startswith("error: p^(n-k) = 2^1099 is too large")
+
+    def test_empty_grid(self, capsys):
+        # no header line either: the grid is checked before the table starts
+        for grid in (("--n", ""), ("--n", "4", "--k", "7"), ("--n", "5..3"), ("--n", "3", "--k", "")):
+            code, out, err = run(capsys, "verify-bounds", "--p", "2", *grid)
+            assert code == 1 and out == "", grid
+            assert err.startswith("error: no cell with 1 <= k < n") and len(err.splitlines()) == 1, grid
+
+    def test_partial_grid_skips_invalid_cells(self, capsys):
+        code, out, _ = run(capsys, "verify-bounds", "--p", "2", "--n", "3..6", "--k", "3")
+        assert code == 0
+        assert [line.split()[:3] for line in out.splitlines()[1:]] == [["2", n, "3"] for n in "456"]
 
 
 class TestReentrancy:

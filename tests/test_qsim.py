@@ -32,6 +32,7 @@ from gsp import (
     simon_subroutine,
     zero_state,
 )
+import gsp.qsim as qsim
 from gsp.qsim import LABEL, MAIN, _label_index_table, _permute, _unitary, _vec_add
 from conftest import vec
 from test_acceptance import QGRID, QGRID_LARGE
@@ -302,7 +303,7 @@ class TestExactAmplify:
         secret = canonicalize(2, 2, [vec(2, "11")])
         inst = HiddenInstance(2, 2, 1, secret, label_seed=3)
         counter = QCounter()
-        y, state = exact_amplify(inst, [], counter, return_state=True)
+        y, state = exact_amplify(inst, simon_subroutine(inst, QCounter()), [], counter, return_state=True)
         perp = orthogonal(secret)
         nonzero = [v for v in perp.elements() if not v.is_zero()]
         assert y == nonzero[0]
@@ -318,27 +319,32 @@ class TestExactAmplify:
         for seed in range(4):
             inst = make_instance(p, n, k, subgroup_seed=seed, label_seed=seed)
             perp = orthogonal(inst.secret)
+            simon = simon_subroutine(inst, QCounter())
             found = []
             for _ in range(n - k):
                 counter = QCounter()
-                y = exact_amplify(inst, found, counter)
+                y = exact_amplify(inst, simon, found, counter)
                 assert counter.oracle_calls == 3
                 assert perp.contains(y)
                 assert not canonicalize(p, n, found).contains(y)
                 found.append(y)
 
     def test_parameter_errors(self, ref_instance):
+        simon = simon_subroutine(ref_instance, QCounter())
         full = [vec(2, "1000"), vec(2, "0111")]
         with pytest.raises(ParameterError):
-            exact_amplify(ref_instance, full, QCounter())  # m = n-k
+            exact_amplify(ref_instance, simon, full, QCounter())  # m = n-k
         dependent = [vec(2, "1000"), vec(2, "1000")]
         with pytest.raises(ParameterError):
-            exact_amplify(ref_instance, dependent, QCounter())
+            exact_amplify(ref_instance, simon, dependent, QCounter())
+        other = simon_subroutine(make_instance(2, 3, 1, 0), QCounter())
+        with pytest.raises(ParameterError):
+            exact_amplify(ref_instance, other, [], QCounter())  # a Simon state of another space
 
 
 def assert_round_matches_reference(inst, known):
     fast, slow = QCounter(), QCounter()
-    y, state = exact_amplify(inst, known, fast, return_state=True)
+    y, state = exact_amplify(inst, simon_subroutine(inst, QCounter()), known, fast, return_state=True)
     expect = reference_round(inst, known, slow)
     assert state.dims == expect.dims
     got = dict(zip(state.keys.tolist(), state.amps.tolist()))
@@ -392,6 +398,25 @@ class TestQuantumFindS:
                 res = quantum_find_s(inst)
                 assert res.recovered == truth
                 assert res.queries == 3 * (n - k)
+
+    @pytest.mark.parametrize("p,n,k", [(2, 5, 2), (3, 4, 1)])
+    def test_simon_state_prepared_once_per_solve(self, p, n, k, monkeypatch):
+        # one apply_oracle per solve: neither rebuilt every round nor kept from an earlier solve
+        calls = []
+
+        def counting_oracle(state, inst, counter):
+            calls.append(1)
+            return apply_oracle(state, inst, counter)
+
+        monkeypatch.setattr(qsim, "apply_oracle", counting_oracle)
+        for _ in range(2):
+            inst = make_instance(p, n, k, 5, 7, True)  # equal instances, so a cache would hit
+            counter = QCounter()
+            calls.clear()
+            res = quantum_find_s(inst, counter)
+            assert len(calls) == 1
+            assert res.recovered == inst.secret
+            assert res.queries == counter.oracle_calls == 3 * (n - k)
 
     def test_cap(self):
         inst = make_instance(2, 13, 2, 0)
