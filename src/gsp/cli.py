@@ -2,17 +2,17 @@
 
 Subcommands: ``gen``, ``solve``, ``qsolve``, ``brute``, ``birthday``,
 ``bench``, ``verify-bounds``.  All outputs are plain text; ``bench`` writes
-one CSV row per (grid cell, seed, solver).  Exit codes: 0 success, 1
-parameter error, 2 promise violation, 3 resource cap exceeded.  ``main``
-is re-entrant: every call in a process parses with one shared parser,
-built on the first call.
+one CSV row per (grid cell, seed, solver).  ``bench``, ``solve``, ``brute``
+and ``birthday`` run their solver through ``_run``; every printed query bound
+is the solver result's ``bound``.  Exit codes: 0 success, 1 parameter error,
+2 promise violation, 3 resource cap exceeded.  ``main`` is re-entrant: every
+call in a process parses with one shared parser, built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import statistics
 import sys
@@ -20,19 +20,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .algebra import VectorP, enumerate_subgroups, is_prime
-from .bounds import bound_report, det_query_bound, t1_count, t2_count
+from .bounds import bound_report
 from .errors import GspError, ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import HiddenInstance, QueryLog, make_instance, read_instance, write_instance
-from .qsim import QCounter, dump_state_text, quantum_find_s
+from .qsim import dump_state_text, quantum_find_s
 from .solvers import SolverResult, birthday_solve, brute_force_solve, choose_d, find_s
 
 _SOLVER_ORDER = ("det", "brute", "birthday", "quantum")
 _CSV_HEADER = ("p", "n", "k", "d", "solver", "seed", "queries", "recovered_ok", "bound", "wall_ms")
-
-#: Oracle calls per recovered orthogonal-subgroup element, the bound for
-#: quantum rows: exact amplification spends 2*iters + 1 calls, and iters is
-#: always 1 because the success probability a = 1 - p^-(n-k-m) is >= 1/2.
-QUANTUM_CALLS_PER_ROUND = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,12 +60,28 @@ def _load_instance(args: argparse.Namespace) -> HiddenInstance:
     return _make_instance(args)
 
 
-def _report(result: SolverResult, inst: HiddenInstance, bound: int, check: bool) -> int:
+def _run(
+    solver: str, inst: HiddenInstance, d: int | None, seed: int | None, multiplier: float | None
+) -> SolverResult:
+    """Run the ``bench --solver`` named ``solver``, looked up as a module global at call time.
+
+    ``d`` (None for ``choose_d``) is read by ``det``; ``seed`` and ``multiplier`` by ``birthday``.
+    """
+    if solver == "det":
+        return find_s(QueryLog(inst), choose_d(inst.p, inst.n, inst.k) if d is None else d)
+    if solver == "brute":
+        return brute_force_solve(QueryLog(inst))
+    if solver == "birthday":
+        return birthday_solve(QueryLog(inst), seed, multiplier)
+    return quantum_find_s(inst)
+
+
+def _report(result: SolverResult, inst: HiddenInstance, check: bool) -> int:
     print(f"recovered {result.recovered.to_text()}")
     if result.d_used is not None:
         print(f"d={result.d_used}")
-    verdict = "PASS" if result.queries <= bound else "FAIL"
-    print(f"queries={result.queries} bound={bound} queries<=bound {verdict}")
+    verdict = "PASS" if result.queries <= result.bound else "FAIL"
+    print(f"queries={result.queries} bound={result.bound} queries<=bound {verdict}")
     if check:
         ok = result.recovered == inst.secret
         print(f"check {'PASS' if ok else 'FAIL'}")
@@ -88,27 +99,23 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
-    d = choose_d(inst.p, inst.n, inst.k) if args.d is None else args.d
-    log = QueryLog(inst)
-    result = find_s(log, d)
+    result = _run("det", inst, args.d, None, None)
     if args.trace:
         with open(args.trace, "w", encoding="ascii") as fh:
             for element, label in result.trace:
                 fh.write(f"{element.digits()} {label.digits()}\n")
-    return _report(result, inst, det_query_bound(inst.p, inst.n, inst.k, d), args.check)
+    return _report(result, inst, args.check)
 
 
 def _cmd_qsolve(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
-    counter = QCounter()
-    result, final_state = quantum_find_s(inst, counter, return_final_state=True)
+    result, final_state = quantum_find_s(inst, return_final_state=True)
     if args.dump_state:
         with open(args.dump_state, "w", encoding="ascii") as fh:
             fh.write(dump_state_text(final_state))
-    bound = QUANTUM_CALLS_PER_ROUND * (inst.n - inst.k)
     print(f"recovered {result.recovered.to_text()}")
-    print(f"oracle_calls={result.queries} bound={bound} "
-          f"calls<=bound {'PASS' if result.queries <= bound else 'FAIL'}")
+    print(f"oracle_calls={result.queries} bound={result.bound} "
+          f"calls<=bound {'PASS' if result.queries <= result.bound else 'FAIL'}")
     if args.check:
         ok = result.recovered == inst.secret
         print(f"check {'PASS' if ok else 'FAIL'}")
@@ -118,15 +125,12 @@ def _cmd_qsolve(args: argparse.Namespace) -> int:
 
 def _cmd_brute(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
-    log = QueryLog(inst)
-    result = brute_force_solve(log)
-    return _report(result, inst, inst.p**inst.n, args.check)
+    return _report(_run("brute", inst, None, None, None), inst, args.check)
 
 
 def _cmd_birthday(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
-    log = QueryLog(inst)
-    result = birthday_solve(log, args.sample_seed, args.multiplier)
+    result = _run("birthday", inst, None, args.sample_seed, args.multiplier)
     success = result.recovered.rank == inst.k
     print(f"recovered {result.recovered.to_text()}")
     print(f"queries={result.queries} {'success' if success else 'failure'}")
@@ -149,49 +153,23 @@ def _parse_int_list(text: str) -> list[int]:
     return out
 
 
-def _bench_cell(task: tuple) -> list[tuple]:
-    """Rows for one (p, n, k, seed); runs in a worker process."""
-    p, n, k, seed, solvers, d_arg, obfuscate, multiplier = task
+def _bench_cell(task: tuple) -> tuple[list[tuple], list[str]]:
+    """CSV rows and skip warnings for one (p, n, k, seed); runs in a worker process."""
+    p, n, k, seed, solvers, d, obfuscate, multiplier = task
     inst = make_instance(p, n, k, seed, seed, obfuscate)
-    rows = []
+    rows, warnings = [], []
     for solver in solvers:
-        d: int | None = None
         t0 = time.perf_counter()
         try:
-            if solver == "det":
-                d = choose_d(p, n, k) if d_arg is None else d_arg
-                result = find_s(QueryLog(inst), d)
-                bound = det_query_bound(p, n, k, d)
-            elif solver == "brute":
-                result = brute_force_solve(QueryLog(inst))
-                bound = p**n
-            elif solver == "birthday":
-                result = birthday_solve(QueryLog(inst), seed, multiplier)
-                bound = math.ceil(multiplier * math.sqrt(k * p ** (n - k)))
-            else:
-                result = quantum_find_s(inst)
-                bound = QUANTUM_CALLS_PER_ROUND * (n - k)
+            result = _run(solver, inst, d, seed, multiplier)
         except ResourceCapError as exc:
-            rows.append(("skip", p, n, k, solver, seed, str(exc)))
+            warnings.append(f"warning: skipped p={p} n={n} k={k} solver={solver} seed={seed}: {exc}")
             continue
         wall_ms = (time.perf_counter() - t0) * 1e3
+        d_used = "" if result.d_used is None else result.d_used
         ok = result.recovered == inst.secret
-        rows.append(
-            (
-                "row",
-                p,
-                n,
-                k,
-                "" if d is None else d,
-                solver,
-                seed,
-                result.queries,
-                ok,
-                bound,
-                f"{wall_ms:.3f}",
-            )
-        )
-    return rows
+        rows.append((p, n, k, d_used, solver, seed, result.queries, ok, result.bound, f"{wall_ms:.3f}"))
+    return rows, warnings
 
 
 def _grid(args: argparse.Namespace) -> list[tuple[int, int, int]]:
@@ -209,6 +187,8 @@ def _grid(args: argparse.Namespace) -> list[tuple[int, int, int]]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ParameterError(f"--seeds must be at least 1, got {args.seeds}")
     solvers = tuple(_SOLVER_ORDER) if args.solver == "all" else (args.solver,)
     tasks = [
         (p, n, k, seed, solvers, args.d, bool(args.obfuscate), args.multiplier)
@@ -228,15 +208,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     with open(args.out, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for rows in results:
+        for rows, warnings in results:
+            for warning in warnings:
+                print(warning, file=sys.stderr)
             for row in rows:
-                if row[0] == "skip":
-                    _, p, n, k, solver, seed, why = row
-                    print(f"warning: skipped p={p} n={n} k={k} solver={solver} seed={seed}: {why}",
-                          file=sys.stderr)
-                    continue
-                _, p, n, k, d, solver, seed, queries, ok, bound, wall = row
-                writer.writerow((p, n, k, d, solver, seed, queries, ok, bound, wall))
+                writer.writerow(row)
+                p, n, k, _, solver, _, queries, _, bound, _ = row
                 per_cell.setdefault((p, n, k, solver), []).append((queries, bound))
     for (p, n, k, solver), samples in per_cell.items():
         qs = [q for q, _ in samples]

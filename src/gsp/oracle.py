@@ -142,12 +142,8 @@ class QueryLog:
         return tuple(self.cache.items())
 
     def query(self, x: VectorP) -> VectorP:
-        # a vector over another (p, n) never equals a cached one, so the
-        # check on a miss covers every query
         label = self.cache.get(x)
         if label is None:
-            if x.p != self.instance.p or x.n != self.instance.n:
-                raise DimensionMismatchError("query vector does not live over (p, n)")
             label = self.cache[x] = self.instance.evaluate(x)
         return label
 

@@ -226,9 +226,8 @@ def exact_amplify(
     simon: SparseState,
     known: tuple[VectorP, ...] | list[VectorP],
     counter: QCounter,
-    return_state: bool = False,
-):
-    """One solver round: a certain fresh element of S_perp outside <known>.
+) -> tuple[VectorP, SparseState]:
+    """One solver round: a certain fresh element of S_perp outside <known>, and the round's final state.
 
     ``simon`` is ``simon_subroutine(inst, ...)``, the state the round's A
     starts from; the round reads it and counts its oracle call, so the
@@ -279,8 +278,7 @@ def exact_amplify(
     if bad > BAD_AMPLITUDE_EPS:
         raise ArithmeticError(f"bad-outcome amplitude {bad:.3e} after amplification")
 
-    result = VectorP.from_index(p, n, int(mains[mains != 0].min()))
-    return (result, state) if return_state else result
+    return VectorP.from_index(p, n, int(mains[mains != 0].min())), state
 
 
 def quantum_find_s(
@@ -289,7 +287,8 @@ def quantum_find_s(
     cap: int = DEFAULT_SIM_CAP,
     return_final_state: bool = False,
 ):
-    """Recover the secret exactly with n-k amplified rounds from one Simon state; count oracle calls."""
+    """Recover the secret exactly with n-k amplified rounds from one Simon state;
+    the result counts oracle calls, and its bound is the module docstring's 3(n-k)."""
     p, n, k = inst.p, inst.n, inst.k
     if p**n > cap:
         raise ResourceCapError(f"p^n = {p**n} exceeds simulation cap {cap}")
@@ -298,12 +297,12 @@ def quantum_find_s(
     found: list[VectorP] = []
     state = None
     for _ in range(n - k):
-        y, state = exact_amplify(inst, simon, found, counter, return_state=True)
+        y, state = exact_amplify(inst, simon, found, counter)
         found.append(y)
     recovered = orthogonal(canonicalize(p, n, found))
     if recovered.rank != k:
         raise ArithmeticError("recovered orthogonal complement has wrong rank")
-    result = SolverResult(recovered, counter.oracle_calls, None, ())
+    result = SolverResult(recovered, counter.oracle_calls, 3 * (n - k), None, ())
     return (result, state) if return_final_state else result
 
 

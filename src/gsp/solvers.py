@@ -70,16 +70,19 @@ from .algebra import (
     subgroup_sum,
     trivial_subgroup,
 )
+from .bounds import det_query_bound
 from .errors import ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import QueryLog
 
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Outcome of one solver run on one instance."""
+    """Outcome of one solver run on one instance; ``bound`` is the most queries
+    (oracle calls, for the quantum solver) that its solver may spend on the run."""
 
     recovered: Subgroup
     queries: int
+    bound: int
     d_used: int | None
     trace: tuple[tuple[VectorP, VectorP], ...] = ()
 
@@ -241,7 +244,7 @@ def find_s(
             f"recovered rank {recovered.rank}, promised k={k}"
         )
     _check_labels(log, recovered)
-    return SolverResult(recovered, log.count, d, log.trace)
+    return SolverResult(recovered, log.count, det_query_bound(p, n, k, d), d, log.trace)
 
 
 def brute_force_solve(
@@ -260,7 +263,7 @@ def brute_force_solve(
             f"collision set of 0^n spans rank {recovered.rank}, promised k={inst.k}"
         )
     _check_labels(log, recovered)
-    return SolverResult(recovered, log.count, None, log.trace)
+    return SolverResult(recovered, log.count, p**n, None, log.trace)
 
 
 def birthday_solve(
@@ -300,4 +303,4 @@ def birthday_solve(
         raise PromiseViolationError(f"collision differences span rank {recovered.rank}, promised k={k}")
     if recovered.rank == k:
         _check_labels(log, recovered)
-    return SolverResult(recovered, log.count, None, log.trace)
+    return SolverResult(recovered, log.count, samples, None, log.trace)

@@ -188,14 +188,17 @@ class TestBench:
         assert rows(2) == rows(1)
 
     def test_det_rows_within_bound(self, tmp_path, capsys):
+        # every solver's rows, not only det's, stay within their bound column
         out = tmp_path / "c.csv"
         code, _, _ = run(capsys, "bench", "--p", "2,3", "--n", "3..4",
-                         "--solver", "det", "--seeds", "3", "--out", str(out))
+                         "--solver", "all", "--seeds", "3", "--out", str(out))
         assert code == 0
         with open(out) as fh:
-            for row in csv.DictReader(fh):
-                assert int(row["queries"]) <= int(row["bound"])
-                assert row["recovered_ok"] == "True"
+            rows = list(csv.DictReader(fh))
+        assert {row["solver"] for row in rows} == set(cli._SOLVER_ORDER)
+        for row in rows:
+            assert int(row["queries"]) <= int(row["bound"]), row
+            assert row["recovered_ok"] == "True", row
 
     def test_empty_grid(self, capsys, tmp_path):
         # a grid with no cell 1 <= k < n is an error, not a header-only CSV
@@ -205,6 +208,15 @@ class TestBench:
             assert code == 1 and stdout == "", grid
             assert err.startswith("error: no cell with 1 <= k < n") and len(err.splitlines()) == 1, grid
             assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_seeds_below_one(self, capsys, tmp_path, seeds):
+        # no seed to run is an error, not a header-only CSV
+        out = tmp_path / "noseeds.csv"
+        code, stdout, err = run(capsys, "bench", "--p", "2", "--n", "4", "--seeds", seeds, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: --seeds must be at least 1, got {seeds}\n"
+        assert not out.exists()
 
     def test_partial_grid_skips_invalid_cells(self, capsys, tmp_path):
         out = tmp_path / "partial.csv"

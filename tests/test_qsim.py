@@ -303,7 +303,7 @@ class TestExactAmplify:
         secret = canonicalize(2, 2, [vec(2, "11")])
         inst = HiddenInstance(2, 2, 1, secret, label_seed=3)
         counter = QCounter()
-        y, state = exact_amplify(inst, simon_subroutine(inst, QCounter()), [], counter, return_state=True)
+        y, state = exact_amplify(inst, simon_subroutine(inst, QCounter()), [], counter)
         perp = orthogonal(secret)
         nonzero = [v for v in perp.elements() if not v.is_zero()]
         assert y == nonzero[0]
@@ -323,7 +323,7 @@ class TestExactAmplify:
             found = []
             for _ in range(n - k):
                 counter = QCounter()
-                y = exact_amplify(inst, simon, found, counter)
+                y, _ = exact_amplify(inst, simon, found, counter)
                 assert counter.oracle_calls == 3
                 assert perp.contains(y)
                 assert not canonicalize(p, n, found).contains(y)
@@ -344,7 +344,7 @@ class TestExactAmplify:
 
 def assert_round_matches_reference(inst, known):
     fast, slow = QCounter(), QCounter()
-    y, state = exact_amplify(inst, simon_subroutine(inst, QCounter()), known, fast, return_state=True)
+    y, state = exact_amplify(inst, simon_subroutine(inst, QCounter()), known, fast)
     expect = reference_round(inst, known, slow)
     assert state.dims == expect.dims
     got = dict(zip(state.keys.tolist(), state.amps.tolist()))

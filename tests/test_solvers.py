@@ -1,6 +1,7 @@
 """Deterministic solver, baselines, and their query accounting."""
 
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -29,6 +30,7 @@ from gsp import (
     full_subgroup,
     intersect,
     make_instance,
+    quantum_find_s,
     random_subgroup,
     subgroup_sum,
     trivial_subgroup,
@@ -339,6 +341,23 @@ def test_coset_meets_secret_law():
                     if v.contains(w):
                         continue
                     assert any(v.contains(s - w) for s in secret.elements())
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 3, 1), (2, 4, 2), (2, 5, 1), (3, 3, 1), (3, 4, 2)])
+def test_each_solver_reports_its_bound(p, n, k):
+    # every solver's bound is the paper's formula, computed here independently
+    m = 3.0
+    for seed in range(2):
+        inst = make_instance(p, n, k, subgroup_seed=seed, label_seed=seed)
+        runs = [(find_s(QueryLog(inst), d), det_query_bound(p, n, k, d)) for d in range(n - k + 1)]
+        runs += [
+            (brute_force_solve(QueryLog(inst)), p**n),
+            (birthday_solve(QueryLog(inst), seed, m), math.ceil(m * math.sqrt(k * p ** (n - k)))),
+            (quantum_find_s(inst), 3 * (n - k)),
+        ]
+        for result, bound in runs:
+            assert result.bound == bound
+            assert result.queries <= result.bound
 
 
 class TestBruteForce:
