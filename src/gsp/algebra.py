@@ -62,11 +62,6 @@ def _check_space(p: int, n: int) -> None:
         raise ParameterError(f"n must be in [0, {MAX_DIM}], got {n}")
 
 
-def _inv_mod(a: int, p: int) -> int:
-    # branch-free modular inverse, fine for small prime p
-    return pow(a, p - 2, p)
-
-
 @dataclass(frozen=True)
 class VectorP:
     """An element of Z_p^n: a tuple of residues mod a prime p."""
@@ -176,11 +171,11 @@ class VectorP:
         return self.digits()
 
 
-def all_vectors(p: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[VectorP]:
-    """All of Z_p^n in lexicographic order."""
+def all_vectors(p: int, n: int) -> Iterator[VectorP]:
+    """All of Z_p^n in lexicographic order, for p^n up to ``DEFAULT_ENUMERATION_CAP``."""
     _check_space(p, n)
-    if p**n > cap:
-        raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {cap}")
+    if p**n > DEFAULT_ENUMERATION_CAP:
+        raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
     for coords in itertools.product(range(p), repeat=n):
         yield VectorP._unchecked(p, coords)
 
@@ -194,7 +189,7 @@ def _rref(p: int, n: int, rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]
         if src is None:
             continue
         mat[pivot_row], mat[src] = mat[src], mat[pivot_row]
-        inv = _inv_mod(mat[pivot_row][col] % p, p)
+        inv = pow(mat[pivot_row][col], -1, p)
         mat[pivot_row] = [(inv * x) % p for x in mat[pivot_row]]
         for r in range(len(mat)):
             if r != pivot_row and mat[r][col] % p:
@@ -204,21 +199,6 @@ def _rref(p: int, n: int, rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]
         if pivot_row == len(mat):
             break
     return [tuple(row) for row in mat[:pivot_row]]
-
-
-def _nullspace(p: int, ncols: int, rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Basis of {x : M x = 0 mod p} for the matrix M given by ``rows``."""
-    red = _rref(p, ncols, rows)
-    pivots = [row.index(1) for row in red]
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-red[i][f]) % p
-        basis.append(tuple(v))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -290,8 +270,9 @@ class Subgroup:
         at its own pivot and 0 at the other rows' pivots, so eliminating
         the pivots one by one would find each coefficient unchanged in x
         itself; one pass over the rows with a single reduction mod p at the
-        end gives the same vector.  ``HiddenInstance._label_map`` in
-        ``gsp.oracle`` compiles the same identity into a linear map.
+        end gives the same vector.  The map is linear, and
+        ``HiddenInstance._label_map`` in ``gsp.oracle`` takes its matrix
+        from the images of the unit vectors.
         """
         coords = self._reduce(x)
         return x if coords is x.coords else VectorP._unchecked(self.p, tuple(coords))
@@ -378,8 +359,12 @@ def complement(h: Subgroup) -> Subgroup:
 
 
 def orthogonal(h: Subgroup) -> Subgroup:
-    """The orthogonal subgroup {g : g·h = 0 for all h in H}."""
-    return _span(h.p, h.n, _nullspace(h.p, h.n, [row.coords for row in h.basis]))
+    """The orthogonal subgroup {g : g·h = 0 for all h in H}, read off H's RREF basis:
+    one generator per non-pivot column f, 1 at f, -row[f] at each row's pivot, 0 elsewhere."""
+    p, n = h.p, h.n
+    row_at = dict(zip(h.pivots(), (row.coords for row in h.basis)))
+    free = (f for f in range(n) if f not in row_at)
+    return _span(p, n, ([-row_at[j][f] % p if j in row_at else int(j == f) for j in range(n)] for f in free))
 
 
 def enumerate_subgroups(
@@ -434,7 +419,7 @@ def _independent_rows(rng: random.Random, p: int, n: int, count: int) -> list[tu
                 v = [(a - c * b) % p for a, b in zip(v, row)]
         lead = next((j for j, a in enumerate(v) if a), None)
         if lead is not None:
-            inv = _inv_mod(v[lead], p)
+            inv = pow(v[lead], -1, p)
             echelon.append((lead, [(inv * a) % p for a in v]))
             rows.append(cand)
     return rows

@@ -1,7 +1,7 @@
 """Closed-form subgroup counts and query-bound reference curves.
 
-All counting is exact big-integer arithmetic; the quotients in the two
-counting formulas divide exactly at every step, and a nonzero remainder is
+All counting is exact big-integer arithmetic; the quotients in the
+Gaussian binomial divide exactly at every step, and a nonzero remainder is
 treated as an internal error (it would mean the formula was mistyped).
 """
 
@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, enumerate_subgroups
+from .algebra import Subgroup, VectorP, enumerate_subgroups
 from .errors import ParameterError
 
 
@@ -36,31 +36,24 @@ def t1_count(p: int, n: int, k: int) -> int:
 
 
 def t2_count(p: int, n: int, k: int) -> int:
-    """Number of rank-k subgroups containing a fixed non-zero element."""
+    """Number of rank-k subgroups containing a fixed non-zero element e: their
+    images in Z_p^n/<e> are the rank-(k-1) subgroups of a rank-(n-1) space."""
     if not (1 <= k <= n):
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return _exact_product_quotient(
-        (p ** (n - 1 - i) - 1, p ** (i + 1) - 1) for i in range(k - 1)
-    )
+    return t1_count(p, n - 1, k - 1)
 
 
-def evading_subgroup(
-    p: int,
-    n: int,
-    d_set: Iterable[VectorP],
-    k: int,
-    d: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Optional[Subgroup]:
+def evading_subgroup(p: int, n: int, d_set: Iterable[VectorP], k: int, d: int) -> Optional[Subgroup]:
     """Some rank-k subgroup meeting the given set in fewer than d points.
 
-    Exhaustive scan; None only when no enumerated subgroup qualifies.  When
+    Exhaustive scan over ``enumerate_subgroups`` at its default cap; None
+    only when no enumerated subgroup qualifies.  When
     |D| < d(p^n-1)/(p^k-1) a witness always exists by double counting.
     """
     elements = list(d_set)
     if any(v.is_zero() for v in elements):
         raise ParameterError("the scanned set must not contain 0^n")
-    for h in enumerate_subgroups(p, n, k, cap):
+    for h in enumerate_subgroups(p, n, k):
         hits = sum(1 for v in elements if h.contains(v))
         if hits < d:
             return h

@@ -187,8 +187,9 @@ def _grid(args: argparse.Namespace) -> list[tuple[int, int, int]]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.seeds < 1:
-        raise ParameterError(f"--seeds must be at least 1, got {args.seeds}")
+    for option, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
+        if value < 1:
+            raise ParameterError(f"{option} must be at least 1, got {value}")
     solvers = tuple(_SOLVER_ORDER) if args.solver == "all" else (args.solver,)
     tasks = [
         (p, n, k, seed, solvers, args.d, bool(args.obfuscate), args.multiplier)

@@ -214,7 +214,7 @@ def shrink_subgroup(state: SparseState, y: VectorP, j: int) -> SparseState:
     if y.coords[j] == 0:
         raise ParameterError(f"shrink coordinate {j} is zero in y={y}")
     main = state.digit(MAIN)
-    coefficient = main // p ** (n - 1 - j) % p * pow(y.coords[j], p - 2, p) % p  # j-th coordinate, msb first
+    coefficient = main // p ** (n - 1 - j) % p * pow(y.coords[j], -1, p) % p  # j-th coordinate, msb first
     y_multiples = np.array([y.scale(c).to_index() for c in range(p)], dtype=np.int64)
     widened = SparseState(p, state.dims + (p,), state.keys * p + coefficient, state.amps)
     shifted = _permute(widened, MAIN, _vec_add(p, n, main, y_multiples[coefficient], -1))
@@ -284,15 +284,16 @@ def exact_amplify(
 def quantum_find_s(
     inst: HiddenInstance,
     counter: QCounter | None = None,
-    cap: int = DEFAULT_SIM_CAP,
     return_final_state: bool = False,
 ):
-    """Recover the secret exactly with n-k amplified rounds from one Simon state;
-    the result counts oracle calls, and its bound is the module docstring's 3(n-k)."""
+    """Recover the secret exactly with n-k amplified rounds from one Simon state,
+    for p^n up to ``DEFAULT_SIM_CAP``.  The result's queries are the oracle calls
+    this solve added to ``counter``, and its bound is the module docstring's 3(n-k)."""
     p, n, k = inst.p, inst.n, inst.k
-    if p**n > cap:
-        raise ResourceCapError(f"p^n = {p**n} exceeds simulation cap {cap}")
+    if p**n > DEFAULT_SIM_CAP:
+        raise ResourceCapError(f"p^n = {p**n} exceeds simulation cap {DEFAULT_SIM_CAP}")
     counter = counter if counter is not None else QCounter()
+    calls_before = counter.oracle_calls
     simon = simon_subroutine(inst, QCounter())  # each round counts its own call
     found: list[VectorP] = []
     state = None
@@ -302,7 +303,7 @@ def quantum_find_s(
     recovered = orthogonal(canonicalize(p, n, found))
     if recovered.rank != k:
         raise ArithmeticError("recovered orthogonal complement has wrong rank")
-    result = SolverResult(recovered, counter.oracle_calls, 3 * (n - k), None, ())
+    result = SolverResult(recovered, counter.oracle_calls - calls_before, 3 * (n - k), None, ())
     return (result, state) if return_final_state else result
 
 

@@ -47,10 +47,11 @@ Implementation notes that matter for the query counts:
 
 ``brute_force_solve`` is the correctness oracle (queries everything) and
 ``birthday_solve`` the randomized collision baseline.  Each solver checks
-a rank-k answer against every cached label before returning it
-(``_check_labels``): two elements must share a label exactly when they
-share a coset of the answer, or it raises ``PromiseViolationError`` instead
-of returning a wrong subgroup.
+its answer with ``_check_labels`` before returning it: the answer must have
+rank k, and two cached elements must share a label exactly when they share
+a coset of it, or it raises ``PromiseViolationError`` instead of returning
+a wrong subgroup.  ``birthday_solve`` calls it only at rank k or above; a
+lower rank is its failure value.
 """
 
 from __future__ import annotations
@@ -116,7 +117,10 @@ def _lex_smallest_outside(excluded: Subgroup) -> VectorP:
 
 
 def _check_labels(log: QueryLog, answer: Subgroup) -> None:
-    """Raise unless cached elements share a label exactly when they share a coset of ``answer``."""
+    """Raise unless ``answer`` has rank k and cached elements share a label
+    exactly when they share a coset of it."""
+    if answer.rank != log.instance.k:
+        raise PromiseViolationError(f"answer has rank {answer.rank}, promised k={log.instance.k}")
     pairs = {(answer.coset_reduce(x), label) for x, label in log.cache.items()}
     if not len(pairs) == len({rep for rep, _ in pairs}) == len({label for _, label in pairs}):
         raise PromiseViolationError(f"the labels seen are not constant exactly on cosets of {answer}")
@@ -222,8 +226,7 @@ def find_s(
     )
     a_grp, a_label_of, s2 = find_group(log, b_grp, b_label_of, s1, d, debug_secret=debug_secret)
 
-    v = subgroup_sum(a_grp, b_grp)
-    w = complement(subgroup_sum(v, s2))
+    w = complement(canonicalize(p, n, s2.basis + a_grp.basis + b_grp.basis))
     gens = list(s2.basis)
     for w_i in w.basis:
         found = None
@@ -239,29 +242,21 @@ def find_s(
         gens.append(found)
 
     recovered = canonicalize(p, n, gens)
-    if recovered.rank != k:
-        raise PromiseViolationError(
-            f"recovered rank {recovered.rank}, promised k={k}"
-        )
     _check_labels(log, recovered)
     return SolverResult(recovered, log.count, det_query_bound(p, n, k, d), d, log.trace)
 
 
-def brute_force_solve(
-    log: QueryLog, cap: int = DEFAULT_ENUMERATION_CAP
-) -> SolverResult:
-    """Correctness oracle: query all of Z_p^n, return the span of f(0)'s coset."""
+def brute_force_solve(log: QueryLog) -> SolverResult:
+    """Correctness oracle: query all of Z_p^n, return the span of f(0)'s coset.
+
+    Refuses before any query when p^n exceeds ``DEFAULT_ENUMERATION_CAP``."""
     inst = log.instance
     p, n = inst.p, inst.n
-    if p**n > cap:
-        raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {cap}")
+    if p**n > DEFAULT_ENUMERATION_CAP:
+        raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
     zero_label = log.query(VectorP.zero(p, n))
-    members = [x for x in all_vectors(p, n, cap) if log.query(x) == zero_label]
+    members = [x for x in all_vectors(p, n) if log.query(x) == zero_label]
     recovered = canonicalize(p, n, members)
-    if recovered.rank != inst.k:
-        raise PromiseViolationError(
-            f"collision set of 0^n spans rank {recovered.rank}, promised k={inst.k}"
-        )
     _check_labels(log, recovered)
     return SolverResult(recovered, log.count, p**n, None, log.trace)
 
@@ -299,8 +294,6 @@ def birthday_solve(
         if seen != x:
             diffs.append(x - seen)
     recovered = canonicalize(p, n, diffs)
-    if recovered.rank > k:
-        raise PromiseViolationError(f"collision differences span rank {recovered.rank}, promised k={k}")
-    if recovered.rank == k:
+    if recovered.rank >= k:
         _check_labels(log, recovered)
     return SolverResult(recovered, log.count, samples, None, log.trace)

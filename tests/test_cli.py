@@ -218,6 +218,15 @@ class TestBench:
         assert err == f"error: --seeds must be at least 1, got {seeds}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one(self, capsys, tmp_path, jobs):
+        # no worker to run on is an error, not a silent serial run
+        out = tmp_path / "nojobs.csv"
+        code, stdout, err = run(capsys, "bench", "--p", "2", "--n", "4", "--jobs", jobs, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
+
     def test_partial_grid_skips_invalid_cells(self, capsys, tmp_path):
         out = tmp_path / "partial.csv"
         code, _, _ = run(capsys, "bench", "--p", "2", "--n", "3..6", "--k", "3",

@@ -423,6 +423,16 @@ class TestQuantumFindS:
         with pytest.raises(ResourceCapError):
             quantum_find_s(inst)
 
+    @pytest.mark.parametrize("p,n,k", [(2, 4, 2), (3, 3, 1)])
+    def test_shared_counter_reports_each_solve(self, p, n, k):
+        # queries are the calls one solve adds, not the counter's running total
+        inst = make_instance(p, n, k, 0)
+        counter = QCounter()
+        for _ in range(2):
+            res = quantum_find_s(inst, counter)
+            assert res.queries == res.bound == 3 * (n - k)
+        assert counter.oracle_calls == 6 * (n - k)
+
     def test_fewer_calls_than_classical_at_crossover(self):
         # 3 calls per round beats the sqrt-scale classical count from n=8 up
         # (at n=5 the classical solver still wins: 8-11 queries vs 12 calls)

@@ -374,9 +374,11 @@ class TestBruteForce:
         assert res.recovered == inst.secret and res.queries == 4
 
     def test_cap(self):
-        inst = make_instance(2, 12, 2, 0)
+        # p^n = 2^21 is past the default enumeration cap; refused before any query
+        log = QueryLog(make_instance(2, 21, 2, 0))
         with pytest.raises(ResourceCapError):
-            brute_force_solve(QueryLog(inst), cap=2**10)
+            brute_force_solve(log)
+        assert log.count == 0
 
 
 class TestBirthday:
