@@ -115,10 +115,6 @@ class VectorP:
         p = self.p
         return VectorP._unchecked(p, tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "VectorP":
-        p = self.p
-        return VectorP._unchecked(p, tuple((-a) % p for a in self.coords))
-
     def scale(self, c: int) -> "VectorP":
         p = self.p
         c = int(c) % p

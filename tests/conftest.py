@@ -1,6 +1,7 @@
 import pytest
 
-from gsp import HiddenInstance, VectorP, canonicalize
+from gsp import HiddenInstance, VectorP, canonicalize, intersect, solvers, subgroup_sum
+from gsp.solvers import find_group
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +17,43 @@ def ref_instance(ref_secret):
 
 def vec(p, digits):
     return VectorP(p, tuple(int(ch) for ch in digits))
+
+
+def check_find_group(log, a_grp, s1, d, result):
+    """Fail unless ``find_group``'s ``result`` meets its invariants against the
+    instance's secret; explicit checks, so ``python -O`` keeps them."""
+    b_grp, b_label_of, s2 = result
+    secret = log.instance.secret
+    checks = {
+        "B has rank d": b_grp.rank == d,
+        "A ∩ B = {0}": intersect(a_grp, b_grp).is_trivial(),
+        "(A+B) ∩ S = {0}": intersect(subgroup_sum(a_grp, b_grp), secret).is_trivial(),
+        "S2 <= S": all(row in secret for row in s2.basis),
+        "S1 <= S2": all(row in s2 for row in s1.basis),
+        "B's map holds span(B)": {b: f for f, b in b_label_of.items()}
+        == {b: log.cache.get(b) for b in b_grp.elements()},
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        pytest.fail(f"find_group invariants failed: {', '.join(failed)}")
+
+
+def checked_find_group(log, a_grp, a_label_of, s1, d):
+    """``find_group``, then ``check_find_group`` on what it returns."""
+    result = find_group(log, a_grp, a_label_of, s1, d)
+    check_find_group(log, a_grp, s1, d, result)
+    return result
+
+
+@pytest.fixture
+def find_group_checked(monkeypatch):
+    """Check every ``find_group`` call that ``find_s`` makes in the test."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return checked_find_group(*args)
+
+    monkeypatch.setattr(solvers, "find_group", counted)
+    yield
+    assert calls, "find_s did not look find_group up in gsp.solvers"

@@ -245,12 +245,13 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["recovered_ok"] == "True"
 
-    def test_over_cap_cell_skipped_with_warning(self, capsys, tmp_path):
+    @pytest.mark.parametrize("solver,n,k", [("quantum", 13, 2), ("det", 60, 1)])
+    def test_over_cap_cell_skipped_with_warning(self, capsys, tmp_path, solver, n, k):
         out = tmp_path / "cap.csv"
-        code, _, err = run(capsys, "bench", "--p", "2", "--n", "13", "--k", "2",
-                           "--solver", "quantum", "--seeds", "1", "--out", str(out))
+        code, _, err = run(capsys, "bench", "--p", "2", "--n", str(n), "--k", str(k),
+                           "--solver", solver, "--seeds", "1", "--out", str(out))
         assert code == 0
-        assert "warning: skipped p=2 n=13 k=2" in err
+        assert f"warning: skipped p=2 n={n} k={k} solver={solver}" in err
         assert out.read_text().strip() == ",".join(cli._CSV_HEADER)
 
 
@@ -371,9 +372,18 @@ def test_bad_multiplier(argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_budget_over_cap(tmp_path):
-    # a finite budget past the enumeration cap is refused before any sampling
-    proc = _run_cli(["birthday", "--p", "2", "--n", "2", "--k", "1", "--multiplier", "1e300"], tmp_path)
+@pytest.mark.parametrize("argv,reason", [
+    pytest.param(["birthday", "--p", "2", "--n", "2", "--k", "1", "--multiplier", "1e300"],
+                 "sample budget", id="birthday"),
+    pytest.param(["solve", "--p", "2", "--n", "64", "--k", "1"], "query bound", id="solve"),
+    pytest.param(["solve", "--p", "2", "--n", "22", "--k", "1", "--d", "0"], "query bound 2097154",
+                 id="solve-d0"),
+])
+def test_budget_over_cap(argv, reason, tmp_path):
+    # a finite budget or query bound past the enumeration cap is refused
+    # before any query
+    proc = _run_cli(argv, tmp_path)
     assert proc.returncode == 3
-    assert proc.stderr.startswith("resource cap: sample budget")
+    assert proc.stderr.startswith(f"resource cap: {reason}")
+    assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr

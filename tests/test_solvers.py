@@ -2,10 +2,7 @@
 
 import hashlib
 import math
-import os
 import random
-import subprocess
-import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -32,12 +29,11 @@ from gsp import (
     make_instance,
     quantum_find_s,
     random_subgroup,
-    subgroup_sum,
     trivial_subgroup,
 )
 from gsp.bounds import det_query_bound
 from gsp.solvers import _lex_smallest_outside
-from conftest import vec
+from conftest import checked_find_group, vec
 
 GOLDEN_TRACES = Path(__file__).parent / "data" / "find_s_traces.txt"
 
@@ -132,7 +128,7 @@ class TestFindGroup:
     def test_full_corank_build(self, ref_instance, ref_secret):
         log = QueryLog(ref_instance)
         triv = trivial_subgroup(2, 4)
-        b, b_label_of, s2 = find_group(log, triv, _zero_label_of(log), triv, 2, debug_secret=ref_secret)
+        b, b_label_of, s2 = checked_find_group(log, triv, _zero_label_of(log), triv, 2)
         assert b.rank == 2
         assert intersect(b, ref_secret).is_trivial()
         assert all(x in log.cache for x in b.elements())
@@ -149,7 +145,7 @@ class TestFindGroup:
                 zero_label_of = _zero_label_of(log)
                 base = log.count
                 triv = trivial_subgroup(p, n)
-                b, _, s2 = find_group(log, triv, zero_label_of, triv, d, debug_secret=inst.secret)
+                b, _, s2 = checked_find_group(log, triv, zero_label_of, triv, d)
                 assert log.count - base == p**d - 1 + s2.rank
 
     def test_nontrivial_a_per_call_bound(self):
@@ -163,12 +159,10 @@ class TestFindGroup:
                 d_a = 1
                 log = QueryLog(inst)
                 triv = trivial_subgroup(p, n)
-                a_grp, a_label_of, s1 = find_group(
-                    log, triv, _zero_label_of(log), triv, d_a, debug_secret=inst.secret
-                )
+                a_grp, a_label_of, s1 = checked_find_group(log, triv, _zero_label_of(log), triv, d_a)
                 base = log.count
                 d = n - k - d_a
-                b, _, s2 = find_group(log, a_grp, a_label_of, s1, d, debug_secret=inst.secret)
+                b, _, s2 = checked_find_group(log, a_grp, a_label_of, s1, d)
                 used = log.count - base
                 gain = s2.rank - s1.rank
                 assert used <= p**d - 1 + gain * (p**d - p ** (d - 1))
@@ -177,31 +171,18 @@ class TestFindGroup:
         print(f"\nper-call formula report: nontrivial-A runs exceeding the flat "
               f"+gain count: {flat_would_fail} (re-query cost is real)")
 
-    def test_wrong_debug_secret_fails_under_optimize(self):
-        # python -O strips ``assert`` statements; the debug checks must still raise
-        code = (
-            "import sys\n"
-            "from gsp import QueryLog, find_s, full_subgroup, make_instance\n"
-            "print(sys.flags.optimize)\n"
-            "find_s(QueryLog(make_instance(2, 4, 2, 0)), 1, debug_secret=full_subgroup(2, 4))\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
-        assert proc.stdout.strip() == "1"
-        assert proc.returncode != 0
-        assert "find_group invariants failed: (A+B) ∩ S = {0}" in proc.stderr
-
 
 class TestFindS:
+    @pytest.mark.usefixtures("find_group_checked")
     def test_reference_fixture(self, ref_instance, ref_secret):
         assert choose_d(2, 4, 2) == 0
-        res = find_s(QueryLog(ref_instance), 0, debug_secret=ref_secret)
+        res = find_s(QueryLog(ref_instance), 0)
         assert res.recovered == ref_secret
         assert res.recovered.to_text() == "p=2 n=4 rows=0101;0011"
         assert res.queries <= det_query_bound(2, 4, 2, 0) == 7
         assert res.d_used == 0
 
+    @pytest.mark.usefixtures("find_group_checked")
     @pytest.mark.parametrize("obfuscate", [False, True])
     @pytest.mark.parametrize("p,n,k", [(2, 4, 2), (2, 5, 1), (3, 3, 2), (3, 4, 2), (5, 3, 1)])
     def test_matches_brute_force_every_d(self, p, n, k, obfuscate):
@@ -210,7 +191,7 @@ class TestFindS:
             truth = brute_force_solve(QueryLog(inst)).recovered
             assert truth == inst.secret
             for d in range(n - k + 1):
-                res = find_s(QueryLog(inst), d, debug_secret=inst.secret)
+                res = find_s(QueryLog(inst), d)
                 assert res.recovered == truth
                 assert res.queries <= det_query_bound(p, n, k, d)
 
@@ -235,14 +216,22 @@ class TestFindS:
         with pytest.raises(ParameterError):
             find_s(QueryLog(ref_instance), -1)
 
+    @pytest.mark.usefixtures("find_group_checked")
     def test_worst_case_bound_every_rank_one_secret(self):
         # d = 1 < n-k-d: the rank-(n-k-d) group must be built first, else a
         # late collision abandons a span of up to p^j - p^(j-1) > p^d queries
         for secret in enumerate_subgroups(2, 6, 1):
             inst = HiddenInstance(2, 6, 1, secret, 0, False)
-            res = find_s(QueryLog(inst), 1, debug_secret=secret)
+            res = find_s(QueryLog(inst), 1)
             assert res.recovered == secret
             assert res.queries <= det_query_bound(2, 6, 1, 1), secret.to_text()
+
+    def test_bound_over_cap(self):
+        # p^(n-k-d) + (k+1)p^d = 2^21 + 2 at (2, 22, 1), d = 0: refused before any query
+        log = QueryLog(make_instance(2, 22, 1, 0, 0))
+        with pytest.raises(ResourceCapError, match="query bound 2097154 exceeds"):
+            find_s(log, 0)
+        assert log.count == 0
 
     def test_worst_case_bound_at_scale(self):
         inst = make_instance(2, 15, 4, subgroup_seed=0, label_seed=0)
