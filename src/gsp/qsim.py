@@ -2,16 +2,17 @@
 
 The register file is: a main register of dimension p^n, a label register of
 dimension p^n (labels live in Z_p^n, so the oracle is a basis permutation),
-one flag qudit of dimension p per subgroup-shrinking step, and one auxiliary
-qudit for the exact amplitude amplification, in that order.  A state is two
-flat arrays: int64 mixed-radix basis keys (main register most significant)
-and their complex128 amplitudes.  Every gate is one of two primitives: a
-unitary on one register (both Fourier transforms and the auxiliary
-rotation), or a key permutation by vectorized base-p digit arithmetic (the
-oracle and the shrink step); the amplification's reflections only change
-signs and amplitudes on fixed keys.  Entries below 1e-12 are pruned after
-each unitary and after the reflections, and the norm is asserted there,
-never corrected, so unitarity bugs cannot hide behind renormalization.
+one flag qudit of dimension p per subgroup-shrinking step, by ascending
+pivot of its row, and one auxiliary qudit for the exact amplitude
+amplification, in that order.  A state is two flat arrays: int64
+mixed-radix basis keys (main register most significant) and their
+complex128 amplitudes.  Every gate is one of two primitives: a unitary on
+one register (both Fourier transforms and the auxiliary rotation), or a key
+permutation by vectorized base-p digit arithmetic (the oracle and the
+shrink step); the amplification's reflections only change signs and
+amplitudes on fixed keys.  Entries below 1e-12 are pruned after each
+unitary and after the reflections, and the norm is asserted there, never
+corrected, so unitarity bugs cannot hide behind renormalization.
 
 The Fourier transform on a register of dimension p^m uses the kernel
 omega^(g.h) with omega = exp(2*pi*i/p) and g.h the dot product of the base-p
@@ -20,26 +21,28 @@ p-point transform applied to each of the m digits in turn: on the rows x p^m
 block of a state that costs O(rows * p^m * m * p) instead of the
 O(rows * p^2m) of a dense matrix, and no matrix larger than p x p is built.
 
-One solver iteration prepares, via the Simon subroutine and the accumulated
-shrinks, a uniform superposition over the subgroup of still-unknown
-orthogonal-subgroup elements; the known success probability
-a = 1 - p^-(n-k-m) is then boosted to exactly 1 by amplitude amplification
-run on a deliberately deflated target: an auxiliary-qudit rotation scales
-the success probability down to sin^2(pi/(2(2j+1))) for the integer
-iteration count j = ceil(pi/(4*arcsin(sqrt(a))) - 1/2), after which j full
-iterations land the good-subspace amplitude on 1 up to double-precision
-error.  An iteration is the circuit A S_0 A^-1 S_chi, where A prepares the
-round's state psi = A|0>, S_chi negates the good outcomes and S_0 negates
-|0>.  Since A S_0 A^-1 = I - 2|psi><psi| (Brassard, Hoyer, Mosca, Tapp,
+One solver round starts from the shrunk state, a uniform superposition
+over the subgroup of still-unknown orthogonal-subgroup elements; the known
+success probability a = 1 - p^-(n-k-m) is then boosted to exactly 1 by
+amplitude amplification run on a deliberately deflated target: an
+auxiliary-qudit rotation scales the success probability down to
+sin^2(pi/(2(2j+1))) for the integer iteration count
+j = ceil(pi/(4*arcsin(sqrt(a))) - 1/2), after which j full iterations land
+the good-subspace amplitude on 1 up to double-precision error.  An
+iteration is the circuit A S_0 A^-1 S_chi, where A prepares the round's
+state psi = A|0>, S_chi negates the good outcomes and S_0 negates |0>.
+Since A S_0 A^-1 = I - 2|psi><psi| (Brassard, Hoyer, Mosca, Tapp,
 quant-ph/0005055), the simulator applies it as one overlap with psi on
-psi's own keys and never runs A^-1.  The Simon state at the start of A
-depends only on the instance, so the simulator prepares it once per solve
-and every round starts from it; the oracle count stays the circuit's, one
-call per oracle in each round's A and in each iteration's A^-1 and A.
-Since a >= 1/2, j is always 1, so a round costs exactly 2j+1 = 3 oracle
-calls and a solve 3(n-k).  Reading any surviving main-register basis value
-therefore yields a fresh independent element with certainty, and n-k rounds
-recover the orthogonal subgroup, hence the secret.
+psi's own keys and never runs A^-1.  The Simon state depends only on the
+instance, so it is prepared once per solve, and the shrunk state (it after
+one shrink per element found so far) is carried across rounds: n-k-1
+shrinks a solve.  Each element lies in a support that is zero at every
+earlier pivot, so its RREF row goes in front of the earlier rows.  Each round counts the
+circuit's calls, one for its A and two for each iteration's A^-1 and A;
+since a >= 1/2, j is always 1, so a round costs exactly 3 oracle calls and
+a solve 3(n-k).  Reading any surviving main-register basis value therefore
+yields a fresh independent element with certainty, and n-k rounds recover
+the orthogonal subgroup, hence the secret.
 """
 
 from __future__ import annotations
@@ -201,51 +204,47 @@ def simon_subroutine(inst: HiddenInstance, counter: QCounter) -> SparseState:
     return fourier(state, MAIN)
 
 
-def shrink_subgroup(state: SparseState, y: VectorP, j: int) -> SparseState:
-    """Append a flag qudit as the last register and collapse the main-register
-    support group H to {h in H : h_j = 0}.
+def shrink_subgroup(state: SparseState, y: VectorP) -> SparseState:
+    """Insert a flag qudit at register ``LABEL + 1`` and collapse the main-register
+    support group H to {h in H : h_j = 0}, j the leading column of y.
 
-    Writes the <y>-coefficient of the main value (main_j * y_j^-1) into the
-    flag, subtracts coefficient*y from the main register, then inverse-Fouriers
-    the flag so each branch carries the basis state |g.y>.  Makes no oracle
-    queries.
+    Scales y to 1 at column j to get its RREF row, writes the main value's
+    j-th coordinate into the flag, subtracts that multiple of the row from
+    the main register, then inverse-Fouriers the flag so each branch carries
+    the basis state |g.row>.  Makes no oracle queries.
     """
     p, n = state.p, y.n
-    if y.coords[j] == 0:
-        raise ParameterError(f"shrink coordinate {j} is zero in y={y}")
+    if y.is_zero():
+        raise ParameterError("cannot shrink by the zero vector")
+    j = next(i for i, c in enumerate(y.coords) if c)
+    row = y.scale(pow(y.coords[j], -1, p))
     main = state.digit(MAIN)
-    coefficient = main // p ** (n - 1 - j) % p * pow(y.coords[j], -1, p) % p  # j-th coordinate, msb first
-    y_multiples = np.array([y.scale(c).to_index() for c in range(p)], dtype=np.int64)
-    widened = SparseState(p, state.dims + (p,), state.keys * p + coefficient, state.amps)
-    shifted = _permute(widened, MAIN, _vec_add(p, n, main, y_multiples[coefficient], -1))
-    return fourier(shifted, len(widened.dims) - 1, inverse=True)
+    coefficient = main // p ** (n - 1 - j) % p  # j-th coordinate, msb first
+    row_multiples = np.array([row.scale(c).to_index() for c in range(p)], dtype=np.int64)
+    tail = state.stride(LABEL)
+    keys = state.keys // tail * (tail * p) + coefficient * tail + state.keys % tail
+    widened = SparseState(p, state.dims[: LABEL + 1] + (p,) + state.dims[LABEL + 1 :], keys, state.amps)
+    shifted = _permute(widened, MAIN, _vec_add(p, n, main, row_multiples[coefficient], -1))
+    return fourier(shifted, LABEL + 1, inverse=True)
 
 
-def exact_amplify(
-    inst: HiddenInstance,
-    simon: SparseState,
-    known: tuple[VectorP, ...] | list[VectorP],
-    counter: QCounter,
-) -> tuple[VectorP, SparseState]:
-    """One solver round: a certain fresh element of S_perp outside <known>, and the round's final state.
+def exact_amplify(inst: HiddenInstance, shrunk: SparseState, counter: QCounter) -> tuple[VectorP, SparseState]:
+    """One solver round: a certain fresh element of S_perp, and the round's final state.
 
-    ``simon`` is ``simon_subroutine(inst, ...)``, the state the round's A
-    starts from; the round reads it and counts its oracle call, so the
-    counter gains the circuit's 2*iters + 1 = 3 calls.  ``known`` must be
-    linearly independent (and, per the solver's invariant, lie in S_perp).
-    The success probability a = 1 - p^-(n-k-m) is known, so the
+    ``shrunk`` is ``simon_subroutine(inst, ...)`` after ``shrink_subgroup``
+    by each of the m elements found so far, the state the round's A starts
+    from; m is its number of flag registers.  The round reads it and counts
+    its oracle call, so the counter gains the circuit's 2*iters + 1 = 3
+    calls.  The success probability a = 1 - p^-(n-k-m) is known, so the
     amplification is calibrated to finish with the good-subspace amplitude
     exactly 1 and the measured element is read off the support.
     """
     p, n, k = inst.p, inst.n, inst.k
-    if simon.p != p or simon.dims != (p**n, p**n):
-        raise ParameterError(f"Simon state dims {simon.dims} do not fit p={p} n={n}")
-    m = len(known)
+    m = len(shrunk.dims) - 2
+    if shrunk.p != p or shrunk.dims != (p**n, p**n) + (p,) * m:
+        raise ParameterError(f"shrunk state dims {shrunk.dims} do not fit p={p} n={n}")
     if m >= n - k:
         raise ParameterError(f"already hold {m} elements; only n-k-1={n-k-1} rounds allowed")
-    span = canonicalize(p, n, known)
-    if span.rank != m:
-        raise ParameterError("known elements are not linearly independent")
 
     a = 1.0 - float(p) ** -(n - k - m)
     theta = math.asin(math.sqrt(a))
@@ -255,12 +254,9 @@ def exact_amplify(
     rot = np.eye(p, dtype=complex)  # rotation by phi in the {|0>,|1>} plane of the aux qudit
     rot[:2, :2] = [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
 
-    state = simon
     counter.oracle_calls += 1  # the oracle in A, whose Simon state the caller prepared
-    for row, col in zip(span.basis, span.pivots()):
-        state = shrink_subgroup(state, row, col)
-    aux = len(state.dims)
-    psi = _unitary(SparseState(p, state.dims + (p,), state.keys * p, state.amps), aux, rot)
+    aux = len(shrunk.dims)
+    psi = _unitary(SparseState(p, shrunk.dims + (p,), shrunk.keys * p, shrunk.amps), aux, rot)
 
     # A S_0 A^-1 S_chi with A S_0 A^-1 = I - 2|psi><psi|: the chi flip, then one overlap on psi's keys
     good = (psi.digit(MAIN) != 0) & (psi.digit(aux) == 1)
@@ -286,19 +282,20 @@ def quantum_find_s(
     counter: QCounter | None = None,
     return_final_state: bool = False,
 ):
-    """Recover the secret exactly with n-k amplified rounds from one Simon state,
-    for p^n up to ``DEFAULT_SIM_CAP``.  The result's queries are the oracle calls
-    this solve added to ``counter``, and its bound is the module docstring's 3(n-k)."""
+    """Recover the secret exactly with n-k amplified rounds from one Simon state, shrunk
+    by each round's element, for p^n up to ``DEFAULT_SIM_CAP``.  The result's queries are
+    the oracle calls this solve added to ``counter``; its bound is the module docstring's 3(n-k)."""
     p, n, k = inst.p, inst.n, inst.k
     if p**n > DEFAULT_SIM_CAP:
         raise ResourceCapError(f"p^n = {p**n} exceeds simulation cap {DEFAULT_SIM_CAP}")
     counter = counter if counter is not None else QCounter()
     calls_before = counter.oracle_calls
-    simon = simon_subroutine(inst, QCounter())  # each round counts its own call
+    shrunk = simon_subroutine(inst, QCounter())  # each round counts its own call
     found: list[VectorP] = []
-    state = None
     for _ in range(n - k):
-        y, state = exact_amplify(inst, simon, found, counter)
+        if found:
+            shrunk = shrink_subgroup(shrunk, found[-1])
+        y, state = exact_amplify(inst, shrunk, counter)
         found.append(y)
     recovered = orthogonal(canonicalize(p, n, found))
     if recovered.rank != k:

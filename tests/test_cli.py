@@ -283,6 +283,13 @@ class TestVerifyBounds:
         code, _, err = run(capsys, "verify-bounds", "--p", "2", "--n", "1100", "--k", "1")
         assert code == 1
         assert err.startswith("error: p^(n-k) = 2^1099 is too large")
+        # an exact count past Python's int-to-str digit limit is an error, not a ValueError traceback
+        for p, n, k in (("2", "240", "120"), ("65521", "64", "32")):
+            code, out, err = run(capsys, "verify-bounds", "--p", p, "--n", n, "--k", k)
+            assert code == 1 and len(out.splitlines()) == 1
+            assert err.startswith("error: t1 has more than") and len(err.splitlines()) == 1
+        code, out, _ = run(capsys, "verify-bounds", "--p", "2", "--n", "64", "--k", "32")
+        assert code == 0 and len(out.splitlines()[1].split()[3]) == 309
 
     def test_empty_grid(self, capsys):
         # no header line either: the grid is checked before the table starts

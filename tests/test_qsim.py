@@ -275,7 +275,7 @@ class TestSimonSubroutine:
 class TestShrink:
     def test_support_law(self, ref_instance):
         psi = simon_subroutine(ref_instance, QCounter())
-        out = shrink_subgroup(psi, vec(2, "1000"), 0)
+        out = shrink_subgroup(psi, vec(2, "1000"))
         support = {VectorP.from_index(2, 4, i).digits() for i in out.support(0)}
         assert support == {"0000", "0111"}
         assert abs(out.norm_sq() - 1.0) < 1e-10
@@ -284,7 +284,7 @@ class TestShrink:
         # each branch |phi_t K>|f(t)> gains the basis flag |t.y|
         y = vec(2, "1000")
         psi = simon_subroutine(ref_instance, QCounter())
-        out = shrink_subgroup(psi, y, 0)
+        out = shrink_subgroup(psi, y)
         label_to_rep = {}
         for x in all_vectors(2, 4):
             label_to_rep.setdefault(ref_instance.evaluate(x).to_index(), x)
@@ -292,10 +292,10 @@ class TestShrink:
             t = label_to_rep[label]
             assert flag == t.dot(y)
 
-    def test_zero_coordinate_rejected(self, ref_instance):
+    def test_zero_vector_rejected(self, ref_instance):
         psi = simon_subroutine(ref_instance, QCounter())
         with pytest.raises(ParameterError):
-            shrink_subgroup(psi, vec(2, "1000"), 1)
+            shrink_subgroup(psi, vec(2, "0000"))
 
 
 class TestExactAmplify:
@@ -303,7 +303,7 @@ class TestExactAmplify:
         secret = canonicalize(2, 2, [vec(2, "11")])
         inst = HiddenInstance(2, 2, 1, secret, label_seed=3)
         counter = QCounter()
-        y, state = exact_amplify(inst, simon_subroutine(inst, QCounter()), [], counter)
+        y, state = exact_amplify(inst, simon_subroutine(inst, QCounter()), counter)
         perp = orthogonal(secret)
         nonzero = [v for v in perp.elements() if not v.is_zero()]
         assert y == nonzero[0]
@@ -319,32 +319,41 @@ class TestExactAmplify:
         for seed in range(4):
             inst = make_instance(p, n, k, subgroup_seed=seed, label_seed=seed)
             perp = orthogonal(inst.secret)
-            simon = simon_subroutine(inst, QCounter())
+            shrunk = simon_subroutine(inst, QCounter())
             found = []
             for _ in range(n - k):
                 counter = QCounter()
-                y, _ = exact_amplify(inst, simon, found, counter)
+                y, _ = exact_amplify(inst, shrunk, counter)
                 assert counter.oracle_calls == 3
                 assert perp.contains(y)
                 assert not canonicalize(p, n, found).contains(y)
                 found.append(y)
+                shrunk = shrink_subgroup(shrunk, y)
 
     def test_parameter_errors(self, ref_instance):
         simon = simon_subroutine(ref_instance, QCounter())
-        full = [vec(2, "1000"), vec(2, "0111")]
+        full = shrink_subgroup(shrink_subgroup(simon, vec(2, "0111")), vec(2, "1000"))
         with pytest.raises(ParameterError):
-            exact_amplify(ref_instance, simon, full, QCounter())  # m = n-k
-        dependent = [vec(2, "1000"), vec(2, "1000")]
-        with pytest.raises(ParameterError):
-            exact_amplify(ref_instance, simon, dependent, QCounter())
+            exact_amplify(ref_instance, full, QCounter())  # m = n-k
         other = simon_subroutine(make_instance(2, 3, 1, 0), QCounter())
         with pytest.raises(ParameterError):
-            exact_amplify(ref_instance, other, [], QCounter())  # a Simon state of another space
+            exact_amplify(ref_instance, other, QCounter())  # a Simon state of another space
+        for p, n, k in ((2, 4, 1), (3, 4, 1), (2, 5, 2)):
+            # shrunk twice by one y: m counts a flag that shrinks nothing, so the amplification misses
+            inst = make_instance(p, n, k, 0)
+            simon = simon_subroutine(inst, QCounter())
+            y, _ = exact_amplify(inst, simon, QCounter())
+            twice = shrink_subgroup(shrink_subgroup(simon, y), y)
+            with pytest.raises(ArithmeticError, match="bad-outcome amplitude"):
+                exact_amplify(inst, twice, QCounter())
 
 
 def assert_round_matches_reference(inst, known):
     fast, slow = QCounter(), QCounter()
-    y, state = exact_amplify(inst, simon_subroutine(inst, QCounter()), known, fast)
+    shrunk = simon_subroutine(inst, QCounter())
+    for row in reversed(canonicalize(inst.p, inst.n, known).basis):  # descending pivot: each flag goes first
+        shrunk = shrink_subgroup(shrunk, row)
+    y, state = exact_amplify(inst, shrunk, fast)
     expect = reference_round(inst, known, slow)
     assert state.dims == expect.dims
     got = dict(zip(state.keys.tolist(), state.amps.tolist()))
@@ -417,6 +426,47 @@ class TestQuantumFindS:
             assert len(calls) == 1
             assert res.recovered == inst.secret
             assert res.queries == counter.oracle_calls == 3 * (n - k)
+
+    @pytest.mark.parametrize("p,n,k", [(2, 3, 1), (2, 5, 1), (3, 5, 2), (3, 4, 3)])
+    def test_one_shrink_per_round(self, p, n, k, monkeypatch):
+        # the shrunk state is carried across rounds: n-k-1 shrinks, not (n-k)(n-k-1)/2
+        shrinks = []
+
+        def counting_shrink(*args):
+            shrinks.append(args[1])
+            return shrink_subgroup(*args)
+
+        monkeypatch.setattr(qsim, "shrink_subgroup", counting_shrink)
+        for seed in range(3):
+            inst = make_instance(p, n, k, seed, seed, bool(seed % 2))
+            counter = QCounter()
+            shrinks.clear()
+            res = quantum_find_s(inst, counter)
+            assert len(shrinks) == n - k - 1
+            assert res.recovered == inst.secret
+            assert res.queries == counter.oracle_calls == 3 * (n - k)
+
+    @pytest.mark.parametrize("p,n,k", QGRID)
+    def test_each_round_prepends_its_rref_row(self, p, n, k, monkeypatch):
+        # why one shrink per round suffices: each round's element, scaled to 1 at its
+        # leading column, goes in front of the earlier RREF basis, which stays unchanged
+        found = []
+
+        def recording_amplify(*args):
+            y, state = exact_amplify(*args)
+            found.append(y)
+            return y, state
+
+        monkeypatch.setattr(qsim, "exact_amplify", recording_amplify)
+        inst = make_instance(p, n, k, 0, 0x9E3779B9, True)
+        assert quantum_find_s(inst).recovered == inst.secret
+        assert len(found) == n - k
+        basis = ()
+        for m, y in enumerate(found, 1):
+            lead = next(c for c in y.coords if c)
+            new = canonicalize(p, n, found[:m]).basis
+            assert new == (y.scale(pow(lead, -1, p)),) + basis, (p, n, k, m)
+            basis = new
 
     def test_cap(self):
         inst = make_instance(2, 13, 2, 0)
