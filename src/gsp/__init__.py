@@ -8,12 +8,9 @@ from .algebra import (
     canonicalize,
     complement,
     enumerate_subgroups,
-    full_subgroup,
-    intersect,
     is_prime,
     orthogonal,
     random_subgroup,
-    subgroup_sum,
     trivial_subgroup,
 )
 from .bounds import (

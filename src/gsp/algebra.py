@@ -55,6 +55,11 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _check_digits(p: int) -> None:
+    if p > len(_DIGITS):
+        raise ParameterError(f"digit serialization supports p <= {len(_DIGITS)}")
+
+
 def _check_space(p: int, n: int) -> None:
     if not (2 <= p < MAX_PRIME) or not is_prime(p):
         raise ParameterError(f"p must be a prime in [2, {MAX_PRIME}), got {p}")
@@ -120,10 +125,6 @@ class VectorP:
         c = int(c) % p
         return VectorP._unchecked(p, tuple((c * a) % p for a in self.coords))
 
-    def dot(self, other: "VectorP") -> int:
-        self._require_same_space(other)
-        return sum(a * b for a, b in zip(self.coords, other.coords)) % self.p
-
     def is_zero(self) -> bool:
         return not any(self.coords)
 
@@ -151,8 +152,7 @@ class VectorP:
 
     def digits(self) -> str:
         """Base-p digit string, most significant coordinate first."""
-        if self.p > len(_DIGITS):
-            raise ParameterError(f"digit serialization supports p <= {len(_DIGITS)}")
+        _check_digits(self.p)
         return "".join(_DIGITS[c] for c in self.coords)
 
     @classmethod
@@ -232,13 +232,6 @@ class Subgroup:
     def rank(self) -> int:
         return len(self.basis)
 
-    @property
-    def order(self) -> int:
-        return self.p**self.rank
-
-    def is_trivial(self) -> bool:
-        return not self.basis
-
     def pivots(self) -> tuple[int, ...]:
         # an RREF row is zero up to its pivot, which is 1
         return tuple(row.coords.index(1) for row in self.basis)
@@ -255,8 +248,6 @@ class Subgroup:
 
     def contains(self, x: VectorP) -> bool:
         return not any(self._reduce(x))
-
-    __contains__ = contains
 
     def coset_reduce(self, x: VectorP) -> VectorP:
         """Canonical representative of the coset x + self.
@@ -314,11 +305,6 @@ def trivial_subgroup(p: int, n: int) -> Subgroup:
     return Subgroup._unchecked(p, n, ())
 
 
-def full_subgroup(p: int, n: int) -> Subgroup:
-    _check_space(p, n)
-    return Subgroup._unchecked(p, n, tuple(VectorP.unit(p, n, j) for j in range(n)))
-
-
 def _span(p: int, n: int, rows: Iterable[Sequence[int]]) -> Subgroup:
     """The subgroup generated by int rows over a valid (p, n)."""
     return Subgroup._unchecked(p, n, tuple(VectorP._unchecked(p, r) for r in _rref(p, n, rows)))
@@ -333,18 +319,6 @@ def canonicalize(p: int, n: int, rows: Iterable[VectorP]) -> Subgroup:
             raise DimensionMismatchError("generator does not live over (p, n)")
         mat.append(row.coords)
     return _span(p, n, mat)
-
-
-def subgroup_sum(h: Subgroup, k: Subgroup) -> Subgroup:
-    """Canonical basis of H + K."""
-    if h.p != k.p or h.n != k.n:
-        raise DimensionMismatchError(f"subgroups over Z_{h.p}^{h.n} and Z_{k.p}^{k.n}")
-    return canonicalize(h.p, h.n, h.basis + k.basis)
-
-
-def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
-    """Canonical basis of H ∩ K, the orthogonal subgroup of H^⊥ + K^⊥."""
-    return orthogonal(subgroup_sum(orthogonal(h), orthogonal(k)))
 
 
 def complement(h: Subgroup) -> Subgroup:

@@ -19,7 +19,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .algebra import VectorP, enumerate_subgroups, is_prime
+from .algebra import VectorP, _check_digits, enumerate_subgroups, is_prime
 from .bounds import bound_report
 from .errors import GspError, ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import HiddenInstance, QueryLog, make_instance, read_instance, write_instance
@@ -53,11 +53,11 @@ def _make_instance(args: argparse.Namespace) -> HiddenInstance:
 
 
 def _load_instance(args: argparse.Namespace) -> HiddenInstance:
-    if args.infile:
-        return read_instance(args.infile)
-    if None in (args.p, args.n, args.k):
+    if not args.infile and None in (args.p, args.n, args.k):
         raise ParameterError("provide --in FILE or --p/--n/--k/--seed")
-    return _make_instance(args)
+    inst = read_instance(args.infile) if args.infile else _make_instance(args)
+    _check_digits(inst.p)  # before any work: the recovered subgroup is printed in digits
+    return inst
 
 
 def _run(
@@ -76,12 +76,14 @@ def _run(
     return quantum_find_s(inst)
 
 
-def _report(result: SolverResult, inst: HiddenInstance, check: bool) -> int:
+def _report(
+    result: SolverResult, inst: HiddenInstance, check: bool, counted: str = "queries", short: str = "queries"
+) -> int:
     print(f"recovered {result.recovered.to_text()}")
     if result.d_used is not None:
         print(f"d={result.d_used}")
     verdict = "PASS" if result.queries <= result.bound else "FAIL"
-    print(f"queries={result.queries} bound={result.bound} queries<=bound {verdict}")
+    print(f"{counted}={result.queries} bound={result.bound} {short}<=bound {verdict}")
     if check:
         ok = result.recovered == inst.secret
         print(f"check {'PASS' if ok else 'FAIL'}")
@@ -113,14 +115,7 @@ def _cmd_qsolve(args: argparse.Namespace) -> int:
     if args.dump_state:
         with open(args.dump_state, "w", encoding="ascii") as fh:
             fh.write(dump_state_text(final_state))
-    print(f"recovered {result.recovered.to_text()}")
-    print(f"oracle_calls={result.queries} bound={result.bound} "
-          f"calls<=bound {'PASS' if result.queries <= result.bound else 'FAIL'}")
-    if args.check:
-        ok = result.recovered == inst.secret
-        print(f"check {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 1
-    return 0
+    return _report(result, inst, args.check, "oracle_calls", "calls")
 
 
 def _cmd_brute(args: argparse.Namespace) -> int:
@@ -228,6 +223,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
+    if args.enum_cap < 0:
+        raise ParameterError(f"--enum-cap must be at least 0, got {args.enum_cap}")
     cells = _grid(args)
     print("p n k t1 t2 lower_adaptive lower_nonadaptive upper_det check")
     failed = False

@@ -184,8 +184,9 @@ def instance_from_text(text: str) -> HiddenInstance:
 
 
 def write_instance(inst: HiddenInstance, path: str) -> None:
+    text = instance_to_text(inst)  # before the open, so a refusal leaves the file as it was
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(instance_to_text(inst))
+        fh.write(text)
 
 
 def read_instance(path: str) -> HiddenInstance:

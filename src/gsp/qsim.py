@@ -97,15 +97,6 @@ class SparseState:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
-    def marginal(self, reg: int) -> dict[int, float]:
-        """Probability of each basis value of one register."""
-        values, which = np.unique(self.digit(reg), return_inverse=True)
-        probs = np.bincount(which, weights=np.abs(self.amps) ** 2)
-        return dict(zip(values.tolist(), probs.tolist()))
-
-    def support(self, reg: int) -> set[int]:
-        return set(np.unique(self.digit(reg)).tolist())
-
 
 @dataclass
 class QCounter:
@@ -208,16 +199,16 @@ def shrink_subgroup(state: SparseState, y: VectorP) -> SparseState:
     """Insert a flag qudit at register ``LABEL + 1`` and collapse the main-register
     support group H to {h in H : h_j = 0}, j the leading column of y.
 
-    Scales y to 1 at column j to get its RREF row, writes the main value's
-    j-th coordinate into the flag, subtracts that multiple of the row from
-    the main register, then inverse-Fouriers the flag so each branch carries
-    the basis state |g.row>.  Makes no oracle queries.
+    Takes y's RREF row and its pivot j from ``canonicalize``, writes the main
+    value's j-th coordinate into the flag, subtracts that multiple of the row
+    from the main register, then inverse-Fouriers the flag so each branch
+    carries the basis state |g.row>.  Makes no oracle queries.
     """
     p, n = state.p, y.n
-    if y.is_zero():
+    line = canonicalize(p, n, [y])
+    if line.rank == 0:
         raise ParameterError("cannot shrink by the zero vector")
-    j = next(i for i, c in enumerate(y.coords) if c)
-    row = y.scale(pow(y.coords[j], -1, p))
+    (row,), (j,) = line.basis, line.pivots()
     main = state.digit(MAIN)
     coefficient = main // p ** (n - 1 - j) % p  # j-th coordinate, msb first
     row_multiples = np.array([row.scale(c).to_index() for c in range(p)], dtype=np.int64)

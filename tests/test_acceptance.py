@@ -21,7 +21,6 @@ from gsp import (
     enumerate_subgroups,
     evading_subgroup,
     find_s,
-    intersect,
     make_instance,
     orthogonal,
     quantum_find_s,
@@ -31,6 +30,7 @@ from gsp import (
     t2_count,
 )
 from gsp.bounds import det_query_bound
+from conftest import intersect, marginal, support
 
 GRID = [
     (p, n, k)
@@ -179,9 +179,9 @@ def test_criterion_6_coset_meets_secret():
             secret = random_subgroup(p, n, k, seed)
             secret_elems = list(secret.elements())
             for v in enumerate_subgroups(p, n, n - k):
-                if not intersect(v, secret).is_trivial():
+                if intersect(v, secret).rank:
                     continue
-                v_elems = list(v.elements()) if v.order <= secret.order else None
+                v_elems = list(v.elements()) if v.rank <= secret.rank else None
                 for w in all_vectors(p, n):
                     if v.contains(w):
                         continue
@@ -205,10 +205,9 @@ def test_criterion_7_orthogonal_support_law():
             inst = make_instance(p, n, k, seed, _label_seed(seed), bool(seed % 2))
             psi = simon_subroutine(inst, QCounter())
             perp = orthogonal(inst.secret)
-            support = {VectorP.from_index(p, n, i) for i in psi.support(0)}
-            assert support == set(perp.elements())
+            assert {VectorP.from_index(p, n, i) for i in support(psi, 0)} == set(perp.elements())
             expected = 1.0 / p ** (n - k)
-            for prob in psi.marginal(0).values():
+            for prob in marginal(psi, 0).values():
                 assert abs(prob - expected) < 1e-10
     print(f"\nACCEPTANCE 7 orthogonal-support-law: PASS "
           f"({len(QGRID) * 5} simulations, support exact and uniform)")

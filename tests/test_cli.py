@@ -47,6 +47,39 @@ class TestGen:
         assert code == 1 and "prime" in err
 
 
+class TestDigitLimit:
+    """A subcommand that prints a subgroup refuses a p past the digit alphabet before any work."""
+
+    ERROR = "error: digit serialization supports p <= 36\n"
+
+    def test_gen_keeps_out_file(self, capsys, tmp_path):
+        out = tmp_path / "keep.inst"
+        out.write_text("precious\n")
+        code, stdout, err = run(capsys, "gen", "--p", "37", "--n", "2", "--k", "1", "--out", str(out))
+        assert (code, stdout, err) == (1, "", self.ERROR)
+        assert out.read_text() == "precious\n"
+
+    @pytest.mark.parametrize("command", ["solve", "qsolve", "brute", "birthday"])
+    def test_solvers_refuse_before_solving(self, capsys, tmp_path, monkeypatch, command):
+        def solver_ran(*args, **kwargs):
+            raise AssertionError(f"{command} ran its solver")
+
+        monkeypatch.setattr(cli, "_run", solver_ran)
+        monkeypatch.setattr(cli, "quantum_find_s", solver_ran)
+        # a file can hold p = 37 when the secret's digits all lie below 36
+        infile = tmp_path / "p37.inst"
+        infile.write_text("gsp-instance v1\np=37\nn=3\nk=1\nsecret=p=37 n=3 rows=100\nlabel_seed=0\nobfuscate=0\n")
+        for source in (("--p", "37", "--n", "3", "--k", "1"), ("--in", str(infile))):
+            assert run(capsys, command, *source) == (1, "", self.ERROR), source
+
+    def test_bench_and_verify_bounds_accept_it(self, capsys, tmp_path):
+        code, _, err = run(capsys, "bench", "--p", "37", "--n", "2", "--k", "1", "--seeds", "1",
+                           "--out", str(tmp_path / "p37.csv"))
+        assert code == 0 and err == ""
+        code, out, _ = run(capsys, "verify-bounds", "--p", "37", "--n", "2")
+        assert code == 0 and out.splitlines()[1].startswith("37 2 1 38 1 ")
+
+
 class TestSolve:
     def test_reference_fixture(self, capsys, fixture_file):
         code, out, _ = run(capsys, "solve", "--in", fixture_file, "--check")
@@ -271,6 +304,12 @@ class TestVerifyBounds:
         assert code == 0 and not err
         assert out.splitlines()[1].startswith("1031 2 1 1032 1 ")
         assert out.splitlines()[1].endswith(" pass")
+        # a negative cap is an error, not a silent identity-only run; a cap of 0 stays legal
+        code, out, err = run(capsys, "verify-bounds", "--p", "2", "--n", "3", "--enum-cap", "-5")
+        assert code == 1 and out == ""
+        assert err == "error: --enum-cap must be at least 0, got -5\n"
+        code, out, _ = run(capsys, "verify-bounds", "--p", "2", "--n", "3", "--enum-cap", "0")
+        assert code == 0 and all(line.endswith(" pass(identity-only)") for line in out.splitlines()[1:])
 
     def test_float_range(self, capsys):
         # sqrt(p^(n-k)) fits a float at n = 70; past 2^1024 it is an error, not an OverflowError
