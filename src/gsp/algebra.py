@@ -164,7 +164,8 @@ class VectorP:
         return cls(p, coords)
 
     def __str__(self) -> str:
-        return self.digits()
+        # residues past the digit alphabet, so an error message never fails
+        return self.digits() if self.p <= len(_DIGITS) else str(self.coords)
 
 
 def all_vectors(p: int, n: int) -> Iterator[VectorP]:
@@ -257,12 +258,25 @@ class Subgroup:
         at its own pivot and 0 at the other rows' pivots, so eliminating
         the pivots one by one would find each coefficient unchanged in x
         itself; one pass over the rows with a single reduction mod p at the
-        end gives the same vector.  The map is linear, and
-        ``HiddenInstance._label_map`` in ``gsp.oracle`` takes its matrix
-        from the images of the unit vectors.
+        end gives the same vector.  The map is linear; ``unit_images`` gives
+        its matrix, which ``HiddenInstance._label_map`` in ``gsp.oracle`` and
+        ``_check_labels`` in ``gsp.solvers`` compile.
         """
         coords = self._reduce(x)
         return x if coords is x.coords else VectorP._unchecked(self.p, tuple(coords))
+
+    def unit_images(self) -> list[tuple[int, ...]]:
+        """``coset_reduce`` of each unit vector e_j, as int rows, read off the basis.
+
+        e_j is its own representative at a non-pivot column.  At row i's
+        pivot it reduces to e_j - row_i, which is -row_i with its pivot
+        entry zeroed; the row is zero left of its pivot.
+        """
+        p, n = self.p, self.n
+        images = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
+        for j, row in zip(self.pivots(), self.basis):
+            images[j] = (0,) * (j + 1) + tuple(-c % p for c in row.coords[j + 1 :])
+        return images
 
     def _reduce(self, x: VectorP) -> Iterable[int]:
         """The representative's coordinates, computed lazily; x's own when no row applies."""
@@ -278,8 +292,8 @@ class Subgroup:
 
     def to_text(self) -> str:
         """``p=<p> n=<n> rows=<row;row;...>`` with rows as base-p digit strings."""
-        rows = ";".join(row.digits() for row in self.basis)
-        return f"p={self.p} n={self.n} rows={rows}"
+        _check_digits(self.p)
+        return str(self)
 
     @classmethod
     def from_text(cls, text: str) -> "Subgroup":
@@ -297,7 +311,8 @@ class Subgroup:
         return canonicalize(p, n, rows)
 
     def __str__(self) -> str:
-        return self.to_text()
+        rows = ";".join(map(str, self.basis))
+        return f"p={self.p} n={self.n} rows={rows}"
 
 
 def trivial_subgroup(p: int, n: int) -> Subgroup:

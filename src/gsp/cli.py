@@ -60,6 +60,22 @@ def _load_instance(args: argparse.Namespace) -> HiddenInstance:
     return inst
 
 
+def _check_out_path(option: str, path: str | None) -> None:
+    """Refuse, before any work, a path that cannot be written: an empty one, a
+    directory, or a file in a directory that does not exist.  The file itself
+    is opened only after the work, so a failure on the way leaves an existing
+    file as it was."""
+    if path is None:
+        return
+    if not path:
+        raise ParameterError(f"{option} needs a file name")
+    if os.path.isdir(path):
+        raise ParameterError(f"{option} {path} is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ParameterError(f"{option} {path}: no directory {folder}")
+
+
 def _run(
     solver: str, inst: HiddenInstance, d: int | None, seed: int | None, multiplier: float | None
 ) -> SolverResult:
@@ -100,6 +116,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    _check_out_path("--trace", args.trace)
     inst = _load_instance(args)
     result = _run("det", inst, args.d, None, None)
     if args.trace:
@@ -110,6 +127,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_qsolve(args: argparse.Namespace) -> int:
+    _check_out_path("--dump-state", args.dump_state)
     inst = _load_instance(args)
     result, final_state = quantum_find_s(inst, return_final_state=True)
     if args.dump_state:
@@ -185,6 +203,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for option, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
         if value < 1:
             raise ParameterError(f"{option} must be at least 1, got {value}")
+    _check_out_path("--out", args.out)
     solvers = tuple(_SOLVER_ORDER) if args.solver == "all" else (args.solver,)
     tasks = [
         (p, n, k, seed, solvers, args.d, bool(args.obfuscate), args.multiplier)

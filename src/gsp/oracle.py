@@ -12,10 +12,11 @@ Both modes compile to one affine map over F_p, f(x) = L x + s.  Coset
 reduction by the secret's RREF basis (``Subgroup.coset_reduce``) is linear
 and the bijection is affine (the identity with zero shift in plain mode),
 so L is the bijection's matrix times the reduction's, whose column j is the
-reduction of the unit vector e_j; L is built once per instance.  Each
-column of L is packed into one Python int, coordinate i in lane i, with
-lanes of 8, 16, 32 or 64 bits, wide enough that no lane carries.  A label
-is then one C-level sum of n int products, unpacked lane by lane mod p.
+reduction of the unit vector e_j (``Subgroup.unit_images``); L is built
+once per instance.  Each column of L is packed into one Python int,
+coordinate i in lane i, with lanes of 8, 16, 32 or 64 bits, wide enough that
+no lane carries.  A label is then one C-level sum of n int products,
+unpacked lane by lane mod p.
 """
 
 from __future__ import annotations
@@ -73,11 +74,12 @@ class HiddenInstance:
     def _label_map(self) -> tuple[tuple[int, ...], int, int, str]:
         """(packed columns of L, packed s, byte length, lane format) of f(x) = L x + s.
 
-        Column j of the reduction is ``secret.coset_reduce(e_j)``.  A lane's
-        sum is at most n(p-1)^2 + (p-1), which the lane width must hold.
+        Column j of the reduction is ``secret.coset_reduce(e_j)``, taken from
+        ``secret.unit_images()``.  A lane's sum is at most n(p-1)^2 + (p-1),
+        which the lane width must hold.
         """
         p, n = self.p, self.n
-        reduce_cols = [self.secret.coset_reduce(VectorP.unit(p, n, j)).coords for j in range(n)]
+        reduce_cols = self.secret.unit_images()
         if self.obfuscate:
             rows, shift = self._bijection
             cols = [[sum(map(mul, m, col)) % p for m in rows] for col in reduce_cols]

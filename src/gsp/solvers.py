@@ -51,7 +51,9 @@ refuses before its first query when its query bound exceeds
 ``DEFAULT_ENUMERATION_CAP``, and checks its answer with ``_check_labels``
 before returning it: the answer must have rank k, and two cached elements
 must share a label exactly when they share a coset of it, or it raises
-``PromiseViolationError`` instead of returning a wrong subgroup.
+``PromiseViolationError`` instead of returning a wrong subgroup.  The check
+covers the whole query cache with one integer matrix product: the answer's
+coset reduction (``Subgroup.unit_images``) applied to every cached element.
 ``birthday_solve`` calls it only at rank k or above; a lower rank is its
 failure value.  ``find_group``'s invariants, which need the secret, are
 checked by the tests, not here.
@@ -62,6 +64,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import (
     DEFAULT_ENUMERATION_CAP,
@@ -119,10 +123,22 @@ def _lex_smallest_outside(excluded: Subgroup) -> VectorP:
 
 def _check_labels(log: QueryLog, answer: Subgroup) -> None:
     """Raise unless ``answer`` has rank k and cached elements share a label
-    exactly when they share a coset of it."""
+    exactly when they share a coset of it.
+
+    One integer product with the answer's reduction matrix
+    (``Subgroup.unit_images``) takes every cached element to its coset
+    representative.  Its sums stay below n*p^2 < 2^38, and an integer
+    product makes no BLAS call.  A representative's entries lie below
+    p < 2^16, so the uint16 bytes of its row key it.
+    """
     if answer.rank != log.instance.k:
         raise PromiseViolationError(f"answer has rank {answer.rank}, promised k={log.instance.k}")
-    pairs = {(answer.coset_reduce(x), label) for x, label in log.cache.items()}
+    p, n = answer.p, answer.n
+    xs = np.array([x.coords for x in log.cache], dtype=np.int64)
+    reps = (xs @ np.array(answer.unit_images(), dtype=np.int64) % p).astype(np.uint16).tobytes()
+    width = 2 * n  # bytes of one representative
+    rep_keys = [reps[i : i + width] for i in range(0, len(reps), width)]
+    pairs = set(zip(rep_keys, [label.coords for label in log.cache.values()]))
     if not len(pairs) == len({rep for rep, _ in pairs}) == len({label for _, label in pairs}):
         raise PromiseViolationError(f"the labels seen are not constant exactly on cosets of {answer}")
 

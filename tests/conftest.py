@@ -40,6 +40,13 @@ def intersect(h, k):
     return orthogonal(subgroup_sum(orthogonal(h), orthogonal(k)))
 
 
+def consistent(answer, trace):
+    """Labels in ``trace`` agree exactly when their elements share a coset of
+    ``answer``; the per-element reference for ``solvers._check_labels``."""
+    pairs = {(answer.coset_reduce(x), label) for x, label in trace}
+    return len(pairs) == len({rep for rep, _ in pairs}) == len({label for _, label in pairs})
+
+
 def support(state, reg):
     """The basis values of one register that carry amplitude."""
     return set(np.unique(state.digit(reg)).tolist())

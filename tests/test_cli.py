@@ -80,6 +80,48 @@ class TestDigitLimit:
         assert code == 0 and out.splitlines()[1].startswith("37 2 1 38 1 ")
 
 
+class TestOutputPaths:
+    """An output path that cannot be written is refused before the solver
+    runs; one that can is opened only after it, so a failure keeps the file."""
+
+    ARGV = {
+        "--trace": ("solve", "--p", "2", "--n", "4", "--k", "2", "--trace"),
+        "--dump-state": ("qsolve", "--p", "2", "--n", "4", "--k", "2", "--dump-state"),
+        "--out": ("bench", "--p", "2", "--n", "4", "--seeds", "1", "--out"),
+    }
+
+    @staticmethod
+    def _solvers_raise(monkeypatch, exc):
+        def solver(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "_run", solver)
+        monkeypatch.setattr(cli, "quantum_find_s", solver)
+
+    @pytest.mark.parametrize("option", ARGV)
+    @pytest.mark.parametrize("kind", ["missing directory", "directory", "empty"])
+    def test_unwritable_path_refused(self, capsys, tmp_path, monkeypatch, option, kind):
+        self._solvers_raise(monkeypatch, AssertionError(f"solved with a bad {option}"))
+        missing = tmp_path / "missing"
+        path, reason = {
+            "missing directory": (str(missing / "out.txt"), f"{missing / 'out.txt'}: no directory {missing}"),
+            "directory": (str(tmp_path), f"{tmp_path} is a directory"),
+            "empty": ("", "needs a file name"),
+        }[kind]
+        code, out, err = run(capsys, *self.ARGV[option], path)
+        assert (code, out, err) == (1, "", f"error: {option} {reason}\n")
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("option", ARGV)
+    def test_failed_solve_keeps_file(self, capsys, tmp_path, monkeypatch, option):
+        self._solvers_raise(monkeypatch, PromiseViolationError("inconsistent labels"))
+        path = tmp_path / "keep.txt"
+        path.write_text("precious\n")
+        code, _, err = run(capsys, *self.ARGV[option], str(path))
+        assert code == 2 and err == "promise violation: inconsistent labels\n"
+        assert path.read_text() == "precious\n"
+
+
 class TestSolve:
     def test_reference_fixture(self, capsys, fixture_file):
         code, out, _ = run(capsys, "solve", "--in", fixture_file, "--check")

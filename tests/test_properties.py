@@ -4,17 +4,20 @@ import random
 import struct
 from operator import mul
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsp import (
+    PromiseViolationError,
     QueryLog,
     Subgroup,
     VectorP,
     all_vectors,
     brute_force_solve,
     canonicalize,
+    complement,
     enumerate_subgroups,
     find_s,
     make_instance,
@@ -24,7 +27,7 @@ from gsp import (
 )
 from gsp.algebra import _independent_rows, _rref
 from gsp.bounds import det_query_bound
-from conftest import checked_find_group, intersect, subgroup_sum
+from conftest import checked_find_group, consistent, intersect, subgroup_sum
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -199,6 +202,73 @@ def test_compiled_label_matches_reference(data):
         label = inst.evaluate(x)
         _assert_valid(label)
         assert label.coords == _reference_label(inst, x)
+
+
+CHECK_SPACES = [(p, n) for p in (2, 3, 5, 7) for n in range(2, 9) if p**n <= 729]
+
+
+@st.composite
+def label_checks(draw):
+    """(log, answer): a cache over a subset of Z_p^n, labelled by the secret or
+    by a rule that breaks the promise, and a rank-k answer, right or wrong."""
+    p, n = draw(st.sampled_from(CHECK_SPACES))
+    k = draw(st.integers(1, n - 1))
+    inst = make_instance(p, n, k, draw(st.integers(0, 2**32)), draw(st.integers(0, 2**32)), draw(st.booleans()))
+    secret, other = inst.secret, random_subgroup(p, n, k, draw(st.integers(0, 2**32)))
+    outside = solvers._lex_smallest_outside(secret)
+    rule = draw(st.sampled_from([
+        inst.evaluate,
+        canonicalize(p, n, secret.basis + (outside,)).coset_reduce,  # coarser than S
+        canonicalize(p, n, secret.basis[1:]).coset_reduce,  # finer than S
+        other.coset_reduce,
+        lambda x: VectorP(p, (random.Random(x.to_index()).randrange(p),) + (0,) * (n - 1)),  # no rule
+    ]))
+    answer = draw(st.sampled_from([secret, other, canonicalize(p, n, secret.basis[1:] + (outside,))]))
+    space = list(all_vectors(p, n))
+    if draw(st.booleans()):
+        space = draw(st.lists(st.sampled_from(space), min_size=1, max_size=2 * n, unique=True))
+    log = QueryLog(inst)
+    log.cache.update((x, rule(x)) for x in space)
+    return log, answer
+
+
+@PROPERTY
+@given(label_checks())
+def test_label_check_matches_reference(case):
+    # the compiled check raises exactly when the per-element reference finds
+    # the labels inconsistent with the answer
+    log, answer = case
+    try:
+        solvers._check_labels(log, answer)
+        raised = False
+    except PromiseViolationError:
+        raised = True
+    assert raised != consistent(answer, log.trace)
+
+
+@pytest.mark.parametrize("p", [2, 65521])
+def test_label_check_at_the_limits(p):
+    # n = 64 at the largest prime: products reach n(p-1)^2 before the mod,
+    # and representatives and labels use the top residue p - 1
+    n, k, rng = 64, 20, random.Random(p)
+    inst = make_instance(p, n, k, 3)
+    secret, wrong = inst.secret, random_subgroup(p, n, k, 4)
+    xs = [VectorP(p, (p - 1,) * n)] + [VectorP(p, tuple(rng.randrange(p) for _ in range(n))) for _ in range(30)]
+    xs += [unit.scale(p - 1) for unit in complement(secret).basis]  # their own representatives
+    for h in (secret, wrong):
+        reps = np.array([x.coords for x in xs], dtype=np.int64) @ np.array(h.unit_images(), dtype=np.int64) % p
+        assert reps.tolist() == [list(h.coset_reduce(x).coords) for x in xs]
+    log = QueryLog(inst)
+    for x in xs:
+        member = VectorP.zero(p, n)
+        for row in secret.basis:
+            member = member + row.scale(rng.randrange(p))
+        log.query(x)
+        log.query(x + member)  # shares x's label, and a coset of the secret only
+    assert any(p - 1 in label.coords for label in log.cache.values())
+    solvers._check_labels(log, secret)
+    with pytest.raises(PromiseViolationError, match="not constant exactly on cosets"):
+        solvers._check_labels(log, wrong)
 
 
 def _rejection_rows(rng, p, n, count):

@@ -31,7 +31,7 @@ from gsp import (
 )
 from gsp.bounds import det_query_bound
 from gsp.solvers import _lex_smallest_outside
-from conftest import checked_find_group, full_subgroup, intersect, vec
+from conftest import checked_find_group, consistent, full_subgroup, intersect, vec
 
 GOLDEN_TRACES = Path(__file__).parent / "data" / "find_s_traces.txt"
 
@@ -276,12 +276,6 @@ class _AdversarialInstance(HiddenInstance):
         return VectorP(p, tuple(rng.randrange(p) for _ in range(n)))
 
 
-def _consistent(recovered, trace):
-    """Labels in ``trace`` agree exactly when their elements share a coset of ``recovered``."""
-    pairs = {(recovered.coset_reduce(x), label) for x, label in trace}
-    return len(pairs) == len({rep for rep, _ in pairs}) == len({label for _, label in pairs})
-
-
 @pytest.mark.parametrize("mode", ["constant", "injective", "lower-rank", "higher-rank", "random"])
 def test_adversarial_oracle_never_misleads(mode):
     # a broken promise ends in PromiseViolationError or in a rank-k answer
@@ -303,7 +297,7 @@ def test_adversarial_oracle_never_misleads(mode):
                     if name == "birthday" and res.recovered.rank < k:
                         failures += 1
                         continue
-                    assert res.recovered.rank == k and _consistent(res.recovered, res.trace), where
+                    assert res.recovered.rank == k and consistent(res.recovered, res.trace), where
                     returned += 1
     print(f"\nadversarial {mode}: {returned} consistent answers, {failures} birthday failures")
 
