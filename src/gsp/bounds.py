@@ -89,7 +89,8 @@ def bound_report(p: int, n: int, k: int) -> BoundReport:
         raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
     if k * p ** (n - k) > sys.float_info.max:
         raise ParameterError(f"p^(n-k) = {p}^{n - k} is too large for the float lower bounds")
-    t1, digits = t1_count(p, n, k), sys.get_int_max_str_digits()  # t2 <= t1; upper_det fits a float
+    # t2 <= t1 and upper_det fits a float; the limit getter came in 3.10.7, and 0 means no limit
+    t1, digits = t1_count(p, n, k), getattr(sys, "get_int_max_str_digits", int)()
     if digits and t1.bit_length() > 3 * digits and t1 >= 10**digits:  # 2^(3d) < 10^d skips the power
         raise ParameterError(f"t1 has more than {digits} digits, past the int-to-str conversion limit")
     return BoundReport(

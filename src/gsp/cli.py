@@ -42,7 +42,7 @@ def _add_instance_source(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int)
     sub.add_argument("--k", type=int)
     sub.add_argument("--seed", type=int, default=0, help="subgroup seed")
-    sub.add_argument("--label-seed", type=int, default=None)
+    sub.add_argument("--label-seed", type=int, default=None, help="(default: --seed)")
     sub.add_argument("--obfuscate", type=int, choices=(0, 1), default=0)
 
 
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--k", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--label-seed", type=int, default=None)
+    gen.add_argument("--label-seed", type=int, default=None, help="(default: --seed)")
     gen.add_argument("--obfuscate", type=int, choices=(0, 1), default=0)
     gen.add_argument("--out", required=True)
     gen.add_argument("--reveal", action="store_true", help="print the secret")

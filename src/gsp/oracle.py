@@ -58,7 +58,7 @@ class HiddenInstance:
                 f"secret has rank {self.secret.rank}, expected k={self.k}"
             )
         if not (0 <= self.label_seed < 1 << 64):
-            raise ParameterError("label_seed must fit in 64 bits")
+            raise ParameterError(f"label_seed must lie in [0, 2^64), got {self.label_seed}")
 
     @cached_property
     def _bijection(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

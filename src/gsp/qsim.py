@@ -7,10 +7,10 @@ pivot of its row, and one auxiliary qudit for the exact amplitude
 amplification, in that order.  A state is two flat arrays: int64
 mixed-radix basis keys (main register most significant) and their
 complex128 amplitudes.  Every gate is one of two primitives: a unitary on
-one register (both Fourier transforms and the auxiliary rotation), or a key
-permutation by vectorized base-p digit arithmetic (the oracle and the
-shrink step); the amplification's reflections only change signs and
-amplitudes on fixed keys.  Entries below 1e-12 are pruned after each
+one register (the Fourier transforms), or a key permutation by vectorized
+base-p digit arithmetic (the oracle and the shrink step); the aux rotation
+is a product factor, and the amplification's reflections only change signs
+and amplitudes on fixed keys.  Entries below 1e-12 are pruned after each
 unitary and after the reflections, and the norm is asserted there, never
 corrected, so unitarity bugs cannot hide behind renormalization.
 
@@ -161,7 +161,7 @@ def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # one solve's table; a larger cache would keep every instance alive
 def _label_index_table(inst: HiddenInstance) -> np.ndarray:
     table = np.array([inst.evaluate(x).to_index() for x in all_vectors(inst.p, inst.n)], dtype=np.int64)
     table.setflags(write=False)
@@ -228,7 +228,9 @@ def exact_amplify(inst: HiddenInstance, shrunk: SparseState, counter: QCounter) 
     its oracle call, so the counter gains the circuit's 2*iters + 1 = 3
     calls.  The success probability a = 1 - p^-(n-k-m) is known, so the
     amplification is calibrated to finish with the good-subspace amplitude
-    exactly 1 and the measured element is read off the support.
+    exactly 1 and the measured element is read off the support.  psi = A|0>
+    is ``shrunk`` times the aux qudit's cos(phi)|0> + sin(phi)|1>: psi and the
+    iterate are (len(shrunk.keys), 2) arrays, as aux values 2..p-1 carry nothing.
     """
     p, n, k = inst.p, inst.n, inst.k
     m = len(shrunk.dims) - 2
@@ -242,29 +244,26 @@ def exact_amplify(inst: HiddenInstance, shrunk: SparseState, counter: QCounter) 
     iters = math.ceil(math.pi / (4.0 * theta) - 0.5)
     theta_bar = math.pi / (2.0 * (2 * iters + 1))
     phi = math.asin(math.sin(theta_bar) / math.sqrt(a))
-    rot = np.eye(p, dtype=complex)  # rotation by phi in the {|0>,|1>} plane of the aux qudit
-    rot[:2, :2] = [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
 
     counter.oracle_calls += 1  # the oracle in A, whose Simon state the caller prepared
-    aux = len(shrunk.dims)
-    psi = _unitary(SparseState(p, shrunk.dims + (p,), shrunk.keys * p, shrunk.amps), aux, rot)
+    psi = np.outer(shrunk.amps, [math.cos(phi), math.sin(phi)])
+    good = (shrunk.digit(MAIN) != 0)[:, None] & [False, True]
 
     # A S_0 A^-1 S_chi with A S_0 A^-1 = I - 2|psi><psi|: the chi flip, then one overlap on psi's keys
-    good = (psi.digit(MAIN) != 0) & (psi.digit(aux) == 1)
-    amps = psi.amps
+    amps = psi
     for _ in range(iters):
         amps = np.where(good, -amps, amps)
-        amps = amps - 2 * np.vdot(psi.amps, amps) * psi.amps
+        amps = amps - 2 * np.vdot(psi, amps) * psi
         counter.oracle_calls += 2  # the A^-1 and A that the identity replaces
     keep = np.abs(amps) >= PRUNE_EPS
-    state = SparseState(p, psi.dims, psi.keys[keep], amps[keep])
+    state = SparseState(p, shrunk.dims + (p,), (shrunk.keys[:, None] * p + np.arange(2))[keep], amps[keep])
     _assert_normalized(state)
 
-    mains = state.digit(MAIN)
-    bad = float(np.abs(state.amps[(mains == 0) | (state.digit(aux) != 1)]).max(initial=0.0))
+    bad = float(np.abs(amps[~good]).max(initial=0.0))
     if bad > BAD_AMPLITUDE_EPS:
         raise ArithmeticError(f"bad-outcome amplitude {bad:.3e} after amplification")
 
+    mains = state.digit(MAIN)
     return VectorP.from_index(p, n, int(mains[mains != 0].min())), state
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -109,6 +110,11 @@ class TestEvadingSubgroup:
 
 
 class TestBoundReport:
+    def test_without_digit_limit_getter(self, monkeypatch):
+        # CPython 3.10.0-3.10.6 have neither the int-to-str limit nor its getter
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert bound_report(2, 240, 120).t1 == t1_count(2, 240, 120)
+
     def test_reference_point(self):
         rep = bound_report(2, 4, 2)
         assert rep.upper_det == 7

@@ -141,6 +141,11 @@ class TestSolve:
         assert len(lines) == queries
         assert all(len(line.split()) == 2 for line in lines)
 
+    def test_negative_seed_shows_label_seed_range(self, capsys):
+        # --label-seed defaults to --seed, so the message names the range and the value it got
+        code, out, err = run(capsys, "solve", "--p", "2", "--n", "4", "--k", "2", "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: label_seed must lie in [0, 2^64), got -1\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "--in", "/nonexistent/i.txt")
         assert code == 1 and err

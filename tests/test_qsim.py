@@ -1,8 +1,10 @@
 """Unitarity, support laws, and exactness of the quantum simulation."""
 
 import cmath
+import gc
 import math
 import random
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -364,7 +366,8 @@ def assert_round_matches_reference(inst, known):
 class TestReferenceRound:
     """``exact_amplify``'s one-overlap reflection against the explicit circuit with A^-1."""
 
-    @pytest.mark.parametrize("p,n,k", QGRID + QGRID_LARGE)
+    # (2,8,1) reaches 6 flag registers and (5,4,1) has a p=5 aux with three empty levels
+    @pytest.mark.parametrize("p,n,k", QGRID + QGRID_LARGE + [(2, 8, 1), (5, 4, 1)])
     def test_every_round_of_acceptance_cell(self, p, n, k):
         seed = n * 10 + k
         inst = make_instance(p, n, k, seed, seed ^ 0x9E3779B9, bool(seed % 2))
@@ -423,6 +426,16 @@ class TestQuantumFindS:
             assert len(calls) == 1
             assert res.recovered == inst.secret
             assert res.queries == counter.oracle_calls == 3 * (n - k)
+
+    def test_label_table_frees_earlier_instances(self):
+        # the table cache holds the last solve's instance only, so a finished one can be freed
+        first = make_instance(2, 6, 2, 1, 1, True)
+        ref = weakref.ref(first)
+        quantum_find_s(first)
+        quantum_find_s(make_instance(2, 6, 2, 2, 2, True))
+        del first
+        gc.collect()
+        assert ref() is None
 
     @pytest.mark.parametrize("p,n,k", [(2, 3, 1), (2, 5, 1), (3, 5, 2), (3, 4, 3)])
     def test_one_shrink_per_round(self, p, n, k, monkeypatch):
