@@ -19,12 +19,12 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .algebra import VectorP, _check_digits, enumerate_subgroups, is_prime
+from .algebra import VectorP, _check_digits, _check_space, enumerate_subgroups, is_prime
 from .bounds import bound_report
 from .errors import GspError, ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import HiddenInstance, QueryLog, make_instance, read_instance, write_instance
 from .qsim import dump_state_text, quantum_find_s
-from .solvers import SolverResult, birthday_solve, brute_force_solve, choose_d, find_s
+from .solvers import SolverResult, _birthday_budget, _check_split, birthday_solve, brute_force_solve, choose_d, find_s
 
 _SOLVER_ORDER = ("det", "brute", "birthday", "quantum")
 _CSV_HEADER = ("p", "n", "k", "d", "solver", "seed", "queries", "recovered_ok", "bound", "wall_ms")
@@ -205,9 +205,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise ParameterError(f"{option} must be at least 1, got {value}")
     _check_out_path("--out", args.out)
     solvers = tuple(_SOLVER_ORDER) if args.solver == "all" else (args.solver,)
+    cells = _grid(args)
+    # refuse before the first solve what a solver would refuse partway through the grid
+    for p, n, k in cells:
+        _check_space(p, n)
+        if args.d is not None and "det" in solvers:
+            _check_split(n, k, args.d)
+        if "birthday" in solvers:
+            _birthday_budget(p, n, k, args.multiplier)
     tasks = [
         (p, n, k, seed, solvers, args.d, bool(args.obfuscate), args.multiplier)
-        for p, n, k in _grid(args)
+        for p, n, k in cells
         for seed in range(args.seeds)
     ]
     # the pool starts every worker it is given at once, so ask for no more

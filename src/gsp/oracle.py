@@ -13,10 +13,12 @@ reduction by the secret's RREF basis (``Subgroup.coset_reduce``) is linear
 and the bijection is affine (the identity with zero shift in plain mode),
 so L is the bijection's matrix times the reduction's, whose column j is the
 reduction of the unit vector e_j (``Subgroup.unit_images``); L is built
-once per instance.  Each column of L is packed into one Python int,
-coordinate i in lane i, with lanes of 8, 16, 32 or 64 bits, wide enough that
-no lane carries.  A label is then one C-level sum of n int products,
-unpacked lane by lane mod p.
+once per instance (``HiddenInstance._affine``).  Each column of L is packed
+into one Python int, coordinate i in lane i, with lanes of 8, 16, 32 or 64
+bits, wide enough that no lane carries.  A label is then one C-level sum of
+n int products, unpacked lane by lane mod p.  ``label_indices`` applies the
+same L to all of Z_p^n at once, as one int64 array product, and
+``QueryLog.query_all`` fills a query cache from it.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 
-from .algebra import Subgroup, VectorP, _independent_rows, random_subgroup
-from .errors import DimensionMismatchError, ParameterError
+import numpy as np
+
+from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _independent_rows, all_vectors, random_subgroup
+from .errors import DimensionMismatchError, ParameterError, ResourceCapError
 
 _INSTANCE_HEADER = "gsp-instance v1"
 
@@ -71,26 +75,52 @@ class HiddenInstance:
         return tuple(rows[i] for i in perm), tuple(shift[i] for i in perm)
 
     @cached_property
-    def _label_map(self) -> tuple[tuple[int, ...], int, int, str]:
-        """(packed columns of L, packed s, byte length, lane format) of f(x) = L x + s.
+    def _affine(self) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+        """(columns of L, s) of f(x) = L x + s, entries in [0, p).
 
         Column j of the reduction is ``secret.coset_reduce(e_j)``, taken from
-        ``secret.unit_images()``.  A lane's sum is at most n(p-1)^2 + (p-1),
-        which the lane width must hold.
+        ``secret.unit_images()``; the bijection's matrix maps it to column j of L.
         """
         p, n = self.p, self.n
         reduce_cols = self.secret.unit_images()
         if self.obfuscate:
             rows, shift = self._bijection
-            cols = [[sum(map(mul, m, col)) % p for m in rows] for col in reduce_cols]
+            cols = [tuple(sum(map(mul, m, col)) % p for m in rows) for col in reduce_cols]
         else:
             cols, shift = reduce_cols, (0,) * n
+        return cols, shift
+
+    @cached_property
+    def _label_map(self) -> tuple[tuple[int, ...], int, int, str]:
+        """(packed columns of L, packed s, byte length, lane format) of ``_affine``.
+
+        A lane's sum is at most n(p-1)^2 + (p-1), which the lane width must hold.
+        """
+        p, n = self.p, self.n
+        cols, shift = self._affine
         width = next(w for w in sorted(_LANE_FORMATS) if n * (p - 1) ** 2 + (p - 1) < 1 << w)
 
         def pack(lanes):
             return sum(v << (width * i) for i, v in enumerate(lanes))
 
         return tuple(map(pack, cols)), pack(shift), n * width // 8, _LANE_FORMATS[width]
+
+    def label_indices(self) -> np.ndarray:
+        """``evaluate(x).to_index()`` of every x in Z_p^n, in index order, as an int64 array.
+
+        One product digits @ Lᵀ + s mod p, whose sums stay below n*p^2 < 2^38.
+        It applies this class's rule, never a subclass's ``evaluate``.  Refuses
+        p^n past ``DEFAULT_ENUMERATION_CAP``, as ``all_vectors`` does.
+        """
+        p, n = self.p, self.n
+        if p**n > DEFAULT_ENUMERATION_CAP:
+            raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
+        cols, shift = self._affine
+        place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)  # index weight of each coordinate
+        labels = (np.arange(p**n, dtype=np.int64)[:, None] // place % p) @ np.array(cols, dtype=np.int64)
+        labels += shift
+        labels %= p
+        return labels @ place
 
     def evaluate(self, x: VectorP) -> VectorP:
         """The label f(x) = L x + s; constant exactly on cosets of the secret."""
@@ -144,6 +174,25 @@ class QueryLog:
         if label is None:
             label = self.cache[x] = self.instance.evaluate(x)
         return label
+
+    def query_all(self) -> None:
+        """Ask every element of Z_p^n in index order; cached elements keep their place and label.
+
+        When the instance's ``evaluate`` is ``HiddenInstance``'s own, the labels
+        come from ``label_indices``, one ``VectorP`` per distinct label; a
+        subclass that overrides ``evaluate`` is asked element by element.
+        """
+        inst = self.instance
+        p, n = inst.p, inst.n
+        if type(inst).evaluate is not HiddenInstance.evaluate:
+            for x in all_vectors(p, n):
+                self.query(x)
+            return
+        distinct, inverse = np.unique(inst.label_indices(), return_inverse=True)
+        labels = [VectorP.from_index(p, n, i) for i in distinct.tolist()]
+        setdefault = self.cache.setdefault
+        for x, i in zip(all_vectors(p, n), inverse.tolist()):
+            setdefault(x, labels[i])
 
 
 def instance_to_text(inst: HiddenInstance) -> str:

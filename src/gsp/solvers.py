@@ -46,7 +46,11 @@ Implementation notes that matter for the query counts:
   reading and leaves the returned invariants intact.
 
 ``brute_force_solve`` is the correctness oracle (queries everything) and
-``birthday_solve`` the randomized collision baseline.  Each of the three
+``birthday_solve`` the randomized collision baseline.  Brute force asks all
+of Z_p^n through ``QueryLog.query_all``: one array product over every
+element when the instance's ``evaluate`` is ``HiddenInstance``'s own, and
+one ``evaluate`` call per element when a subclass overrides it, so a
+subclassed oracle stays in charge of its labels.  Each of the three
 refuses before its first query when its query bound exceeds
 ``DEFAULT_ENUMERATION_CAP``, and checks its answer with ``_check_labels``
 before returning it: the answer must have rank k, and two cached elements
@@ -71,7 +75,6 @@ from .algebra import (
     DEFAULT_ENUMERATION_CAP,
     Subgroup,
     VectorP,
-    all_vectors,
     canonicalize,
     complement,
     trivial_subgroup,
@@ -143,6 +146,22 @@ def _check_labels(log: QueryLog, answer: Subgroup) -> None:
         raise PromiseViolationError(f"the labels seen are not constant exactly on cosets of {answer}")
 
 
+def _check_split(n: int, k: int, d: int) -> None:
+    if not (0 <= d <= n - k):
+        raise ParameterError(f"need 0 <= d <= n-k, got d={d}")
+
+
+def _birthday_budget(p: int, n: int, k: int, multiplier: float) -> float:
+    """multiplier * sqrt(k * p^(n-k)), refused unless positive and finite (also for a nan multiplier)."""
+    budget = multiplier * math.sqrt(k * p ** (n - k))
+    if not 0 < budget < math.inf:
+        raise ParameterError(
+            f"budget multiplier must be positive and finite, and so must the budget "
+            f"{multiplier} * sqrt({k} * {p}^{n - k})"
+        )
+    return budget
+
+
 def _grow_partial_secret(partial: Subgroup, element: VectorP, k: int) -> Subgroup:
     grown = canonicalize(partial.p, partial.n, partial.basis + (element,))
     if grown.rank <= partial.rank:
@@ -171,8 +190,7 @@ def find_group(
     """
     inst = log.instance
     p, n, k = inst.p, inst.n, inst.k
-    if not (0 <= d <= n - k):
-        raise ParameterError(f"need 0 <= d <= n-k, got d={d}")
+    _check_split(n, k, d)
 
     # each map is one-to-one since span(A) ∩ S = span(B) ∩ S = {0}
     zero = VectorP.zero(p, n)
@@ -213,8 +231,7 @@ def find_s(log: QueryLog, d: int) -> SolverResult:
     """
     inst = log.instance
     p, n, k = inst.p, inst.n, inst.k
-    if not (0 <= d <= n - k):
-        raise ParameterError(f"need 0 <= d <= n-k, got d={d}")
+    _check_split(n, k, d)
     bound = det_query_bound(p, n, k, d)
     if bound > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(f"query bound {bound} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
@@ -247,13 +264,17 @@ def find_s(log: QueryLog, d: int) -> SolverResult:
 def brute_force_solve(log: QueryLog) -> SolverResult:
     """Correctness oracle: query all of Z_p^n, return the span of f(0)'s coset.
 
-    Refuses before any query when p^n exceeds ``DEFAULT_ENUMERATION_CAP``."""
+    ``QueryLog.query_all`` asks every element with one array product, or
+    with one ``evaluate`` call each when a subclass overrides ``evaluate``;
+    the members are then read off the cache.  Refuses before any query when
+    p^n exceeds ``DEFAULT_ENUMERATION_CAP``."""
     inst = log.instance
     p, n = inst.p, inst.n
     if p**n > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
+    log.query_all()
     zero_label = log.query(VectorP.zero(p, n))
-    members = [x for x in all_vectors(p, n) if log.query(x) == zero_label]
+    members = [x for x, label in log.cache.items() if label == zero_label]
     recovered = canonicalize(p, n, members)
     _check_labels(log, recovered)
     return SolverResult(recovered, log.count, p**n, None, log.trace)
@@ -273,12 +294,7 @@ def birthday_solve(
     """
     inst = log.instance
     p, n, k = inst.p, inst.n, inst.k
-    budget = budget_multiplier * math.sqrt(k * p ** (n - k))
-    if not 0 < budget < math.inf:  # also false for a nan multiplier
-        raise ParameterError(
-            f"budget multiplier must be positive and finite, and so must the budget "
-            f"{budget_multiplier} * sqrt({k} * {p}^{n - k})"
-        )
+    budget = _birthday_budget(p, n, k, budget_multiplier)
     samples = math.ceil(budget)
     if samples > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(f"sample budget {budget:.6g} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")

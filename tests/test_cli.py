@@ -307,6 +307,34 @@ class TestBench:
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["--n", "3..4", "--d", "2"], "need 0 <= d <= n-k, got d=2", id="d"),
+        pytest.param(["--n", "3,65"], "n must be in [0, 64], got 65", id="n"),
+        pytest.param(["--p", "2,65537", "--n", "3"], "p must be a prime in [2, 65536), got 65537", id="p"),
+        pytest.param(["--n", "3", "--solver", "birthday", "--multiplier", "-1"],
+                     "budget multiplier must be positive and finite", id="multiplier"),
+    ])
+    def test_refused_before_the_first_solve(self, capsys, tmp_path, monkeypatch, argv, message, jobs):
+        # a cell or option some solver would refuse stops the run before any
+        # cell is solved, serial or in workers
+        solved, pools = [], []
+        monkeypatch.setattr(cli, "_bench_cell", lambda task: solved.append(task) or ([], []))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: pools.append(max_workers))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "b.csv"
+        argv = argv if "--p" in argv else ["--p", "2", *argv]
+        code, stdout, err = run(capsys, "bench", *argv, "--seeds", "1", "--jobs", jobs, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+        assert not out.exists()
+        assert solved == [] and pools == []
+
+    def test_verify_bounds_takes_any_prime(self, capsys):
+        # bench refuses p past MAX_PRIME; verify-bounds, which shares the grid, does not
+        code, out, _ = run(capsys, "verify-bounds", "--p", "65537", "--n", "2")
+        assert code == 0 and out.splitlines()[1].startswith("65537 2 1 ")
+
     def test_partial_grid_skips_invalid_cells(self, capsys, tmp_path):
         out = tmp_path / "partial.csv"
         code, _, _ = run(capsys, "bench", "--p", "2", "--n", "3..6", "--k", "3",

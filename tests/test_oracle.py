@@ -7,6 +7,8 @@ from gsp import (
     HiddenInstance,
     ParameterError,
     QueryLog,
+    ResourceCapError,
+    VectorP,
     all_vectors,
     canonicalize,
     instance_from_text,
@@ -83,6 +85,26 @@ def test_parameter_errors():
         HiddenInstance(2, 5, 2, random_subgroup(2, 4, 2, 0))
 
 
+@pytest.mark.parametrize("obfuscate", [False, True])
+def test_one_affine_map_feeds_both_label_paths(obfuscate):
+    # evaluate's packed columns and label_indices both read L and s from _affine
+    p, n = 3, 3
+    inst = make_instance(p, n, 1, subgroup_seed=2, label_seed=6, obfuscate=obfuscate)
+    cols, shift = [(1, 2, 0), (0, 1, 1), (2, 0, 1)], (1, 0, 2)  # column j of L is cols[j]
+    vars(inst)["_affine"] = (cols, shift)
+    expect = [
+        VectorP(p, tuple((sum(c[i] * xj for c, xj in zip(cols, x.coords)) + shift[i]) % p for i in range(n)))
+        for x in all_vectors(p, n)
+    ]
+    assert [inst.evaluate(x) for x in all_vectors(p, n)] == expect
+    assert inst.label_indices().tolist() == [y.to_index() for y in expect]
+
+
+def test_label_indices_cap():
+    with pytest.raises(ResourceCapError):
+        make_instance(2, 21, 2, 0).label_indices()
+
+
 class TestQueryLog:
     def test_dedup_counting(self, ref_instance):
         log = QueryLog(ref_instance)
@@ -109,6 +131,21 @@ class TestQueryLog:
         assert log.count == 16
         assert len({label for _, label in log.trace}) == 4
         assert len(log.trace) == 16
+
+    @pytest.mark.parametrize("obfuscate", [False, True])
+    def test_query_all_keeps_cached_entries(self, obfuscate):
+        inst = make_instance(3, 3, 1, subgroup_seed=4, label_seed=1, obfuscate=obfuscate)
+        log = QueryLog(inst)
+        asked = [vec(3, "212"), vec(3, "000"), vec(3, "120")]
+        labels = [log.query(x) for x in asked]
+        log.query_all()
+        assert log.count == 27
+        assert list(log.cache)[:3] == asked
+        assert all(log.cache[x] is label for x, label in zip(asked, labels))
+        assert list(log.cache)[3:] == [x for x in all_vectors(3, 3) if x not in asked]
+        assert all(label == inst.evaluate(x) for x, label in log.trace)
+        log.query_all()  # a second pass asks nothing new
+        assert log.count == 27
 
     def test_dimension_error(self, ref_instance):
         log = QueryLog(ref_instance)

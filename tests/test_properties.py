@@ -207,6 +207,19 @@ def test_compiled_label_matches_reference(data):
 CHECK_SPACES = [(p, n) for p in (2, 3, 5, 7) for n in range(2, 9) if p**n <= 729]
 
 
+@PROPERTY
+@given(st.data())
+def test_label_indices_match_evaluate(data):
+    # the array path applies the same affine map as evaluate, element by element
+    p, n = data.draw(st.sampled_from(CHECK_SPACES))
+    k = data.draw(st.integers(1, n - 1))
+    seeds = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 2**32))
+    inst = make_instance(p, n, k, *seeds, obfuscate=data.draw(st.booleans()))
+    indices = inst.label_indices()
+    assert indices.dtype == np.int64
+    assert indices.tolist() == [inst.evaluate(x).to_index() for x in all_vectors(p, n)]
+
+
 @st.composite
 def label_checks(draw):
     """(log, answer): a cache over a subset of Z_p^n, labelled by the secret or

@@ -362,6 +362,74 @@ class TestBruteForce:
         assert log.count == 0
 
 
+class _ScalarPath(HiddenInstance):
+    """The instance's own rule behind an overridden ``evaluate``, which keeps
+    ``QueryLog.query_all`` on its per-element path."""
+
+    def evaluate(self, x):
+        return super().evaluate(x)
+
+
+def _scalar(inst):
+    return _ScalarPath(inst.p, inst.n, inst.k, inst.secret, inst.label_seed, inst.obfuscate)
+
+
+class TestBruteForceArrayPath:
+    # (1021, 2, 1) is the largest p under the 2^20 cap, p^n = 1,042,441; it
+    # runs on a fresh log only, since each of its solves takes seconds
+    CELLS = [
+        (p, n, k, obf, prefill)
+        for p, n, k in [(2, 6, 2), (3, 4, 2), (5, 3, 1), (7, 3, 2)]
+        for obf in (False, True)
+        for prefill in (False, True)
+    ] + [(1021, 2, 1, True, False)]
+
+    @pytest.mark.parametrize("p,n,k,obfuscate,prefill", CELLS)
+    def test_matches_scalar_path(self, p, n, k, obfuscate, prefill):
+        inst = make_instance(p, n, k, subgroup_seed=5, label_seed=9, obfuscate=obfuscate)
+
+        def solve(instance):
+            log = QueryLog(instance)
+            if prefill:
+                find_s(log, choose_d(p, n, k))
+            return brute_force_solve(log)
+
+        fast, slow = solve(inst), solve(_scalar(inst))
+        assert fast.trace == slow.trace
+        assert (fast.queries, fast.recovered) == (slow.queries, slow.recovered) == (p**n, inst.secret)
+        if not prefill:
+            assert [x for x, _ in fast.trace] == list(all_vectors(p, n))
+
+    def test_subclass_evaluates_every_element_once(self):
+        calls = []
+
+        class Counting(HiddenInstance):
+            def evaluate(self, x):
+                calls.append(x)
+                return super().evaluate(x)
+
+        p, n, k = 3, 5, 2
+        inst = Counting(p, n, k, random_subgroup(p, n, k, 1), 2, True)
+        res = brute_force_solve(QueryLog(inst))
+        assert res.recovered == inst.secret
+        assert calls == list(all_vectors(p, n))
+
+    def test_array_path_is_live(self, monkeypatch):
+        # query_all fills the cache first, so no element reaches evaluate
+        calls = []
+        evaluate = HiddenInstance.evaluate
+
+        def counted(self, x):
+            calls.append(x)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(HiddenInstance, "evaluate", counted)
+        inst = make_instance(3, 5, 2, subgroup_seed=1, label_seed=2, obfuscate=True)
+        res = brute_force_solve(QueryLog(inst))
+        assert (res.recovered, res.queries) == (inst.secret, 3**5)
+        assert calls == []
+
+
 class TestBirthday:
     def test_success_means_exact(self):
         hits = 0
