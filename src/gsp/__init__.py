@@ -4,7 +4,6 @@ from .algebra import (
     DEFAULT_ENUMERATION_CAP,
     Subgroup,
     VectorP,
-    all_vectors,
     canonicalize,
     complement,
     enumerate_subgroups,

@@ -1,16 +1,21 @@
 """Exact linear algebra over Z_p^n.
 
-Vectors are immutable tuples of residues; subgroups are kept in reduced
-row echelon form (RREF) over F_p, which makes equality of subgroups a
-plain ``==`` on their bases and gives every subgroup a unique textual
-serialization.  All arithmetic is exact integer arithmetic; p must be a
-prime below 2**16 and n at most 64.
+A vector has two forms.  ``VectorP``, a validated tuple of residues, serves
+parsing, printing, subgroup rows and the simulator.  The classical query path
+packs it into one int (``lanes(p, n)``): coordinate 0 in the top lane, so int
+order is tuple order, and lane-wise sums and differences mod p take a few
+whole-int operations for every p (SWAR, SIMD within a register).
+
+Subgroups are kept in reduced row echelon form (RREF) over F_p, which makes
+equality of subgroups a plain ``==`` on their bases and gives every
+subgroup a unique textual serialization.  All arithmetic is exact integer
+arithmetic; p must be a prime below 2**16 and n at most 64.
 
 Validation happens at the boundary.  The public constructors
 (``VectorP(p, coords)``, ``Subgroup(p, n, basis)``, ``from_digits``,
 ``Subgroup.from_text``) and the public functions that take a bare p and n
 check everything they are given.  Values computed from already valid ones
-(vector arithmetic, RREF rows, enumerated subgroups, coset representatives)
+(RREF rows, enumerated subgroups, coset representatives, lane arithmetic)
 are valid by construction and are built through the unchecked private
 constructors ``VectorP._unchecked`` and ``Subgroup._unchecked``, which take
 Python ints only.
@@ -25,8 +30,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub
+from operator import lshift, mul, sub
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError, ResourceCapError
 
@@ -94,53 +101,14 @@ class VectorP:
         return len(self.coords)
 
     @classmethod
-    def zero(cls, p: int, n: int) -> "VectorP":
-        _check_space(p, n)
-        return cls._unchecked(p, (0,) * n)
-
-    @classmethod
     def unit(cls, p: int, n: int, j: int) -> "VectorP":
         """Standard basis vector with a 1 at column j (0-based)."""
         _check_space(p, n)
         return cls._unchecked(p, tuple(1 if i == j else 0 for i in range(n)))
 
-    def _require_same_space(self, other: "VectorP") -> None:
-        if self.p != other.p or self.n != other.n:
-            raise DimensionMismatchError(
-                f"operands over Z_{self.p}^{self.n} and Z_{other.p}^{other.n}"
-            )
-
-    def __add__(self, other: "VectorP") -> "VectorP":
-        self._require_same_space(other)
-        p = self.p
-        return VectorP._unchecked(p, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "VectorP") -> "VectorP":
-        self._require_same_space(other)
-        p = self.p
-        return VectorP._unchecked(p, tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c: int) -> "VectorP":
-        p = self.p
-        c = int(c) % p
-        return VectorP._unchecked(p, tuple((c * a) % p for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def __lt__(self, other: "VectorP") -> bool:
-        self._require_same_space(other)
-        return self.coords < other.coords
-
-    def to_index(self) -> int:
-        """Rank of the vector in lexicographic order (base-p, most significant first)."""
-        idx = 0
-        for c in self.coords:
-            idx = idx * self.p + c
-        return idx
-
     @classmethod
     def from_index(cls, p: int, n: int, idx: int) -> "VectorP":
+        """The vector of rank idx in lexicographic order (base p, most significant coordinate first)."""
         _check_space(p, n)
         idx = int(idx)
         if not 0 <= idx < p**n:
@@ -168,13 +136,50 @@ class VectorP:
         return self.digits() if self.p <= len(_DIGITS) else str(self.coords)
 
 
-def all_vectors(p: int, n: int) -> Iterator[VectorP]:
-    """All of Z_p^n in lexicographic order, for p^n up to ``DEFAULT_ENUMERATION_CAP``."""
-    _check_space(p, n)
-    if p**n > DEFAULT_ENUMERATION_CAP:
-        raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    for coords in itertools.product(range(p), repeat=n):
-        yield VectorP._unchecked(p, coords)
+class Lanes:
+    """Z_p^n as packed ints: coordinate i in the w-bit lane at bit ``shifts[i]`` = (n-1-i)*w.
+
+    A lane holds g = w-1 = (p-1).bit_length() value bits under a carry bit G =
+    2^g.  A lane of s = x + y lies below 2p <= 2^w; adding K = 2^g - p sets G
+    exactly where it reached p, and s - (((s + K) & G) >> g) * p takes p off.
+    x - y is x + (P - y), P = p in every lane, with lanes in [1, 2p).  The
+    operations are closures, so hot loops make no attribute lookups."""
+
+    def __init__(self, p: int, n: int) -> None:
+        _check_space(p, n)
+        g = (p - 1).bit_length()
+        w = g + 1
+        self.n, self.width, ones = n, w, sum(1 << (w * i) for i in range(n))
+        big_k, big_g, big_p, mask = ((1 << g) - p) * ones, (1 << g) * ones, p * ones, (1 << w) - 1
+        self.shifts = shifts = tuple(w * (n - 1 - i) for i in range(n))
+
+        def add(x: int, y: int) -> int:
+            s = x + y
+            return s - (((s + big_k) & big_g) >> g) * p
+
+        def sub(x: int, y: int) -> int:
+            s = x + big_p - y
+            return s - (((s + big_k) & big_g) >> g) * p
+
+        def pack(coords: Iterable[int]) -> int:
+            return sum(map(lshift, coords, shifts))
+
+        def unpack(x: int) -> tuple[int, ...]:
+            return tuple(map(mask.__and__, map(x.__rshift__, shifts)))
+
+        self.add, self.sub, self.pack, self.unpack = add, sub, pack, unpack
+
+    def digits(self, xs: Sequence[int]) -> np.ndarray:
+        """The (len(xs), n) int64 coordinates of packed vectors, read off their big-endian bits."""
+        n, w = self.n, self.width
+        size = (n * w + 7) // 8
+        raw = np.frombuffer(b"".join(x.to_bytes(size, "big") for x in xs), np.uint8).reshape(len(xs), size)
+        bits = np.unpackbits(raw, axis=1)[:, 8 * size - n * w :].reshape(len(xs), n, w)
+        return bits @ (1 << np.arange(w - 1, -1, -1, dtype=np.int64))
+
+
+#: The lane layout of Z_p^n, built once per (p, n).
+lanes = lru_cache(maxsize=None)(Lanes)
 
 
 def _rref(p: int, n: int, rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -239,13 +244,10 @@ class Subgroup:
 
     def elements(self) -> Iterator[VectorP]:
         """Every element of the span, ordered by coefficient tuples."""
-        zero = VectorP._unchecked(self.p, (0,) * self.n)
-        for coeffs in itertools.product(range(self.p), repeat=self.rank):
-            v = zero
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    v = v + row.scale(c)
-            yield v
+        p = self.p
+        cols = [tuple(row.coords[j] for row in self.basis) for j in range(self.n)]
+        for coeffs in itertools.product(range(p), repeat=self.rank):
+            yield VectorP._unchecked(p, tuple(sum(map(mul, coeffs, col)) % p for col in cols))
 
     def contains(self, x: VectorP) -> bool:
         return not any(self._reduce(x))
@@ -258,25 +260,11 @@ class Subgroup:
         at its own pivot and 0 at the other rows' pivots, so eliminating
         the pivots one by one would find each coefficient unchanged in x
         itself; one pass over the rows with a single reduction mod p at the
-        end gives the same vector.  The map is linear; ``unit_images`` gives
-        its matrix, which ``HiddenInstance._label_map`` in ``gsp.oracle`` and
-        ``_check_labels`` in ``gsp.solvers`` compile.
+        end gives the same vector.  ``_check_labels`` in ``gsp.solvers``
+        applies the same pass to arrays of packed elements.
         """
         coords = self._reduce(x)
         return x if coords is x.coords else VectorP._unchecked(self.p, tuple(coords))
-
-    def unit_images(self) -> list[tuple[int, ...]]:
-        """``coset_reduce`` of each unit vector e_j, as int rows, read off the basis.
-
-        e_j is its own representative at a non-pivot column.  At row i's
-        pivot it reduces to e_j - row_i, which is -row_i with its pivot
-        entry zeroed; the row is zero left of its pivot.
-        """
-        p, n = self.p, self.n
-        images = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
-        for j, row in zip(self.pivots(), self.basis):
-            images[j] = (0,) * (j + 1) + tuple(-c % p for c in row.coords[j + 1 :])
-        return images
 
     def _reduce(self, x: VectorP) -> Iterable[int]:
         """The representative's coordinates, computed lazily; x's own when no row applies."""

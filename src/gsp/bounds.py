@@ -51,7 +51,7 @@ def evading_subgroup(p: int, n: int, d_set: Iterable[VectorP], k: int, d: int) -
     |D| < d(p^n-1)/(p^k-1) a witness always exists by double counting.
     """
     elements = list(d_set)
-    if any(v.is_zero() for v in elements):
+    if any(not any(v.coords) for v in elements):
         raise ParameterError("the scanned set must not contain 0^n")
     for h in enumerate_subgroups(p, n, k):
         hits = sum(1 for v in elements if h.contains(v))

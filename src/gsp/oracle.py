@@ -8,17 +8,21 @@ quantum oracle |g>|y> -> |g>|f(g)+y> can add them group-wise.
 
 f(x) = f(y) holds exactly when x - y is in S, for both label modes.
 
+Queries and labels are packed ints in the lane layout of
+``gsp.algebra.lanes(p, n)``, and ``QueryLog``'s cache maps one to the other.
+
 Both modes compile to one affine map over F_p, f(x) = L x + s.  Coset
 reduction by the secret's RREF basis (``Subgroup.coset_reduce``) is linear
 and the bijection is affine (the identity with zero shift in plain mode),
 so L is the bijection's matrix times the reduction's, whose column j is the
-reduction of the unit vector e_j (``Subgroup.unit_images``); L is built
+reduction of the unit vector e_j (``Subgroup.coset_reduce``); L is built
 once per instance (``HiddenInstance._affine``).  Each column of L is packed
 into one Python int, coordinate i in lane i, with lanes of 8, 16, 32 or 64
-bits, wide enough that no lane carries.  A label is then one C-level sum of
-n int products, unpacked lane by lane mod p.  ``label_indices`` applies the
-same L to all of Z_p^n at once, as one int64 array product, and
-``QueryLog.query_all`` fills a query cache from it.
+bits, wide enough that no lane carries; scaled by 2^b, it is the weight of
+bit b of that coordinate in a packed x.  A label is then one C-level sum of
+the weights of x's set bits, read back lane by lane mod p into vector lanes.
+``all_labels`` applies the same L to all of Z_p^n at once, as one int64
+array product, and ``QueryLog.query_all`` fills a query cache from it.
 """
 
 from __future__ import annotations
@@ -28,17 +32,29 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
+from itertools import compress
+from operator import lshift, mul
 
 import numpy as np
 
-from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _independent_rows, all_vectors, random_subgroup
+from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _independent_rows, lanes, random_subgroup
 from .errors import DimensionMismatchError, ParameterError, ResourceCapError
 
 _INSTANCE_HEADER = "gsp-instance v1"
 
 #: Unsigned memoryview formats by bit width, the lane widths of a packed label.
 _LANE_FORMATS = {8 * struct.calcsize(code): code for code in "BHIQ"}
+#: The binary digits of a bit string as bytes 0 and 1, which ``compress`` reads as flags.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _space(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coordinates of Z_p^n in index order, int64 unit lanes) for p^n up to the
+    enumeration cap, where n*w <= 60: a packed vector is coordinates @ lanes."""
+    if p**n > DEFAULT_ENUMERATION_CAP:
+        raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
+    digits = np.arange(p**n, dtype=np.int64)[:, None] // p ** np.arange(n - 1, -1, -1, dtype=np.int64) % p
+    return digits, np.left_shift(1, lanes(p, n).shifts, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -58,9 +74,7 @@ class HiddenInstance:
         if self.secret.p != self.p or self.secret.n != self.n:
             raise DimensionMismatchError("secret does not live over (p, n)")
         if self.secret.rank != self.k:
-            raise ParameterError(
-                f"secret has rank {self.secret.rank}, expected k={self.k}"
-            )
+            raise ParameterError(f"secret has rank {self.secret.rank}, expected k={self.k}")
         if not (0 <= self.label_seed < 1 << 64):
             raise ParameterError(f"label_seed must lie in [0, 2^64), got {self.label_seed}")
 
@@ -76,13 +90,10 @@ class HiddenInstance:
 
     @cached_property
     def _affine(self) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-        """(columns of L, s) of f(x) = L x + s, entries in [0, p).
-
-        Column j of the reduction is ``secret.coset_reduce(e_j)``, taken from
-        ``secret.unit_images()``; the bijection's matrix maps it to column j of L.
-        """
+        """(columns of L, s) of f(x) = L x + s, entries in [0, p): the bijection's
+        matrix applied to each column ``secret.coset_reduce(e_j)`` of the reduction."""
         p, n = self.p, self.n
-        reduce_cols = self.secret.unit_images()
+        reduce_cols = [self.secret.coset_reduce(VectorP.unit(p, n, j)).coords for j in range(n)]
         if self.obfuscate:
             rows, shift = self._bijection
             cols = [tuple(sum(map(mul, m, col)) % p for m in rows) for col in reduce_cols]
@@ -91,11 +102,10 @@ class HiddenInstance:
         return cols, shift
 
     @cached_property
-    def _label_map(self) -> tuple[tuple[int, ...], int, int, str]:
-        """(packed columns of L, packed s, byte length, lane format) of ``_affine``.
-
-        A lane's sum is at most n(p-1)^2 + (p-1), which the lane width must hold.
-        """
+    def _label_map(self) -> tuple[list[int], int, int, str, str, tuple[int, ...]]:
+        """(bit weights, packed s, byte length, lane format, bit-string format, vector lane shifts).
+        Bit m of x's binary string is bit w-1-m%w of coordinate m//w.  A lane's
+        sum is at most n(p-1)^2 + (p-1), which the lane width must hold."""
         p, n = self.p, self.n
         cols, shift = self._affine
         width = next(w for w in sorted(_LANE_FORMATS) if n * (p - 1) ** 2 + (p - 1) < 1 << w)
@@ -103,34 +113,30 @@ class HiddenInstance:
         def pack(lanes):
             return sum(v << (width * i) for i, v in enumerate(lanes))
 
-        return tuple(map(pack, cols)), pack(shift), n * width // 8, _LANE_FORMATS[width]
+        lay, packed = lanes(p, n), [pack(col) for col in cols]
+        w = lay.width
+        weights = [packed[m // w] << (w - 1 - m % w) for m in range(n * w)]
+        return weights, pack(shift), n * width // 8, _LANE_FORMATS[width], f"0{n * w}b", lay.shifts
 
-    def label_indices(self) -> np.ndarray:
-        """``evaluate(x).to_index()`` of every x in Z_p^n, in index order, as an int64 array.
+    def all_labels(self) -> tuple[list[int], list[int]]:
+        """Every packed x of Z_p^n in index order, and this class's label of each.
 
         One product digits @ Lᵀ + s mod p, whose sums stay below n*p^2 < 2^38.
-        It applies this class's rule, never a subclass's ``evaluate``.  Refuses
-        p^n past ``DEFAULT_ENUMERATION_CAP``, as ``all_vectors`` does.
         """
-        p, n = self.p, self.n
-        if p**n > DEFAULT_ENUMERATION_CAP:
-            raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
+        digits, unit_lanes = _space(self.p, self.n)
         cols, shift = self._affine
-        place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)  # index weight of each coordinate
-        labels = (np.arange(p**n, dtype=np.int64)[:, None] // place % p) @ np.array(cols, dtype=np.int64)
+        labels = digits @ np.array(cols, dtype=np.int64)
         labels += shift
-        labels %= p
-        return labels @ place
+        labels %= self.p
+        return (digits @ unit_lanes).tolist(), (labels @ unit_lanes).tolist()
 
-    def evaluate(self, x: VectorP) -> VectorP:
-        """The label f(x) = L x + s; constant exactly on cosets of the secret."""
-        if x.p != self.p or len(x.coords) != self.n:
-            raise DimensionMismatchError("vector does not live over (p, n)")
-        cols, shift, nbytes, fmt = self._label_map
-        total = sum(map(mul, x.coords, cols), shift)
+    def evaluate(self, x: int) -> int:
+        """The label f(x) = L x + s of a packed x, packed; constant exactly on cosets of the secret."""
+        weights, shift, nbytes, fmt, spec, shifts = self._label_map
+        total = sum(compress(weights, format(x, spec).encode().translate(_BITS)), shift)
         # native byte order on both sides, so the lanes read back on any host
-        lanes = memoryview(total.to_bytes(nbytes, sys.byteorder)).cast(fmt).tolist()
-        return VectorP._unchecked(self.p, tuple(map(self.p.__rmod__, lanes)))
+        wide = memoryview(total.to_bytes(nbytes, sys.byteorder)).cast(fmt).tolist()
+        return sum(map(lshift, map(self.p.__rmod__, wide), shifts))
 
 
 def make_instance(
@@ -154,22 +160,17 @@ class QueryLog:
 
     The query count is the number of distinct queried elements: asking for
     a label again returns the cached answer and costs nothing.  ``cache``
-    keeps insertion order, so ``trace`` lists each (element, label) pair in
-    the order it was first asked.
+    maps packed elements to packed labels in the order they were first asked.
     """
 
     instance: HiddenInstance
-    cache: dict[VectorP, VectorP] = field(default_factory=dict)
+    cache: dict[int, int] = field(default_factory=dict)
 
     @property
     def count(self) -> int:
         return len(self.cache)
 
-    @property
-    def trace(self) -> tuple[tuple[VectorP, VectorP], ...]:
-        return tuple(self.cache.items())
-
-    def query(self, x: VectorP) -> VectorP:
+    def query(self, x: int) -> int:
         label = self.cache.get(x)
         if label is None:
             label = self.cache[x] = self.instance.evaluate(x)
@@ -177,22 +178,16 @@ class QueryLog:
 
     def query_all(self) -> None:
         """Ask every element of Z_p^n in index order; cached elements keep their place and label.
-
-        When the instance's ``evaluate`` is ``HiddenInstance``'s own, the labels
-        come from ``label_indices``, one ``VectorP`` per distinct label; a
-        subclass that overrides ``evaluate`` is asked element by element.
-        """
+        The labels come from ``all_labels`` unless a subclass overrides ``evaluate``."""
         inst = self.instance
-        p, n = inst.p, inst.n
         if type(inst).evaluate is not HiddenInstance.evaluate:
-            for x in all_vectors(p, n):
+            digits, unit_lanes = _space(inst.p, inst.n)
+            for x in (digits @ unit_lanes).tolist():
                 self.query(x)
             return
-        distinct, inverse = np.unique(inst.label_indices(), return_inverse=True)
-        labels = [VectorP.from_index(p, n, i) for i in distinct.tolist()]
         setdefault = self.cache.setdefault
-        for x, i in zip(all_vectors(p, n), inverse.tolist()):
-            setdefault(x, labels[i])
+        for x, label in zip(*inst.all_labels()):
+            setdefault(x, label)
 
 
 def instance_to_text(inst: HiddenInstance) -> str:

@@ -53,9 +53,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import VectorP, all_vectors, canonicalize, orthogonal
+from .algebra import VectorP, canonicalize, lanes, orthogonal
 from .errors import ParameterError, ResourceCapError
-from .oracle import HiddenInstance
+from .oracle import HiddenInstance, _space
 from .solvers import SolverResult
 
 PRUNE_EPS = 1e-12
@@ -163,7 +163,11 @@ def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
 
 @lru_cache(maxsize=1)  # one solve's table; a larger cache would keep every instance alive
 def _label_index_table(inst: HiddenInstance) -> np.ndarray:
-    table = np.array([inst.evaluate(x).to_index() for x in all_vectors(inst.p, inst.n)], dtype=np.int64)
+    """The index of every element's label, one ``evaluate`` call per element in index order."""
+    p, n = inst.p, inst.n
+    digits, unit_lanes = _space(p, n)
+    labels = list(map(inst.evaluate, (digits @ unit_lanes).tolist()))
+    table = lanes(p, n).digits(labels) @ p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     table.setflags(write=False)
     return table
 
@@ -211,7 +215,7 @@ def shrink_subgroup(state: SparseState, y: VectorP) -> SparseState:
     (row,), (j,) = line.basis, line.pivots()
     main = state.digit(MAIN)
     coefficient = main // p ** (n - 1 - j) % p  # j-th coordinate, msb first
-    row_multiples = np.array([row.scale(c).to_index() for c in range(p)], dtype=np.int64)
+    row_multiples = np.arange(p)[:, None] * row.coords % p @ p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     tail = state.stride(LABEL)
     keys = state.keys // tail * (tail * p) + coefficient * tail + state.keys % tail
     widened = SparseState(p, state.dims[: LABEL + 1] + (p,) + state.dims[LABEL + 1 :], keys, state.amps)
@@ -284,13 +288,14 @@ def quantum_find_s(
     found: list[VectorP] = []
     for _ in range(n - k):
         if found:
+            state = None  # only the last round's state is returned; free this one before the shrink
             shrunk = shrink_subgroup(shrunk, found[-1])
         y, state = exact_amplify(inst, shrunk, counter)
         found.append(y)
     recovered = orthogonal(canonicalize(p, n, found))
     if recovered.rank != k:
         raise ArithmeticError("recovered orthogonal complement has wrong rank")
-    result = SolverResult(recovered, counter.oracle_calls - calls_before, 3 * (n - k), None, ())
+    result = SolverResult(recovered, counter.oracle_calls - calls_before, 3 * (n - k), None)
     return (result, state) if return_final_state else result
 
 

@@ -45,19 +45,19 @@ Implementation notes that matter for the query counts:
   asked.  This only lowers counts relative to the query-everything-first
   reading and leaves the returned invariants intact.
 
+Vectors and labels are packed ints (``gsp.algebra.lanes``) from the oracle
+to the answer check, and ``sorted`` orders them as coordinate tuples; they
+become coordinate rows only where a subgroup is formed.
+
 ``brute_force_solve`` is the correctness oracle (queries everything) and
 ``birthday_solve`` the randomized collision baseline.  Brute force asks all
-of Z_p^n through ``QueryLog.query_all``: one array product over every
-element when the instance's ``evaluate`` is ``HiddenInstance``'s own, and
-one ``evaluate`` call per element when a subclass overrides it, so a
-subclassed oracle stays in charge of its labels.  Each of the three
+of Z_p^n through ``QueryLog.query_all``, which compiles the labels to one
+int64 array product unless a subclass overrides ``evaluate``.  Each of the three
 refuses before its first query when its query bound exceeds
 ``DEFAULT_ENUMERATION_CAP``, and checks its answer with ``_check_labels``
 before returning it: the answer must have rank k, and two cached elements
 must share a label exactly when they share a coset of it, or it raises
-``PromiseViolationError`` instead of returning a wrong subgroup.  The check
-covers the whole query cache with one integer matrix product: the answer's
-coset reduction (``Subgroup.unit_images``) applied to every cached element.
+``PromiseViolationError`` instead of returning a wrong subgroup.
 ``birthday_solve`` calls it only at rank k or above; a lower rank is its
 failure value.  ``find_group``'s invariants, which need the secret, are
 checked by the tests, not here.
@@ -67,33 +67,44 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
+from itertools import accumulate, islice
 
 import numpy as np
 
 from .algebra import (
-    DEFAULT_ENUMERATION_CAP,
-    Subgroup,
-    VectorP,
-    canonicalize,
-    complement,
-    trivial_subgroup,
+    DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _span, canonicalize, complement, lanes, trivial_subgroup
 )
 from .bounds import det_query_bound
 from .errors import ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import QueryLog
 
+#: Cache entries ``_check_labels`` reduces per array product, to bound its memory.
+_CHECK_ROWS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SolverResult:
     """Outcome of one solver run on one instance; ``bound`` is the most queries
-    (oracle calls, for the quantum solver) that its solver may spend on the run."""
+    (oracle calls, for the quantum solver) that its solver may spend on the run.
+    ``trace`` reads the first ``queries`` entries of a classical solver's ``log``
+    when asked: no solve copies its cache, and later solves do not change it."""
 
     recovered: Subgroup
     queries: int
     bound: int
     d_used: int | None
-    trace: tuple[tuple[VectorP, VectorP], ...] = ()
+    log: QueryLog | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def trace(self) -> tuple[tuple[VectorP, VectorP], ...]:
+        if self.log is None:
+            return ()
+        p, unpack = self.recovered.p, lanes(self.recovered.p, self.recovered.n).unpack
+        label = cache(lambda y: VectorP._unchecked(p, unpack(y)))  # one VectorP per distinct label
+        pairs = islice(self.log.cache.items(), self.queries)
+        return tuple((VectorP._unchecked(p, unpack(x)), label(y)) for x, y in pairs)
 
 
 def choose_d(p: int, n: int, k: int) -> int:
@@ -112,8 +123,8 @@ def choose_d(p: int, n: int, k: int) -> int:
     return d
 
 
-def _lex_smallest_outside(excluded: Subgroup) -> VectorP:
-    """Least nonzero vector outside ``excluded`` in index order.
+def _lex_smallest_outside(excluded: Subgroup) -> int:
+    """Least nonzero vector outside ``excluded`` in index order, packed.
 
     That is the unit vector at the last non-pivot column j: every vector
     supported right of j is a combination of the unit rows there, and a
@@ -121,28 +132,29 @@ def _lex_smallest_outside(excluded: Subgroup) -> VectorP:
     free = set(range(excluded.n)).difference(excluded.pivots())
     if not free:
         raise PromiseViolationError("excluded span covers the whole group")
-    return VectorP.unit(excluded.p, excluded.n, max(free))
+    return 1 << lanes(excluded.p, excluded.n).shifts[max(free)]
 
 
 def _check_labels(log: QueryLog, answer: Subgroup) -> None:
     """Raise unless ``answer`` has rank k and cached elements share a label
     exactly when they share a coset of it.
 
-    One integer product with the answer's reduction matrix
-    (``Subgroup.unit_images``) takes every cached element to its coset
-    representative.  Its sums stay below n*p^2 < 2^38, and an integer
-    product makes no BLAS call.  A representative's entries lie below
-    p < 2^16, so the uint16 bytes of its row key it.
+    A representative is x - sum_i x[pivot_i] * row_i (``Subgroup.coset_reduce``),
+    one integer product (sums below n*p^2 < 2^38, no BLAS call) per ``_CHECK_ROWS``
+    cached elements; its entries lie below p < 2^16, so its uint16 bytes key it.
     """
     if answer.rank != log.instance.k:
         raise PromiseViolationError(f"answer has rank {answer.rank}, promised k={log.instance.k}")
-    p, n = answer.p, answer.n
-    xs = np.array([x.coords for x in log.cache], dtype=np.int64)
-    reps = (xs @ np.array(answer.unit_images(), dtype=np.int64) % p).astype(np.uint16).tobytes()
-    width = 2 * n  # bytes of one representative
-    rep_keys = [reps[i : i + width] for i in range(0, len(reps), width)]
-    pairs = set(zip(rep_keys, [label.coords for label in log.cache.values()]))
-    if not len(pairs) == len({rep for rep, _ in pairs}) == len({label for _, label in pairs}):
+    p, n, lay = answer.p, answer.n, lanes(answer.p, answer.n)
+    pivots, rows = list(answer.pivots()), np.array([row.coords for row in answer.basis], dtype=np.int64)
+    xs, reps = list(log.cache), []
+    for start in range(0, len(xs), _CHECK_ROWS):
+        digits = lay.digits(xs[start : start + _CHECK_ROWS])
+        digits -= digits[:, pivots] @ rows
+        digits %= p
+        reps += digits.astype(np.uint16).view(f"V{2 * n}").ravel().tolist()
+    labels = log.cache.values()
+    if not len(set(zip(reps, labels))) == len(set(reps)) == len(set(labels)):
         raise PromiseViolationError(f"the labels seen are not constant exactly on cosets of {answer}")
 
 
@@ -162,59 +174,59 @@ def _birthday_budget(p: int, n: int, k: int, multiplier: float) -> float:
     return budget
 
 
-def _grow_partial_secret(partial: Subgroup, element: VectorP, k: int) -> Subgroup:
-    grown = canonicalize(partial.p, partial.n, partial.basis + (element,))
+def _grow_partial_secret(partial: Subgroup, element: tuple[int, ...], k: int) -> Subgroup:
+    grown = _span(partial.p, partial.n, [row.coords for row in partial.basis] + [element])
     if grown.rank <= partial.rank:
         raise PromiseViolationError("collision difference was already known")
     if grown.rank > k:
-        raise PromiseViolationError(
-            f"collected {grown.rank} independent secret elements, but rank(S) = {k}"
-        )
+        raise PromiseViolationError(f"collected {grown.rank} independent secret elements, but rank(S) = {k}")
     return grown
 
 
 def find_group(
     log: QueryLog,
     a_grp: Subgroup,
-    a_label_of: dict[VectorP, VectorP],
+    a_label_of: dict[int, int],
     s1: Subgroup,
     d: int,
-) -> tuple[Subgroup, dict[VectorP, VectorP], Subgroup]:
+) -> tuple[Subgroup, dict[int, int], Subgroup]:
     """Find B of rank d with A ∩ B = {0} and (A+B) ∩ S = {0}, querying span(B).
 
     ``a_label_of`` maps the label of every element of span(A), 0^n
-    included, to that element; the caller has queried all of them.
-    Returns (B, B's map of the same kind, S2) with S1 <= S2 <= S; S2
+    included, to that element, both packed; the caller has queried all of
+    them.  Returns (B, B's map of the same kind, S2) with S1 <= S2 <= S; S2
     collects every secret element betrayed by collisions along the way.
     Labels already in the log's cache cost no query, so d = 0 makes none.
     """
     inst = log.instance
     p, n, k = inst.p, inst.n, inst.k
     _check_split(n, k, d)
+    lay = lanes(p, n)
+    add, sub = lay.add, lay.sub
 
     # each map is one-to-one since span(A) ∩ S = span(B) ∩ S = {0}
-    zero = VectorP.zero(p, n)
-    b_label_of = {log.query(zero): zero}
+    b_label_of = {log.query(0): 0}
     b_grp, s_cur = trivial_subgroup(p, n), s1
     while b_grp.rank < d:
         # the least u outside S2+A+B; a collision with span(B) grows S2
         u = _lex_smallest_outside(canonicalize(p, n, s_cur.basis + a_grp.basis + b_grp.basis))
         hit = b_label_of.get(log.query(u))
         if hit is not None:
-            s_cur = _grow_partial_secret(s_cur, hit - u, k)
+            s_cur = _grow_partial_secret(s_cur, lay.unpack(sub(hit, u)), k)
             continue
         # query u, then the rest of span(B ∪ u); a collision with A grows S2
         # and abandons the span
-        span = sorted(b + u.scale(c) for b in b_label_of.values() for c in range(1, p))
+        multiples = list(accumulate([u] * (p - 1), add))  # c*u for c = 1..p-1
+        span = sorted(add(b, m) for b in b_label_of.values() for m in multiples)
         span.remove(u)
         span.insert(0, u)
         for b in span:
             label = log.query(b)
             if label in a_label_of:
-                s_cur = _grow_partial_secret(s_cur, a_label_of[label] - b, k)
+                s_cur = _grow_partial_secret(s_cur, lay.unpack(sub(a_label_of[label], b)), k)
                 break
         else:
-            b_grp = canonicalize(p, n, b_grp.basis + (u,))
+            b_grp = _span(p, n, [row.coords for row in b_grp.basis] + [lay.unpack(u)])
             b_label_of.update((log.query(b), b) for b in span)
 
     return b_grp, b_label_of, s_cur
@@ -236,48 +248,46 @@ def find_s(log: QueryLog, d: int) -> SolverResult:
     if bound > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(f"query bound {bound} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
     triv = trivial_subgroup(p, n)
-    zero = VectorP.zero(p, n)
+    lay = lanes(p, n)
+    add, sub = lay.add, lay.sub
 
-    b_grp, b_label_of, s1 = find_group(log, triv, {log.query(zero): zero}, triv, n - k - d)
+    b_grp, b_label_of, s1 = find_group(log, triv, {log.query(0): 0}, triv, n - k - d)
     a_grp, a_label_of, s2 = find_group(log, b_grp, b_label_of, s1, d)
 
     w = complement(canonicalize(p, n, s2.basis + a_grp.basis + b_grp.basis))
-    gens = list(s2.basis)
+    gens = [row.coords for row in s2.basis]
     for w_i in w.basis:
         found = None
-        for a in sorted(elem + w_i for elem in a_label_of.values()):
+        coset = lay.pack(w_i.coords)
+        for a in sorted(add(elem, coset) for elem in a_label_of.values()):
             b = b_label_of.get(log.query(a))
             if b is not None:
-                found = a - b
+                found = sub(a, b)
                 break
         if found is None:
             raise PromiseViolationError(
                 f"coset {w_i} + A holds no collision against B; no subgroup explains this"
             )
-        gens.append(found)
+        gens.append(lay.unpack(found))
 
-    recovered = canonicalize(p, n, gens)
+    recovered = _span(p, n, gens)
     _check_labels(log, recovered)
-    return SolverResult(recovered, log.count, bound, d, log.trace)
+    return SolverResult(recovered, log.count, bound, d, log)
 
 
 def brute_force_solve(log: QueryLog) -> SolverResult:
-    """Correctness oracle: query all of Z_p^n, return the span of f(0)'s coset.
-
-    ``QueryLog.query_all`` asks every element with one array product, or
-    with one ``evaluate`` call each when a subclass overrides ``evaluate``;
-    the members are then read off the cache.  Refuses before any query when
-    p^n exceeds ``DEFAULT_ENUMERATION_CAP``."""
+    """Correctness oracle: query all of Z_p^n, return the span of the elements labelled f(0).
+    Refuses before any query when p^n exceeds ``DEFAULT_ENUMERATION_CAP``."""
     inst = log.instance
     p, n = inst.p, inst.n
     if p**n > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
     log.query_all()
-    zero_label = log.query(VectorP.zero(p, n))
+    zero_label = log.query(0)
     members = [x for x, label in log.cache.items() if label == zero_label]
-    recovered = canonicalize(p, n, members)
+    recovered = _span(p, n, map(lanes(p, n).unpack, members))
     _check_labels(log, recovered)
-    return SolverResult(recovered, log.count, p**n, None, log.trace)
+    return SolverResult(recovered, log.count, p**n, None, log)
 
 
 def birthday_solve(
@@ -299,15 +309,16 @@ def birthday_solve(
     if samples > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(f"sample budget {budget:.6g} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
     rng = random.Random(seed)
-    first_with_label: dict[VectorP, VectorP] = {}
+    lay = lanes(p, n)
+    first_with_label: dict[int, int] = {}
     diffs = []
     for _ in range(samples):
-        x = VectorP._unchecked(p, tuple(rng.randrange(p) for _ in range(n)))
+        x = lay.pack([rng.randrange(p) for _ in range(n)])
         label = log.query(x)
         seen = first_with_label.setdefault(label, x)
         if seen != x:
-            diffs.append(x - seen)
-    recovered = canonicalize(p, n, diffs)
+            diffs.append(lay.unpack(lay.sub(x, seen)))
+    recovered = _span(p, n, diffs)
     if recovered.rank >= k:
         _check_labels(log, recovered)
-    return SolverResult(recovered, log.count, samples, None, log.trace)
+    return SolverResult(recovered, log.count, samples, None, log)

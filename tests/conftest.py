@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gsp import HiddenInstance, VectorP, canonicalize, orthogonal, solvers
+from gsp.algebra import lanes
 from gsp.solvers import find_group
 
 
@@ -18,6 +21,55 @@ def ref_instance(ref_secret):
 
 def vec(p, digits):
     return VectorP(p, tuple(int(ch) for ch in digits))
+
+
+# Tuple arithmetic mod p and the packed-int boundary, for checks only.  The
+# residues of valid vectors are valid, so the sums skip the checked constructor.
+
+def add(x, y):
+    return VectorP._unchecked(x.p, tuple((a + b) % x.p for a, b in zip(x.coords, y.coords)))
+
+
+def sub(x, y):
+    return VectorP._unchecked(x.p, tuple((a - b) % x.p for a, b in zip(x.coords, y.coords)))
+
+
+def scale(x, c):
+    return VectorP._unchecked(x.p, tuple(c * a % x.p for a in x.coords))
+
+
+def zero(p, n):
+    return VectorP(p, (0,) * n)
+
+
+def all_vectors(p, n):
+    """All of Z_p^n in index order."""
+    return (VectorP(p, coords) for coords in itertools.product(range(p), repeat=n))
+
+
+def index(x):
+    """Rank of the vector in index order (base p, most significant coordinate first)."""
+    return sum(c * x.p ** (x.n - 1 - i) for i, c in enumerate(x.coords))
+
+
+def pack(x):
+    """A ``VectorP`` as the packed int that queries and labels use."""
+    return lanes(x.p, x.n).pack(x.coords)
+
+
+def unpack(p, n, x):
+    return VectorP(p, lanes(p, n).unpack(x))
+
+
+def label_of(inst, x):
+    """``inst.evaluate`` on a ``VectorP``, returned as one."""
+    return unpack(inst.p, inst.n, inst.evaluate(pack(x)))
+
+
+def cache_pairs(log):
+    """The log's (element, label) pairs as ``VectorP``s, in the order asked."""
+    p, n = log.instance.p, log.instance.n
+    return [(unpack(p, n, x), unpack(p, n, y)) for x, y in log.cache.items()]
 
 
 # Reference algebra over the package's vectors, for checks only.
@@ -70,7 +122,7 @@ def check_find_group(log, a_grp, s1, d, result):
         "S2 <= S": all(secret.contains(row) for row in s2.basis),
         "S1 <= S2": all(s2.contains(row) for row in s1.basis),
         "B's map holds span(B)": {b: f for f, b in b_label_of.items()}
-        == {b: log.cache.get(b) for b in b_grp.elements()},
+        == {pack(b): log.cache.get(pack(b)) for b in b_grp.elements()},
     }
     failed = [name for name, ok in checks.items() if not ok]
     if failed:

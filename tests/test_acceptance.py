@@ -15,7 +15,6 @@ from gsp import (
     QCounter,
     QueryLog,
     VectorP,
-    all_vectors,
     brute_force_solve,
     choose_d,
     enumerate_subgroups,
@@ -30,7 +29,7 @@ from gsp import (
     t2_count,
 )
 from gsp.bounds import det_query_bound
-from conftest import intersect, marginal, support
+from conftest import add, all_vectors, intersect, marginal, sub, support
 
 GRID = [
     (p, n, k)
@@ -186,9 +185,9 @@ def test_criterion_6_coset_meets_secret():
                     if v.contains(w):
                         continue
                     if v_elems is not None:
-                        hit = any(secret.contains(x + w) for x in v_elems)
+                        hit = any(secret.contains(add(x, w)) for x in v_elems)
                     else:
-                        hit = any(v.contains(s - w) for s in secret_elems)
+                        hit = any(v.contains(sub(s, w)) for s in secret_elems)
                     assert hit, f"empty coset at p={p} n={n} k={k} seed={seed}"
                     checked += 1
     print(f"\nACCEPTANCE 6 coset-meets-secret: PASS ({checked} cosets, 0 counterexamples)")

@@ -10,7 +10,6 @@ from gsp import (
     ResourceCapError,
     Subgroup,
     VectorP,
-    all_vectors,
     canonicalize,
     complement,
     enumerate_subgroups,
@@ -18,17 +17,18 @@ from gsp import (
     random_subgroup,
     trivial_subgroup,
 )
-from conftest import dot, full_subgroup, intersect, subgroup_sum, vec
+from gsp.algebra import lanes
+from conftest import add, all_vectors, dot, full_subgroup, index, intersect, scale, sub, subgroup_sum, vec, zero
 
 
 def brute_span(p, n, gens):
     """Independent oracle: all coefficient combinations of the generators."""
     out = set()
     for coeffs in itertools.product(range(p), repeat=len(gens)):
-        v = VectorP.zero(p, n)
+        v = zero(p, n)
         for c, g in zip(coeffs, gens):
             if c:
-                v = v + g.scale(c)
+                v = add(v, scale(g, c))
         out.add(v)
     return frozenset(out)
 
@@ -36,28 +36,38 @@ def brute_span(p, n, gens):
 SMALL_GRID = [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]
 
 
+def lane_add(x, y):
+    lay = lanes(x.p, x.n)
+    return VectorP(x.p, lay.unpack(lay.add(lay.pack(x.coords), lay.pack(y.coords))))
+
+
+def lane_sub(x, y):
+    lay = lanes(x.p, x.n)
+    return VectorP(x.p, lay.unpack(lay.sub(lay.pack(x.coords), lay.pack(y.coords))))
+
+
 class TestVectorOps:
     def test_add(self):
-        assert vec(2, "0011") + vec(2, "0110") == vec(2, "0101")
-        assert vec(3, "12") + vec(3, "21") == vec(3, "00")
-        assert vec(5, "43") + vec(5, "34") == vec(5, "22")
+        assert lane_add(vec(2, "0011"), vec(2, "0110")) == vec(2, "0101")
+        assert lane_add(vec(3, "12"), vec(3, "21")) == vec(3, "00")
+        assert lane_add(vec(5, "43"), vec(5, "34")) == vec(5, "22")
 
     def test_add_full_table_p5(self):
-        # scripted cross-check of every residue pair
+        # scripted cross-check of every residue pair, each lane beside a neighbour
         for a in range(5):
             for b in range(5):
-                s = VectorP(5, (a,)) + VectorP(5, (b,))
-                assert s.coords[0] == (a + b) % 5
+                s = lane_add(VectorP(5, (4, a, 0)), VectorP(5, (0, b, 4)))
+                assert s.coords == (4, (a + b) % 5, 4)
 
     def test_sub(self):
         for a in all_vectors(2, 4):
             for b in all_vectors(2, 4):
-                assert a - b == a + b  # -1 = 1 mod 2
-        r = vec(3, "10") - vec(3, "22")
+                assert lane_sub(a, b) == lane_add(a, b)  # -1 = 1 mod 2
+        r = lane_sub(vec(3, "10"), vec(3, "22"))
         assert r == vec(3, "21")
-        assert vec(3, "22") + r == vec(3, "10")
+        assert lane_add(vec(3, "22"), r) == vec(3, "10")
         v = vec(5, "43")
-        assert (v - v).is_zero()
+        assert lane_sub(v, v) == vec(5, "00")
 
     def test_dot(self):
         assert dot(vec(2, "0011"), vec(2, "0111")) == 0
@@ -65,10 +75,6 @@ class TestVectorOps:
         assert dot(vec(3, "12"), vec(3, "21")) == 1
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            vec(2, "01") + vec(2, "011")
-        with pytest.raises(DimensionMismatchError):
-            vec(2, "01") + vec(3, "01")
         # membership and coset reduction of a vector over another p or another n
         h = canonicalize(2, 2, [vec(2, "01")])
         for x in (vec(3, "01"), vec(2, "011")):
@@ -86,10 +92,8 @@ class TestVectorOps:
     def test_factory_errors(self):
         # factories given a bare p and n check both before building unchecked values
         factories = [
-            VectorP.zero,
             lambda p, n: VectorP.unit(p, n, 0),
             lambda p, n: VectorP.from_index(p, n, 0),
-            lambda p, n: next(all_vectors(p, n)),
             trivial_subgroup,
             lambda p, n: canonicalize(p, n, []),
             lambda p, n: random_subgroup(p, n, 0, 0),
@@ -106,7 +110,7 @@ class TestVectorOps:
 
     def test_index_roundtrip(self):
         for v in all_vectors(3, 3):
-            assert VectorP.from_index(3, 3, v.to_index()) == v
+            assert VectorP.from_index(3, 3, index(v)) == v
 
     def test_digits_roundtrip(self):
         v = vec(5, "4302")
@@ -162,15 +166,15 @@ class TestMembership:
     def test_coset_reduce(self, ref_secret):
         assert ref_secret.coset_reduce(vec(2, "0010")) == vec(2, "0001")
         for s in ref_secret.elements():
-            assert ref_secret.coset_reduce(s).is_zero()
+            assert not any(ref_secret.coset_reduce(s).coords)
 
     def test_coset_reduce_pivot_free_input(self, ref_secret):
         # brute-force oracle: the unique coset member that is zero on all pivots
         x = vec(2, "1001")
         candidates = [
-            x + s
+            add(x, s)
             for s in ref_secret.elements()
-            if all((x + s).coords[c] == 0 for c in ref_secret.pivots())
+            if all(add(x, s).coords[c] == 0 for c in ref_secret.pivots())
         ]
         assert candidates == [vec(2, "1001")]
         assert ref_secret.coset_reduce(x) == candidates[0]
@@ -182,7 +186,7 @@ class TestMembership:
                 for x in all_vectors(p, n):
                     for y in all_vectors(p, n):
                         same = h.coset_reduce(x) == h.coset_reduce(y)
-                        assert same == h.contains(x - y)
+                        assert same == h.contains(sub(x, y))
 
 
 class TestSetAlgebra:
@@ -250,7 +254,7 @@ class TestSetAlgebra:
                     if v.contains(w):
                         continue
                     lhs = intersect(canonicalize(p, n, v.basis + (w,)), h).rank == 0
-                    coset_hits = any(h.contains(x + w) for x in v.elements())
+                    coset_hits = any(h.contains(add(x, w)) for x in v.elements())
                     assert lhs == (not coset_hits)
 
 

@@ -80,7 +80,7 @@ class TestEvadingSubgroup:
 
     def test_zero_rejected(self):
         with pytest.raises(ParameterError):
-            evading_subgroup(2, 4, [VectorP.zero(2, 4)], k=1, d=1)
+            evading_subgroup(2, 4, [VectorP(2, (0, 0, 0, 0))], k=1, d=1)
 
     def test_witness_below_threshold(self):
         # |D| under d(p^n-1)/(p^k-1) always admits a sparse-intersection subgroup

@@ -9,14 +9,12 @@ from gsp import (
     QueryLog,
     ResourceCapError,
     VectorP,
-    all_vectors,
-    canonicalize,
     instance_from_text,
     instance_to_text,
     make_instance,
     random_subgroup,
 )
-from conftest import vec
+from conftest import all_vectors, label_of, pack, sub, vec
 
 
 @pytest.mark.parametrize("obfuscate", [False, True])
@@ -24,10 +22,10 @@ from conftest import vec
 def test_promise_exhaustive(p, n, k, obfuscate):
     inst = make_instance(p, n, k, subgroup_seed=11, label_seed=42, obfuscate=obfuscate)
     vectors = list(all_vectors(p, n))
-    labels = {x: inst.evaluate(x) for x in vectors}
+    labels = {x: label_of(inst, x) for x in vectors}
     for x in vectors:
         for y in vectors:
-            assert (labels[x] == labels[y]) == inst.secret.contains(x - y)
+            assert (labels[x] == labels[y]) == inst.secret.contains(sub(x, y))
 
 
 @pytest.mark.parametrize("obfuscate", [False, True])
@@ -36,41 +34,30 @@ def test_label_multiset(obfuscate):
     inst = make_instance(p, n, k, subgroup_seed=0, label_seed=5, obfuscate=obfuscate)
     buckets: dict = {}
     for x in all_vectors(p, n):
-        buckets.setdefault(inst.evaluate(x), 0)
-        buckets[inst.evaluate(x)] += 1
+        buckets.setdefault(inst.evaluate(pack(x)), 0)
+        buckets[inst.evaluate(pack(x))] += 1
     assert len(buckets) == p ** (n - k)
     assert all(size == p**k for size in buckets.values())
 
 
 def test_reference_fixture(ref_instance, ref_secret):
     same_class = [vec(2, "0000"), vec(2, "0011"), vec(2, "0110"), vec(2, "0101")]
-    labels = {ref_instance.evaluate(x) for x in same_class}
+    labels = {label_of(ref_instance, x) for x in same_class}
     assert len(labels) == 1
-    assert ref_instance.evaluate(vec(2, "0010")) == vec(2, "0001")
+    assert label_of(ref_instance, vec(2, "0010")) == vec(2, "0001")
     # plain mode: the label is the canonical coset representative itself
     for x in all_vectors(2, 4):
-        assert ref_instance.evaluate(x) == ref_secret.coset_reduce(x)
+        assert label_of(ref_instance, x) == ref_secret.coset_reduce(x)
     # purity
-    x = vec(2, "1011")
+    x = pack(vec(2, "1011"))
     assert ref_instance.evaluate(x) == ref_instance.evaluate(x)
-
-
-@pytest.mark.parametrize("obfuscate", [False, True])
-def test_evaluate_dimension_errors(obfuscate):
-    inst = make_instance(3, 4, 2, subgroup_seed=3, label_seed=8, obfuscate=obfuscate)
-    with pytest.raises(DimensionMismatchError):
-        inst.evaluate(vec(3, "210"))  # wrong length
-    with pytest.raises(DimensionMismatchError):
-        inst.evaluate(vec(3, "21012"))
-    with pytest.raises(DimensionMismatchError):
-        inst.evaluate(vec(5, "2101"))  # same length, another prime
 
 
 def test_make_instance_determinism():
     a = make_instance(3, 4, 2, subgroup_seed=9, label_seed=1, obfuscate=True)
     b = make_instance(3, 4, 2, subgroup_seed=9, label_seed=1, obfuscate=True)
     assert a == b
-    x = vec(3, "2101")
+    x = pack(vec(3, "2101"))
     assert a.evaluate(x) == b.evaluate(x)
 
 
@@ -87,7 +74,7 @@ def test_parameter_errors():
 
 @pytest.mark.parametrize("obfuscate", [False, True])
 def test_one_affine_map_feeds_both_label_paths(obfuscate):
-    # evaluate's packed columns and label_indices both read L and s from _affine
+    # evaluate's packed columns and all_labels both read L and s from _affine
     p, n = 3, 3
     inst = make_instance(p, n, 1, subgroup_seed=2, label_seed=6, obfuscate=obfuscate)
     cols, shift = [(1, 2, 0), (0, 1, 1), (2, 0, 1)], (1, 0, 2)  # column j of L is cols[j]
@@ -96,19 +83,19 @@ def test_one_affine_map_feeds_both_label_paths(obfuscate):
         VectorP(p, tuple((sum(c[i] * xj for c, xj in zip(cols, x.coords)) + shift[i]) % p for i in range(n)))
         for x in all_vectors(p, n)
     ]
-    assert [inst.evaluate(x) for x in all_vectors(p, n)] == expect
-    assert inst.label_indices().tolist() == [y.to_index() for y in expect]
+    assert [label_of(inst, x) for x in all_vectors(p, n)] == expect
+    assert inst.all_labels() == ([pack(x) for x in all_vectors(p, n)], [pack(y) for y in expect])
 
 
-def test_label_indices_cap():
+def test_all_labels_cap():
     with pytest.raises(ResourceCapError):
-        make_instance(2, 21, 2, 0).label_indices()
+        make_instance(2, 21, 2, 0).all_labels()
 
 
 class TestQueryLog:
     def test_dedup_counting(self, ref_instance):
         log = QueryLog(ref_instance)
-        x = vec(2, "1010")
+        x = pack(vec(2, "1010"))
         log.query(x)
         log.query(x)
         assert log.count == 1
@@ -116,7 +103,7 @@ class TestQueryLog:
 
     def test_cached_answers_consistent(self, ref_instance):
         log = QueryLog(ref_instance)
-        x = vec(2, "0111")
+        x = pack(vec(2, "0111"))
         first = log.query(x)
         assert log.query(x) == first
         assert log.cache[x] == first
@@ -125,35 +112,26 @@ class TestQueryLog:
         log = QueryLog(ref_instance)
         last = 0
         for x in all_vectors(2, 4):
-            log.query(x)
+            log.query(pack(x))
             assert log.count >= last
             last = log.count
         assert log.count == 16
-        assert len({label for _, label in log.trace}) == 4
-        assert len(log.trace) == 16
+        assert len(set(log.cache.values())) == 4
 
     @pytest.mark.parametrize("obfuscate", [False, True])
     def test_query_all_keeps_cached_entries(self, obfuscate):
         inst = make_instance(3, 3, 1, subgroup_seed=4, label_seed=1, obfuscate=obfuscate)
         log = QueryLog(inst)
-        asked = [vec(3, "212"), vec(3, "000"), vec(3, "120")]
+        asked = [pack(vec(3, "212")), pack(vec(3, "000")), pack(vec(3, "120"))]
         labels = [log.query(x) for x in asked]
         log.query_all()
         assert log.count == 27
         assert list(log.cache)[:3] == asked
         assert all(log.cache[x] is label for x, label in zip(asked, labels))
-        assert list(log.cache)[3:] == [x for x in all_vectors(3, 3) if x not in asked]
-        assert all(label == inst.evaluate(x) for x, label in log.trace)
+        assert list(log.cache)[3:] == [x for x in map(pack, all_vectors(3, 3)) if x not in asked]
+        assert all(label == inst.evaluate(x) for x, label in log.cache.items())
         log.query_all()  # a second pass asks nothing new
         assert log.count == 27
-
-    def test_dimension_error(self, ref_instance):
-        log = QueryLog(ref_instance)
-        with pytest.raises(DimensionMismatchError):
-            log.query(vec(2, "011"))
-        log.query(vec(2, "0110"))  # the same coordinates over another p are not a cache hit
-        with pytest.raises(DimensionMismatchError):
-            log.query(vec(3, "0110"))
 
 
 class TestInstanceFile:

@@ -14,7 +14,6 @@ from gsp import (
     QueryLog,
     Subgroup,
     VectorP,
-    all_vectors,
     brute_force_solve,
     canonicalize,
     complement,
@@ -25,9 +24,24 @@ from gsp import (
     random_subgroup,
     solvers,
 )
-from gsp.algebra import _independent_rows, _rref
+from gsp.algebra import _independent_rows, _rref, lanes
 from gsp.bounds import det_query_bound
-from conftest import checked_find_group, consistent, intersect, subgroup_sum
+from conftest import (
+    add,
+    all_vectors,
+    cache_pairs,
+    checked_find_group,
+    consistent,
+    index,
+    intersect,
+    label_of,
+    pack,
+    scale,
+    sub,
+    subgroup_sum,
+    unpack,
+    zero,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -69,14 +83,36 @@ def _assert_valid(v):
 def test_unchecked_vectors_pass_the_checked_constructor(data):
     p, n = data.draw(st.sampled_from(SPACES))
     x, y = data.draw(_vectors(p, n)), data.draw(_vectors(p, n))
-    c = data.draw(st.integers(-3 * p, 3 * p))
     idx = data.draw(st.integers(0, p**n - 1))
     h = data.draw(subgroups(p, n))
-    for v in (x + y, x - y, x.scale(c), VectorP.from_index(p, n, idx), h.coset_reduce(x)):
+    lay = lanes(p, n)
+    total, diff = (VectorP._unchecked(p, lay.unpack(op(pack(x), pack(y)))) for op in (lay.add, lay.sub))
+    for v in (total, diff, VectorP.from_index(p, n, idx), h.coset_reduce(x), *h.elements()):
         _assert_valid(v)
-    assert (x + y).coords == tuple((a + b) % p for a, b in zip(x.coords, y.coords))
-    assert x.scale(c) == VectorP(p, tuple(c * a % p for a in x.coords))
-    assert VectorP.from_index(p, n, idx).to_index() == idx
+    assert (total, diff) == (add(x, y), sub(x, y))
+    assert index(VectorP.from_index(p, n, idx)) == idx
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5, 7, 257, 65521]).flatmap(
+    lambda p: st.integers(1, 64).flatmap(lambda n: st.tuples(
+        st.just(p), st.just(n), *[st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)] * 2))))
+def test_lane_layout_matches_tuple_arithmetic(case):
+    # with the all-(p-1) vector and 0^n among the operands, where a carry
+    # would first cross into the next lane
+    p, n, a, b = case
+    lay = lanes(p, n)
+    vectors = [a, b, (p - 1,) * n, (0,) * n]
+    for u in vectors:
+        x = lay.pack(u)
+        assert lay.unpack(x) == u
+        for v in vectors:
+            y = lay.pack(v)
+            assert lay.unpack(lay.add(x, y)) == tuple((s + t) % p for s, t in zip(u, v))
+            assert lay.unpack(lay.sub(x, y)) == tuple((s - t) % p for s, t in zip(u, v))
+            assert (x < y) == (u < v)
+    packed = [lay.pack(u) for u in vectors]
+    assert lay.digits(packed).tolist() == [list(u) for u in vectors]
 
 
 def test_enumerated_subgroups_pass_the_full_check():
@@ -96,11 +132,11 @@ def test_rref_is_unique(data):
     p, n = data.draw(st.sampled_from(SPACES))
     h = data.draw(subgroups(p, n))
     coefficients = st.lists(st.integers(0, p - 1), min_size=h.rank, max_size=h.rank)
-    gens = [row.scale(data.draw(st.integers(1, p - 1))) for row in h.basis]
+    gens = [scale(row, data.draw(st.integers(1, p - 1))) for row in h.basis]
     for coeffs in data.draw(st.lists(coefficients, max_size=4)):
-        combo = VectorP.zero(p, n)
+        combo = zero(p, n)
         for a, row in zip(coeffs, h.basis):
-            combo = combo + row.scale(a)
+            combo = add(combo, scale(row, a))
         gens.append(combo)
     assert canonicalize(p, n, data.draw(st.permutations(gens))).basis == h.basis
 
@@ -120,7 +156,7 @@ def _assert_reduces_as_sequential(h, x):
     rep = h.coset_reduce(x)
     _assert_valid(rep)
     assert rep.coords == _sequential_reduce(h, x)
-    assert h.contains(x) == rep.is_zero()
+    assert h.contains(x) == (not any(rep.coords))
 
 
 def test_one_pass_reduction_matches_sequential_on_small_spaces():
@@ -138,14 +174,14 @@ def test_one_pass_reduction_matches_sequential_at_n64(data):
     # the single mod at the end sees sums of up to n products (p-1)^2 at p = 65521
     p, n = data.draw(st.sampled_from([(2, 64), (3, 64), (65521, 64)]))
     h = data.draw(subgroups(p, n))
-    member = VectorP.zero(p, n)
+    member = zero(p, n)
     for row in h.basis:
-        member = member + row.scale(data.draw(st.integers(0, p - 1)))
+        member = add(member, scale(row, data.draw(st.integers(0, p - 1))))
     x = data.draw(_vectors(p, n))
-    for v in (VectorP(p, (p - 1,) * n), x, member, x + member):
+    for v in (VectorP(p, (p - 1,) * n), x, member, add(x, member)):
         _assert_reduces_as_sequential(h, v)
     assert h.contains(member)
-    assert h.coset_reduce(x + member) == h.coset_reduce(x)
+    assert h.coset_reduce(add(x, member)) == h.coset_reduce(x)
 
 
 @PROPERTY
@@ -171,8 +207,8 @@ def test_labels_agree_exactly_on_cosets(data):
     x = data.draw(_vectors(inst.p, inst.n))
     # half the time y lies in x's coset, so both sides of the law are exercised
     s = data.draw(st.sampled_from(list(inst.secret.elements())))
-    y = data.draw(st.one_of(_vectors(inst.p, inst.n), st.just(x + s)))
-    assert (inst.evaluate(x) == inst.evaluate(y)) == inst.secret.contains(x - y)
+    y = data.draw(st.one_of(_vectors(inst.p, inst.n), st.just(add(x, s))))
+    assert (label_of(inst, x) == label_of(inst, y)) == inst.secret.contains(sub(x, y))
 
 
 # Lane widths of the packed label: 8 bits up to n(p-1)^2 + (p-1) = 254 at
@@ -199,7 +235,7 @@ def test_compiled_label_matches_reference(data):
     assert 8 * struct.calcsize(inst._label_map[3]) == LABEL_SPACES[p, n]
     top = VectorP(p, (p - 1,) * n)  # the largest lane sums
     for x in (top, data.draw(_vectors(p, n)), *inst.secret.basis):
-        label = inst.evaluate(x)
+        label = VectorP._unchecked(p, lanes(p, n).unpack(inst.evaluate(pack(x))))
         _assert_valid(label)
         assert label.coords == _reference_label(inst, x)
 
@@ -209,15 +245,15 @@ CHECK_SPACES = [(p, n) for p in (2, 3, 5, 7) for n in range(2, 9) if p**n <= 729
 
 @PROPERTY
 @given(st.data())
-def test_label_indices_match_evaluate(data):
+def test_all_labels_match_evaluate(data):
     # the array path applies the same affine map as evaluate, element by element
     p, n = data.draw(st.sampled_from(CHECK_SPACES))
     k = data.draw(st.integers(1, n - 1))
     seeds = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 2**32))
     inst = make_instance(p, n, k, *seeds, obfuscate=data.draw(st.booleans()))
-    indices = inst.label_indices()
-    assert indices.dtype == np.int64
-    assert indices.tolist() == [inst.evaluate(x).to_index() for x in all_vectors(p, n)]
+    keys, labels = inst.all_labels()
+    assert keys == [pack(x) for x in all_vectors(p, n)]
+    assert labels == [inst.evaluate(x) for x in keys]
 
 
 @st.composite
@@ -228,16 +264,20 @@ def label_checks(draw):
     k = draw(st.integers(1, n - 1))
     inst = make_instance(p, n, k, draw(st.integers(0, 2**32)), draw(st.integers(0, 2**32)), draw(st.booleans()))
     secret, other = inst.secret, random_subgroup(p, n, k, draw(st.integers(0, 2**32)))
-    outside = solvers._lex_smallest_outside(secret)
+    outside = unpack(p, n, solvers._lex_smallest_outside(secret))
+
+    def packed(reduce):
+        return lambda x: pack(reduce(unpack(p, n, x)))
+
     rule = draw(st.sampled_from([
         inst.evaluate,
-        canonicalize(p, n, secret.basis + (outside,)).coset_reduce,  # coarser than S
-        canonicalize(p, n, secret.basis[1:]).coset_reduce,  # finer than S
-        other.coset_reduce,
-        lambda x: VectorP(p, (random.Random(x.to_index()).randrange(p),) + (0,) * (n - 1)),  # no rule
+        packed(canonicalize(p, n, secret.basis + (outside,)).coset_reduce),  # coarser than S
+        packed(canonicalize(p, n, secret.basis[1:]).coset_reduce),  # finer than S
+        packed(other.coset_reduce),
+        lambda x: random.Random(x).randrange(p) << lanes(p, n).shifts[0],  # no rule
     ]))
     answer = draw(st.sampled_from([secret, other, canonicalize(p, n, secret.basis[1:] + (outside,))]))
-    space = list(all_vectors(p, n))
+    space = [pack(x) for x in all_vectors(p, n)]
     if draw(st.booleans()):
         space = draw(st.lists(st.sampled_from(space), min_size=1, max_size=2 * n, unique=True))
     log = QueryLog(inst)
@@ -256,7 +296,7 @@ def test_label_check_matches_reference(case):
         raised = False
     except PromiseViolationError:
         raised = True
-    assert raised != consistent(answer, log.trace)
+    assert raised != consistent(answer, cache_pairs(log))
 
 
 @pytest.mark.parametrize("p", [2, 65521])
@@ -267,18 +307,22 @@ def test_label_check_at_the_limits(p):
     inst = make_instance(p, n, k, 3)
     secret, wrong = inst.secret, random_subgroup(p, n, k, 4)
     xs = [VectorP(p, (p - 1,) * n)] + [VectorP(p, tuple(rng.randrange(p) for _ in range(n))) for _ in range(30)]
-    xs += [unit.scale(p - 1) for unit in complement(secret).basis]  # their own representatives
+    xs += [scale(unit, p - 1) for unit in complement(secret).basis]  # their own representatives
+    digits = lanes(p, n).digits([pack(x) for x in xs])  # the check's reading of the packed cache
+    assert digits.tolist() == [list(x.coords) for x in xs]
     for h in (secret, wrong):
-        reps = np.array([x.coords for x in xs], dtype=np.int64) @ np.array(h.unit_images(), dtype=np.int64) % p
+        # the check's representatives: x minus its pivot digits times the basis
+        rows = np.array([row.coords for row in h.basis], dtype=np.int64)
+        reps = (digits - digits[:, list(h.pivots())] @ rows) % p
         assert reps.tolist() == [list(h.coset_reduce(x).coords) for x in xs]
     log = QueryLog(inst)
     for x in xs:
-        member = VectorP.zero(p, n)
+        member = zero(p, n)
         for row in secret.basis:
-            member = member + row.scale(rng.randrange(p))
-        log.query(x)
-        log.query(x + member)  # shares x's label, and a coset of the secret only
-    assert any(p - 1 in label.coords for label in log.cache.values())
+            member = add(member, scale(row, rng.randrange(p)))
+        log.query(pack(x))
+        log.query(pack(add(x, member)))  # shares x's label, and a coset of the secret only
+    assert any(p - 1 in lanes(p, n).unpack(label) for label in log.cache.values())
     solvers._check_labels(log, secret)
     with pytest.raises(PromiseViolationError, match="not constant exactly on cosets"):
         solvers._check_labels(log, wrong)

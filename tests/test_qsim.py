@@ -20,7 +20,6 @@ from gsp import (
     ResourceCapError,
     SparseState,
     VectorP,
-    all_vectors,
     apply_oracle,
     brute_force_solve,
     canonicalize,
@@ -36,7 +35,7 @@ from gsp import (
 )
 import gsp.qsim as qsim
 from gsp.qsim import LABEL, MAIN, _label_index_table, _permute, _unitary, _vec_add
-from conftest import dot, marginal, support, vec
+from conftest import all_vectors, dot, index, label_of, marginal, scale, support, vec
 from test_acceptance import QGRID, QGRID_LARGE
 
 
@@ -77,7 +76,7 @@ def reference_shrink(state, y, j, flag, sign):
     its inverse (sign -1): the forward steps in reverse order with opposite signs."""
     p, n = state.p, y.n
     c_inv = pow(y.coords[j], p - 2, p)
-    y_multiples = np.array([y.scale(c).to_index() for c in range(p)], dtype=np.int64)
+    y_multiples = np.array([index(scale(y, c)) for c in range(p)], dtype=np.int64)
 
     def copy_coefficient(state, sign):
         coefficient = state.digit(MAIN) // p ** (n - 1 - j) % p * c_inv
@@ -226,11 +225,11 @@ class TestKernels:
 class TestOracle:
     def test_basis_action(self, ref_instance):
         g = vec(2, "1011")
-        state = make_state(2, (16, 16), {(g.to_index(), 0): 1.0 + 0j})
+        state = make_state(2, (16, 16), {(index(g), 0): 1.0 + 0j})
         c = QCounter()
         out = apply_oracle(state, ref_instance, c)
-        expect = ref_instance.evaluate(g).to_index()
-        assert basis_amps(out) == {(g.to_index(), expect): 1.0 + 0j}
+        expect = index(label_of(ref_instance, g))
+        assert basis_amps(out) == {(index(g), expect): 1.0 + 0j}
         assert c.oracle_calls == 1
 
     def test_inverse_is_identity(self, ref_instance):
@@ -286,7 +285,7 @@ class TestShrink:
         out = shrink_subgroup(psi, y)
         label_to_rep = {}
         for x in all_vectors(2, 4):
-            label_to_rep.setdefault(ref_instance.evaluate(x).to_index(), x)
+            label_to_rep.setdefault(index(label_of(ref_instance, x)), x)
         for main, label, flag in basis_amps(out):
             t = label_to_rep[label]
             assert flag == dot(t, y)
@@ -304,7 +303,7 @@ class TestExactAmplify:
         counter = QCounter()
         y, state = exact_amplify(inst, simon_subroutine(inst, QCounter()), counter)
         perp = orthogonal(secret)
-        nonzero = [v for v in perp.elements() if not v.is_zero()]
+        nonzero = [v for v in perp.elements() if any(v.coords)]
         assert y == nonzero[0]
         assert counter.oracle_calls == 3
         bad = max(
@@ -475,7 +474,7 @@ class TestQuantumFindS:
         for m, y in enumerate(found, 1):
             lead = next(c for c in y.coords if c)
             new = canonicalize(p, n, found[:m]).basis
-            assert new == (y.scale(pow(lead, -1, p)),) + basis, (p, n, k, m)
+            assert new == (scale(y, pow(lead, -1, p)),) + basis, (p, n, k, m)
             basis = new
 
     def test_cap(self):

@@ -16,7 +16,6 @@ from gsp import (
     QueryLog,
     ResourceCapError,
     VectorP,
-    all_vectors,
     birthday_solve,
     brute_force_solve,
     canonicalize,
@@ -31,7 +30,9 @@ from gsp import (
 )
 from gsp.bounds import det_query_bound
 from gsp.solvers import _lex_smallest_outside
-from conftest import checked_find_group, consistent, full_subgroup, intersect, vec
+from conftest import (
+    all_vectors, cache_pairs, checked_find_group, consistent, full_subgroup, intersect, pack, sub, unpack
+)
 
 GOLDEN_TRACES = Path(__file__).parent / "data" / "find_s_traces.txt"
 
@@ -102,7 +103,7 @@ class TestLexSmallestOutside:
     def test_matches_index_scan(self, p, n):
         for k in range(n):
             for excluded in enumerate_subgroups(p, n, k):
-                assert _lex_smallest_outside(excluded) == self._scan(excluded), excluded.to_text()
+                assert _lex_smallest_outside(excluded) == pack(self._scan(excluded)), excluded.to_text()
 
     def test_full_group_raises(self):
         with pytest.raises(PromiseViolationError):
@@ -111,8 +112,7 @@ class TestLexSmallestOutside:
 
 def _zero_label_of(log):
     """The label map of the trivial group, querying 0^n."""
-    zero = VectorP.zero(log.instance.p, log.instance.n)
-    return {log.query(zero): zero}
+    return {log.query(0): 0}
 
 
 class TestFindGroup:
@@ -129,8 +129,8 @@ class TestFindGroup:
         b, b_label_of, s2 = checked_find_group(log, triv, _zero_label_of(log), triv, 2)
         assert b.rank == 2
         assert intersect(b, ref_secret).rank == 0
-        assert all(x in log.cache for x in b.elements())
-        assert b_label_of == {log.cache[x]: x for x in b.elements()}
+        assert all(pack(x) in log.cache for x in b.elements())
+        assert b_label_of == {log.cache[pack(x)]: pack(x) for x in b.elements()}
 
     @pytest.mark.parametrize("p,n,k", [(2, 5, 2), (3, 4, 1), (2, 6, 3), (5, 3, 1)])
     def test_trivial_a_query_count_formula(self, p, n, k):
@@ -208,6 +208,19 @@ class TestFindS:
         assert first == second
         assert first.trace == second.trace and len(first.trace) == first.queries
 
+    def test_trace_is_a_snapshot(self):
+        # the trace reads the log, not a copy, yet a later solve on that log
+        # does not reach into it
+        inst = make_instance(3, 4, 2, subgroup_seed=3, label_seed=4, obfuscate=True)
+        log = QueryLog(inst)
+        res = find_s(log, 1)
+        before = res.trace
+        assert len(before) == res.queries == log.count
+        brute_force_solve(log)
+        assert log.count == 3**4 > res.queries
+        assert res.trace == before
+        assert cache_pairs(log)[: res.queries] == list(before)
+
     def test_d_out_of_range(self, ref_instance):
         with pytest.raises(ParameterError):
             find_s(QueryLog(ref_instance), 3)
@@ -248,7 +261,7 @@ class TestFindS:
     def test_promise_violation_diagnostic(self, ref_secret):
         class ConstantOracle(HiddenInstance):
             def evaluate(self, x):
-                return VectorP.zero(self.p, self.n)
+                return 0
 
         lying = ConstantOracle(2, 4, 2, ref_secret, 0, False)
         with pytest.raises(PromiseViolationError):
@@ -264,16 +277,17 @@ class _AdversarialInstance(HiddenInstance):
     def evaluate(self, x):
         p, n, k = self.p, self.n, self.k
         if self.mode == "constant":
-            return VectorP.zero(p, n)
+            return 0
         if self.mode == "injective":
             return x
+        x = unpack(p, n, x)
         if self.mode == "lower-rank":
-            return canonicalize(p, n, self.secret.basis[1:]).coset_reduce(x)
+            return pack(canonicalize(p, n, self.secret.basis[1:]).coset_reduce(x))
         if self.mode == "higher-rank":
-            outside = _lex_smallest_outside(self.secret)
-            return canonicalize(p, n, self.secret.basis + (outside,)).coset_reduce(x)
+            outside = unpack(p, n, _lex_smallest_outside(self.secret))
+            return pack(canonicalize(p, n, self.secret.basis + (outside,)).coset_reduce(x))
         rng = random.Random(f"{self.label_seed}:{x.digits()}")
-        return VectorP(p, tuple(rng.randrange(p) for _ in range(n)))
+        return pack(VectorP(p, tuple(rng.randrange(p) for _ in range(n))))
 
 
 @pytest.mark.parametrize("mode", ["constant", "injective", "lower-rank", "higher-rank", "random"])
@@ -321,7 +335,7 @@ def test_coset_meets_secret_law():
                 for w in all_vectors(p, n):
                     if v.contains(w):
                         continue
-                    assert any(v.contains(s - w) for s in secret.elements())
+                    assert any(v.contains(sub(s, w)) for s in secret.elements())
 
 
 @pytest.mark.parametrize("p,n,k", [(2, 3, 1), (2, 4, 2), (2, 5, 1), (3, 3, 1), (3, 4, 2)])
@@ -395,10 +409,11 @@ class TestBruteForceArrayPath:
             return brute_force_solve(log)
 
         fast, slow = solve(inst), solve(_scalar(inst))
-        assert fast.trace == slow.trace
+        # both traces are read off these caches, each whole since queries = p^n
+        assert list(fast.log.cache.items()) == list(slow.log.cache.items())
         assert (fast.queries, fast.recovered) == (slow.queries, slow.recovered) == (p**n, inst.secret)
         if not prefill:
-            assert [x for x, _ in fast.trace] == list(all_vectors(p, n))
+            assert list(fast.log.cache) == [pack(x) for x in all_vectors(p, n)]
 
     def test_subclass_evaluates_every_element_once(self):
         calls = []
@@ -412,7 +427,7 @@ class TestBruteForceArrayPath:
         inst = Counting(p, n, k, random_subgroup(p, n, k, 1), 2, True)
         res = brute_force_solve(QueryLog(inst))
         assert res.recovered == inst.secret
-        assert calls == list(all_vectors(p, n))
+        assert calls == [pack(x) for x in all_vectors(p, n)]
 
     def test_array_path_is_live(self, monkeypatch):
         # query_all fills the cache first, so no element reaches evaluate
