@@ -4,7 +4,9 @@ A vector has two forms.  ``VectorP``, a validated tuple of residues, serves
 parsing, printing, subgroup rows and the simulator.  The classical query path
 packs it into one int (``lanes(p, n)``): coordinate 0 in the top lane, so int
 order is tuple order, and lane-wise sums and differences mod p take a few
-whole-int operations for every p (SWAR, SIMD within a register).
+whole-int operations for every p (SWAR, SIMD within a register).  The same
+layout keeps an incremental row echelon (``Lanes.insert``), which answers rank
+questions and, back-substituted, gives every RREF (``_rref``).
 
 Subgroups are kept in reduced row echelon form (RREF) over F_p, which makes
 equality of subgroups a plain ``==`` on their bases and gives every
@@ -142,8 +144,11 @@ class Lanes:
     A lane holds g = w-1 = (p-1).bit_length() value bits under a carry bit G =
     2^g.  A lane of s = x + y lies below 2p <= 2^w; adding K = 2^g - p sets G
     exactly where it reached p, and s - (((s + K) & G) >> g) * p takes p off.
-    x - y is x + (P - y), P = p in every lane, with lanes in [1, 2p).  The
-    operations are closures, so hot loops make no attribute lookups."""
+    x - y is x + (P - y), P = p in every lane, with lanes in [1, 2p).  c*x is
+    double-and-add over ``add``.  An echelon is a dict {pivot column: row},
+    each row 1 at its pivot and 0 left of it; the leading coordinate is read
+    off ``bit_length``, since coordinate 0 is the top lane.  Lanes lie in
+    [0, p).  The operations are closures, so hot loops make no attribute lookups."""
 
     def __init__(self, p: int, n: int) -> None:
         _check_space(p, n)
@@ -161,13 +166,46 @@ class Lanes:
             s = x + big_p - y
             return s - (((s + big_k) & big_g) >> g) * p
 
+        def scale(c: int, x: int) -> int:
+            total = 0
+            while c:
+                if c & 1:
+                    total = add(total, x)
+                c, x = c >> 1, add(x, x)
+            return total
+
+        def insert(echelon: dict[int, int], x: int) -> bool:
+            """Reduce x to 0 (False: in the span) or to a new pivot, where it joins scaled to 1 (True)."""
+            while x:
+                lane = (x.bit_length() - 1) // w
+                lead, c = n - 1 - lane, x >> (w * lane)
+                row = echelon.get(lead)
+                if row is None:
+                    echelon[lead] = x if c == 1 else scale(pow(c, -1, p), x)
+                    return True
+                x = sub(x, row if c == 1 else scale(c, row))
+            return False
+
+        def reduced(echelon: dict[int, int]) -> list[int]:
+            """The echelon's span as RREF rows, pivots ascending: back-substitution, last pivot first."""
+            done: dict[int, int] = {}
+            for pivot in sorted(echelon, reverse=True):
+                row = echelon[pivot]
+                for later, other in done.items():
+                    c = (row >> shifts[later]) & mask
+                    if c:
+                        row = sub(row, other if c == 1 else scale(c, other))
+                done[pivot] = row
+            return sorted(done.values(), reverse=True)
+
         def pack(coords: Iterable[int]) -> int:
             return sum(map(lshift, coords, shifts))
 
         def unpack(x: int) -> tuple[int, ...]:
             return tuple(map(mask.__and__, map(x.__rshift__, shifts)))
 
-        self.add, self.sub, self.pack, self.unpack = add, sub, pack, unpack
+        self.add, self.sub, self.scale, self.insert, self.reduced = add, sub, scale, insert, reduced
+        self.pack, self.unpack = pack, unpack
 
     def digits(self, xs: Sequence[int]) -> np.ndarray:
         """The (len(xs), n) int64 coordinates of packed vectors, read off their big-endian bits."""
@@ -182,25 +220,12 @@ class Lanes:
 lanes = lru_cache(maxsize=None)(Lanes)
 
 
-def _rref(p: int, n: int, rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Reduced row echelon form over F_p; zero rows dropped, pivots ascending."""
-    mat = [list(r) for r in rows]
-    pivot_row = 0
-    for col in range(n):
-        src = next((r for r in range(pivot_row, len(mat)) if mat[r][col] % p), None)
-        if src is None:
-            continue
-        mat[pivot_row], mat[src] = mat[src], mat[pivot_row]
-        inv = pow(mat[pivot_row][col], -1, p)
-        mat[pivot_row] = [(inv * x) % p for x in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] % p:
-                c = mat[r][col] % p
-                mat[r] = [(x - c * y) % p for x, y in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    return [tuple(row) for row in mat[:pivot_row]]
+def _rref(p: int, n: int, rows: Iterable[int]) -> list[int]:
+    """RREF over F_p of packed rows with lanes in [0, p); zero rows dropped, pivots ascending."""
+    lay, echelon = lanes(p, n), {}
+    for row in rows:
+        lay.insert(echelon, row)
+    return lay.reduced(echelon)
 
 
 @dataclass(frozen=True)
@@ -222,7 +247,7 @@ class Subgroup:
         for row in basis:
             if row.p != self.p or row.n != self.n:
                 raise DimensionMismatchError("basis row does not live over (p, n)")
-        if [r.coords for r in basis] != _rref(self.p, self.n, [r.coords for r in basis]):
+        if basis != canonicalize(self.p, self.n, basis).basis:
             raise ParameterError("basis is not in reduced row echelon form")
 
     @classmethod
@@ -308,9 +333,10 @@ def trivial_subgroup(p: int, n: int) -> Subgroup:
     return Subgroup._unchecked(p, n, ())
 
 
-def _span(p: int, n: int, rows: Iterable[Sequence[int]]) -> Subgroup:
-    """The subgroup generated by int rows over a valid (p, n)."""
-    return Subgroup._unchecked(p, n, tuple(VectorP._unchecked(p, r) for r in _rref(p, n, rows)))
+def _span(p: int, n: int, rows: Iterable[int]) -> Subgroup:
+    """The subgroup generated by packed rows, lanes in [0, p), over a valid (p, n)."""
+    unpack = lanes(p, n).unpack
+    return Subgroup._unchecked(p, n, tuple(VectorP._unchecked(p, unpack(r)) for r in _rref(p, n, rows)))
 
 
 def canonicalize(p: int, n: int, rows: Iterable[VectorP]) -> Subgroup:
@@ -321,7 +347,7 @@ def canonicalize(p: int, n: int, rows: Iterable[VectorP]) -> Subgroup:
         if row.p != p or row.n != n:
             raise DimensionMismatchError("generator does not live over (p, n)")
         mat.append(row.coords)
-    return _span(p, n, mat)
+    return _span(p, n, map(lanes(p, n).pack, mat))
 
 
 def complement(h: Subgroup) -> Subgroup:
@@ -337,7 +363,8 @@ def orthogonal(h: Subgroup) -> Subgroup:
     p, n = h.p, h.n
     row_at = dict(zip(h.pivots(), (row.coords for row in h.basis)))
     free = (f for f in range(n) if f not in row_at)
-    return _span(p, n, ([-row_at[j][f] % p if j in row_at else int(j == f) for j in range(n)] for f in free))
+    gens = ([-row_at[j][f] % p if j in row_at else int(j == f) for j in range(n)] for f in free)
+    return _span(p, n, map(lanes(p, n).pack, gens))
 
 
 def enumerate_subgroups(
@@ -373,27 +400,12 @@ def enumerate_subgroups(
 
 
 def _independent_rows(rng: random.Random, p: int, n: int, count: int) -> list[tuple[int, ...]]:
-    """``count`` linearly independent rows of Z_p^n, rejection-sampled from ``rng``.
-
-    Each draw is reduced against an echelon basis of the rows kept so far
-    and kept when something is left; the remainder, scaled to 1 at its
-    first nonzero column, joins the basis with that column as its pivot.
-    A remainder is zero at every earlier pivot, so one pass over the basis
-    in the order it was built clears them all.
-    """
-    rows: list[tuple[int, ...]] = []
-    echelon: list[tuple[int, list[int]]] = []  # (pivot, row)
+    """``count`` linearly independent rows of Z_p^n, rejection-sampled from ``rng``:
+    a draw is kept when ``Lanes.insert`` finds it outside the span of those kept."""
+    lay, echelon, rows = lanes(p, n), {}, []
     while len(rows) < count:
         cand = tuple(rng.randrange(p) for _ in range(n))
-        v = list(cand)
-        for pivot, row in echelon:
-            c = v[pivot]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        lead = next((j for j, a in enumerate(v) if a), None)
-        if lead is not None:
-            inv = pow(v[lead], -1, p)
-            echelon.append((lead, [(inv * a) % p for a in v]))
+        if lay.insert(echelon, lay.pack(cand)):
             rows.append(cand)
     return rows
 
@@ -407,4 +419,4 @@ def random_subgroup(p: int, n: int, k: int, seed: int) -> Subgroup:
     _check_space(p, n)
     if not (0 <= k <= n):
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return _span(p, n, _independent_rows(random.Random(seed), p, n, k))
+    return _span(p, n, map(lanes(p, n).pack, _independent_rows(random.Random(seed), p, n, k)))

@@ -21,8 +21,8 @@ into one Python int, coordinate i in lane i, with lanes of 8, 16, 32 or 64
 bits, wide enough that no lane carries; scaled by 2^b, it is the weight of
 bit b of that coordinate in a packed x.  A label is then one C-level sum of
 the weights of x's set bits, read back lane by lane mod p into vector lanes.
-``all_labels`` applies the same L to all of Z_p^n at once, as one int64
-array product, and ``QueryLog.query_all`` fills a query cache from it.
+``all_labels`` applies the same L to all of Z_p^n, as one int64 array
+product per 2^16 elements, and ``QueryLog.query_all`` fills a query cache from it.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from operator import lshift, mul
+from typing import Iterator
 
 import numpy as np
 
@@ -46,15 +47,19 @@ _INSTANCE_HEADER = "gsp-instance v1"
 _LANE_FORMATS = {8 * struct.calcsize(code): code for code in "BHIQ"}
 #: The binary digits of a bit string as bytes 0 and 1, which ``compress`` reads as flags.
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+#: Elements of Z_p^n per chunk of ``_space``, to bound brute force's arrays.
+_SPACE_ROWS = 1 << 16
 
 
-def _space(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(coordinates of Z_p^n in index order, int64 unit lanes) for p^n up to the
-    enumeration cap, where n*w <= 60: a packed vector is coordinates @ lanes."""
+def _space(p: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(coordinates of Z_p^n in index order, int64 unit lanes) per ``_SPACE_ROWS`` elements, for
+    p^n up to the enumeration cap, where n*w <= 60: a packed vector is coordinates @ lanes."""
     if p**n > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    digits = np.arange(p**n, dtype=np.int64)[:, None] // p ** np.arange(n - 1, -1, -1, dtype=np.int64) % p
-    return digits, np.left_shift(1, lanes(p, n).shifts, dtype=np.int64)
+    weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    unit_lanes = np.left_shift(1, lanes(p, n).shifts, dtype=np.int64)
+    for start in range(0, p**n, _SPACE_ROWS):
+        yield np.arange(start, min(start + _SPACE_ROWS, p**n), dtype=np.int64)[:, None] // weights % p, unit_lanes
 
 
 @dataclass(frozen=True)
@@ -121,14 +126,14 @@ class HiddenInstance:
     def all_labels(self) -> tuple[list[int], list[int]]:
         """Every packed x of Z_p^n in index order, and this class's label of each.
 
-        One product digits @ Lᵀ + s mod p, whose sums stay below n*p^2 < 2^38.
+        One product digits @ Lᵀ + s mod p per ``_space`` chunk, whose sums stay below n*p^2 < 2^38.
         """
-        digits, unit_lanes = _space(self.p, self.n)
-        cols, shift = self._affine
-        labels = digits @ np.array(cols, dtype=np.int64)
-        labels += shift
-        labels %= self.p
-        return (digits @ unit_lanes).tolist(), (labels @ unit_lanes).tolist()
+        p, n, (cols, shift) = self.p, self.n, self._affine
+        keys, labels, matrix = [], [], np.array(cols, dtype=np.int64)
+        for digits, unit_lanes in _space(p, n):
+            keys += (digits @ unit_lanes).tolist()
+            labels += ((digits @ matrix + shift) % p @ unit_lanes).tolist()
+        return keys, labels
 
     def evaluate(self, x: int) -> int:
         """The label f(x) = L x + s of a packed x, packed; constant exactly on cosets of the secret."""
@@ -181,9 +186,9 @@ class QueryLog:
         The labels come from ``all_labels`` unless a subclass overrides ``evaluate``."""
         inst = self.instance
         if type(inst).evaluate is not HiddenInstance.evaluate:
-            digits, unit_lanes = _space(inst.p, inst.n)
-            for x in (digits @ unit_lanes).tolist():
-                self.query(x)
+            for digits, unit_lanes in _space(inst.p, inst.n):
+                for x in (digits @ unit_lanes).tolist():
+                    self.query(x)
             return
         setdefault = self.cache.setdefault
         for x, label in zip(*inst.all_labels()):

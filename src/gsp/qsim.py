@@ -165,8 +165,7 @@ def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
 def _label_index_table(inst: HiddenInstance) -> np.ndarray:
     """The index of every element's label, one ``evaluate`` call per element in index order."""
     p, n = inst.p, inst.n
-    digits, unit_lanes = _space(p, n)
-    labels = list(map(inst.evaluate, (digits @ unit_lanes).tolist()))
+    labels = [inst.evaluate(x) for digits, unit_lanes in _space(p, n) for x in (digits @ unit_lanes).tolist()]
     table = lanes(p, n).digits(labels) @ p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     table.setflags(write=False)
     return table

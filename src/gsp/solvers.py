@@ -38,8 +38,9 @@ Implementation notes that matter for the query counts:
   call and to the coset harvest, so no span is built twice.
 * ``find_group`` grows B one generator at a time in a single loop.  Its
   fresh element u is the lexicographically smallest vector outside
-  S2 + A + B, read off the RREF pivots (the unit vector at the last
-  non-pivot column), so traces are reproducible.
+  S2 + A + B, the unit vector at the last column that is not a pivot of
+  one packed echelon of S2 + A + B (``Lanes.insert``), grown with each
+  accepted u and each collision difference, so traces are reproducible.
 * Span queries are checked for collisions as they are issued and stop at
   the first hit; the remaining elements of an abandoned span are never
   asked.  This only lowers counts relative to the query-everything-first
@@ -47,7 +48,7 @@ Implementation notes that matter for the query counts:
 
 Vectors and labels are packed ints (``gsp.algebra.lanes``) from the oracle
 to the answer check, and ``sorted`` orders them as coordinate tuples; they
-become coordinate rows only where a subgroup is formed.
+become coordinate rows only in a finished subgroup.
 
 ``brute_force_solve`` is the correctness oracle (queries everything) and
 ``birthday_solve`` the randomized collision baseline.  Brute force asks all
@@ -70,11 +71,12 @@ import random
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, islice
+from typing import Iterable
 
 import numpy as np
 
 from .algebra import (
-    DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _span, canonicalize, complement, lanes, trivial_subgroup
+    DEFAULT_ENUMERATION_CAP, Lanes, Subgroup, VectorP, _span, canonicalize, complement, lanes, trivial_subgroup
 )
 from .bounds import det_query_bound
 from .errors import ParameterError, PromiseViolationError, ResourceCapError
@@ -123,16 +125,16 @@ def choose_d(p: int, n: int, k: int) -> int:
     return d
 
 
-def _lex_smallest_outside(excluded: Subgroup) -> int:
-    """Least nonzero vector outside ``excluded`` in index order, packed.
+def _lex_smallest_outside(lay: Lanes, pivots: Iterable[int]) -> int:
+    """Least nonzero vector in index order outside the span with these pivot columns, packed.
 
     That is the unit vector at the last non-pivot column j: every vector
     supported right of j is a combination of the unit rows there, and a
     nonzero vector that is zero on every pivot column lies outside."""
-    free = set(range(excluded.n)).difference(excluded.pivots())
+    free = set(range(lay.n)).difference(pivots)
     if not free:
         raise PromiseViolationError("excluded span covers the whole group")
-    return 1 << lanes(excluded.p, excluded.n).shifts[max(free)]
+    return 1 << lay.shifts[max(free)]
 
 
 def _check_labels(log: QueryLog, answer: Subgroup) -> None:
@@ -174,8 +176,9 @@ def _birthday_budget(p: int, n: int, k: int, multiplier: float) -> float:
     return budget
 
 
-def _grow_partial_secret(partial: Subgroup, element: tuple[int, ...], k: int) -> Subgroup:
-    grown = _span(partial.p, partial.n, [row.coords for row in partial.basis] + [element])
+def _grow_partial_secret(partial: Subgroup, element: int, k: int) -> Subgroup:
+    pack = lanes(partial.p, partial.n).pack
+    grown = _span(partial.p, partial.n, [pack(row.coords) for row in partial.basis] + [element])
     if grown.rank <= partial.rank:
         raise PromiseViolationError("collision difference was already known")
     if grown.rank > k:
@@ -202,17 +205,21 @@ def find_group(
     p, n, k = inst.p, inst.n, inst.k
     _check_split(n, k, d)
     lay = lanes(p, n)
-    add, sub = lay.add, lay.sub
+    add, sub, insert = lay.add, lay.sub, lay.insert
 
-    # each map is one-to-one since span(A) ∩ S = span(B) ∩ S = {0}
+    # the echelon of S2+A+B; each map is one-to-one since span(A) ∩ S = span(B) ∩ S = {0}
+    echelon: dict[int, int] = {}
+    for row in s1.basis + a_grp.basis:
+        insert(echelon, lay.pack(row.coords))
     b_label_of = {log.query(0): 0}
-    b_grp, s_cur = trivial_subgroup(p, n), s1
-    while b_grp.rank < d:
+    b_units, s_cur = [], s1
+    while len(b_units) < d:
         # the least u outside S2+A+B; a collision with span(B) grows S2
-        u = _lex_smallest_outside(canonicalize(p, n, s_cur.basis + a_grp.basis + b_grp.basis))
+        u = _lex_smallest_outside(lay, echelon)
         hit = b_label_of.get(log.query(u))
         if hit is not None:
-            s_cur = _grow_partial_secret(s_cur, lay.unpack(sub(hit, u)), k)
+            s_cur = _grow_partial_secret(s_cur, diff := sub(hit, u), k)
+            insert(echelon, diff)
             continue
         # query u, then the rest of span(B ∪ u); a collision with A grows S2
         # and abandons the span
@@ -223,13 +230,15 @@ def find_group(
         for b in span:
             label = log.query(b)
             if label in a_label_of:
-                s_cur = _grow_partial_secret(s_cur, lay.unpack(sub(a_label_of[label], b)), k)
+                s_cur = _grow_partial_secret(s_cur, diff := sub(a_label_of[label], b), k)
+                insert(echelon, diff)
                 break
         else:
-            b_grp = _span(p, n, [row.coords for row in b_grp.basis] + [lay.unpack(u)])
+            insert(echelon, u)
+            b_units.append(u)
             b_label_of.update((log.query(b), b) for b in span)
 
-    return b_grp, b_label_of, s_cur
+    return _span(p, n, b_units), b_label_of, s_cur
 
 
 def find_s(log: QueryLog, d: int) -> SolverResult:
@@ -255,7 +264,7 @@ def find_s(log: QueryLog, d: int) -> SolverResult:
     a_grp, a_label_of, s2 = find_group(log, b_grp, b_label_of, s1, d)
 
     w = complement(canonicalize(p, n, s2.basis + a_grp.basis + b_grp.basis))
-    gens = [row.coords for row in s2.basis]
+    gens = [lay.pack(row.coords) for row in s2.basis]
     for w_i in w.basis:
         found = None
         coset = lay.pack(w_i.coords)
@@ -268,7 +277,7 @@ def find_s(log: QueryLog, d: int) -> SolverResult:
             raise PromiseViolationError(
                 f"coset {w_i} + A holds no collision against B; no subgroup explains this"
             )
-        gens.append(lay.unpack(found))
+        gens.append(found)
 
     recovered = _span(p, n, gens)
     _check_labels(log, recovered)
@@ -285,7 +294,7 @@ def brute_force_solve(log: QueryLog) -> SolverResult:
     log.query_all()
     zero_label = log.query(0)
     members = [x for x, label in log.cache.items() if label == zero_label]
-    recovered = _span(p, n, map(lanes(p, n).unpack, members))
+    recovered = _span(p, n, members)
     _check_labels(log, recovered)
     return SolverResult(recovered, log.count, p**n, None, log)
 
@@ -317,7 +326,7 @@ def birthday_solve(
         label = log.query(x)
         seen = first_with_label.setdefault(label, x)
         if seen != x:
-            diffs.append(lay.unpack(lay.sub(x, seen)))
+            diffs.append(lay.sub(x, seen))
     recovered = _span(p, n, diffs)
     if recovered.rank >= k:
         _check_labels(log, recovered)

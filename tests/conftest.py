@@ -74,6 +74,28 @@ def cache_pairs(log):
 
 # Reference algebra over the package's vectors, for checks only.
 
+def rref(p, n, rows):
+    """Reduced row echelon form over F_p of rows of ints, as tuples: zero rows
+    dropped, pivots ascending; the reference for ``gsp.algebra._rref``."""
+    mat = [list(r) for r in rows]
+    pivot_row = 0
+    for col in range(n):
+        src = next((r for r in range(pivot_row, len(mat)) if mat[r][col] % p), None)
+        if src is None:
+            continue
+        mat[pivot_row], mat[src] = mat[src], mat[pivot_row]
+        inv = pow(mat[pivot_row][col], -1, p)
+        mat[pivot_row] = [(inv * x) % p for x in mat[pivot_row]]
+        for r in range(len(mat)):
+            if r != pivot_row and mat[r][col] % p:
+                c = mat[r][col] % p
+                mat[r] = [(x - c * y) % p for x, y in zip(mat[r], mat[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(mat):
+            break
+    return [tuple(row) for row in mat[:pivot_row]]
+
+
 def dot(x, y):
     return sum(a * b for a, b in zip(x.coords, y.coords)) % x.p
 

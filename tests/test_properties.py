@@ -36,6 +36,7 @@ from conftest import (
     intersect,
     label_of,
     pack,
+    rref,
     scale,
     sub,
     subgroup_sum,
@@ -113,6 +114,44 @@ def test_lane_layout_matches_tuple_arithmetic(case):
             assert (x < y) == (u < v)
     packed = [lay.pack(u) for u in vectors]
     assert lay.digits(packed).tolist() == [list(u) for u in vectors]
+
+
+@st.composite
+def row_lists(draw):
+    """(p, n, rows): up to five rows of Z_p^n, entries often 0, 1 or p-1, mixed
+    in any order with zero rows, duplicates and combinations of two of them."""
+    p, n = draw(st.sampled_from([2, 3, 5, 7, 257, 65521])), draw(st.integers(0, 64))
+    entries = st.sampled_from([0, 0, 0, 1, p - 1]) | st.integers(0, p - 1)
+    base = draw(st.lists(st.lists(entries, min_size=n, max_size=n).map(tuple), max_size=5))
+    rows = list(base)
+    for kind in draw(st.lists(st.sampled_from(["zero", "duplicate", "combination"]), max_size=4)):
+        if kind == "zero" or not base:
+            rows.append((0,) * n)
+        elif kind == "duplicate":
+            rows.append(draw(st.sampled_from(base)))
+        else:
+            (c, x), (e, y) = (draw(st.tuples(st.integers(0, p - 1), st.sampled_from(base))) for _ in "xy")
+            rows.append(tuple((c * a + e * b) % p for a, b in zip(x, y)))
+    return p, n, draw(st.permutations(rows))
+
+
+@PROPERTY
+@given(row_lists(), st.data())
+def test_packed_echelon_matches_reference_rref(case, data):
+    # Lanes.insert reports a row independent exactly when the reference rank
+    # grows, and _rref (insert, then reduced) is the reference RREF, packed
+    p, n, rows = case
+    lay, echelon = lanes(p, n), {}
+    for m, row in enumerate(rows):
+        grew = len(rref(p, n, rows[: m + 1])) > len(rref(p, n, rows[:m]))
+        assert lay.insert(echelon, lay.pack(row)) == grew
+        # each row 1 at its pivot and 0 left of it
+        assert all(lay.unpack(r)[: j + 1] == (0,) * j + (1,) for j, r in echelon.items())
+    assert sorted(echelon) == [row.index(1) for row in rref(p, n, rows)]  # the pivots
+    assert [lay.unpack(row) for row in _rref(p, n, map(lay.pack, rows))] == rref(p, n, rows)
+    c = data.draw(st.integers(1, p - 1))
+    for row in rows:
+        assert lay.unpack(lay.scale(c, lay.pack(row))) == tuple(c * a % p for a in row)
 
 
 def test_enumerated_subgroups_pass_the_full_check():
@@ -264,7 +303,7 @@ def label_checks(draw):
     k = draw(st.integers(1, n - 1))
     inst = make_instance(p, n, k, draw(st.integers(0, 2**32)), draw(st.integers(0, 2**32)), draw(st.booleans()))
     secret, other = inst.secret, random_subgroup(p, n, k, draw(st.integers(0, 2**32)))
-    outside = unpack(p, n, solvers._lex_smallest_outside(secret))
+    outside = unpack(p, n, solvers._lex_smallest_outside(lanes(p, n), secret.pivots()))
 
     def packed(reduce):
         return lambda x: pack(reduce(unpack(p, n, x)))
@@ -333,7 +372,7 @@ def _rejection_rows(rng, p, n, count):
     rows = []
     while len(rows) < count:
         cand = tuple(rng.randrange(p) for _ in range(n))
-        if len(_rref(p, n, rows + [cand])) > len(rows):
+        if len(rref(p, n, rows + [cand])) > len(rows):
             rows.append(cand)
     return rows
 

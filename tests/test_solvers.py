@@ -28,6 +28,7 @@ from gsp import (
     random_subgroup,
     trivial_subgroup,
 )
+from gsp.algebra import lanes
 from gsp.bounds import det_query_bound
 from gsp.solvers import _lex_smallest_outside
 from conftest import (
@@ -103,11 +104,12 @@ class TestLexSmallestOutside:
     def test_matches_index_scan(self, p, n):
         for k in range(n):
             for excluded in enumerate_subgroups(p, n, k):
-                assert _lex_smallest_outside(excluded) == pack(self._scan(excluded)), excluded.to_text()
+                outside = _lex_smallest_outside(lanes(p, n), excluded.pivots())
+                assert outside == pack(self._scan(excluded)), excluded.to_text()
 
     def test_full_group_raises(self):
         with pytest.raises(PromiseViolationError):
-            _lex_smallest_outside(full_subgroup(3, 3))
+            _lex_smallest_outside(lanes(3, 3), full_subgroup(3, 3).pivots())
 
 
 def _zero_label_of(log):
@@ -284,36 +286,70 @@ class _AdversarialInstance(HiddenInstance):
         if self.mode == "lower-rank":
             return pack(canonicalize(p, n, self.secret.basis[1:]).coset_reduce(x))
         if self.mode == "higher-rank":
-            outside = unpack(p, n, _lex_smallest_outside(self.secret))
+            outside = unpack(p, n, _lex_smallest_outside(lanes(p, n), self.secret.pivots()))
             return pack(canonicalize(p, n, self.secret.basis + (outside,)).coset_reduce(x))
         rng = random.Random(f"{self.label_seed}:{x.digits()}")
         return pack(VectorP(p, tuple(rng.randrange(p) for _ in range(n))))
 
 
-@pytest.mark.parametrize("mode", ["constant", "injective", "lower-rank", "higher-rank", "random"])
+ADVERSARIAL_MODES = ["constant", "injective", "lower-rank", "higher-rank", "random"]
+GOLDEN_ADVERSARIAL = Path(__file__).parent / "data" / "adversarial_find_s.txt"
+
+
+def _adversarial_cells(mode):
+    """(p, n, k, seed, instance) of every broken-promise cell of ``mode``."""
+    for p, n in [(2, 5), (3, 4), (5, 3), (2, 8)]:
+        for k in range(1, n):
+            for seed in range(3):
+                yield p, n, k, seed, _AdversarialInstance(p, n, k, random_subgroup(p, n, k, seed), seed, False, mode)
+
+
+@pytest.mark.parametrize("mode", ADVERSARIAL_MODES)
 def test_adversarial_oracle_never_misleads(mode):
     # a broken promise ends in PromiseViolationError or in a rank-k answer
     # that explains every label seen (or, from birthday_solve only, in a
     # lower-rank failure value); any other exception fails the test
     returned = failures = 0
-    for p, n in [(2, 5), (3, 4), (5, 3), (2, 8)]:
-        for k in range(1, n):
-            for seed in range(3):
-                inst = _AdversarialInstance(p, n, k, random_subgroup(p, n, k, seed), seed, False, mode)
-                solves = [(f"find_s d={d}", partial(find_s, d=d)) for d in range(n - k + 1)]
-                solves += [("brute", brute_force_solve), ("birthday", partial(birthday_solve, seed=seed))]
-                for name, solve in solves:
-                    try:
-                        res = solve(QueryLog(inst))
-                    except PromiseViolationError:
-                        continue
-                    where = (p, n, k, seed, name)
-                    if name == "birthday" and res.recovered.rank < k:
-                        failures += 1
-                        continue
-                    assert res.recovered.rank == k and consistent(res.recovered, res.trace), where
-                    returned += 1
+    for p, n, k, seed, inst in _adversarial_cells(mode):
+        solves = [(f"find_s d={d}", partial(find_s, d=d)) for d in range(n - k + 1)]
+        solves += [("brute", brute_force_solve), ("birthday", partial(birthday_solve, seed=seed))]
+        for name, solve in solves:
+            try:
+                res = solve(QueryLog(inst))
+            except PromiseViolationError:
+                continue
+            where = (p, n, k, seed, name)
+            if name == "birthday" and res.recovered.rank < k:
+                failures += 1
+                continue
+            assert res.recovered.rank == k and consistent(res.recovered, res.trace), where
+            returned += 1
     print(f"\nadversarial {mode}: {returned} consistent answers, {failures} birthday failures")
+
+
+def _adversarial_lines():
+    """``mode p n k seed d`` then ``raise <queries> <message>`` or ``ok <queries> <subgroup>``
+    for every ``find_s`` run of the broken-promise cells."""
+    for mode in ADVERSARIAL_MODES:
+        for p, n, k, seed, inst in _adversarial_cells(mode):
+            for d in range(n - k + 1):
+                log = QueryLog(inst)
+                try:
+                    res = find_s(log, d)
+                except PromiseViolationError as exc:
+                    outcome = f"raise {log.count} {exc}"
+                else:
+                    outcome = f"ok {res.queries} {res.recovered}"
+                yield f"{mode} {p} {n} {k} {seed} {d} {outcome}"
+
+
+def test_adversarial_find_s_outcomes_match_golden_file():
+    # the golden traces cover honest oracles only; this pins what find_s
+    # does with each broken promise: the same refusal after the same number
+    # of queries, or the same answer
+    expect = [line for line in GOLDEN_ADVERSARIAL.read_text().splitlines() if not line.startswith("#")]
+    assert len(expect) == 945
+    assert list(_adversarial_lines()) == expect
 
 
 def test_traces_match_golden_file():
