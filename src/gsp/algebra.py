@@ -148,7 +148,8 @@ class Lanes:
     double-and-add over ``add``.  An echelon is a dict {pivot column: row},
     each row 1 at its pivot and 0 left of it; the leading coordinate is read
     off ``bit_length``, since coordinate 0 is the top lane.  Lanes lie in
-    [0, p).  The operations are closures, so hot loops make no attribute lookups."""
+    [0, p).  The operations are closures, so hot loops make no attribute lookups
+    (a loop that inlines ``add`` reads K, G, g off ``big_k``, ``big_g``, ``g``)."""
 
     def __init__(self, p: int, n: int) -> None:
         _check_space(p, n)
@@ -156,6 +157,7 @@ class Lanes:
         w = g + 1
         self.n, self.width, ones = n, w, sum(1 << (w * i) for i in range(n))
         big_k, big_g, big_p, mask = ((1 << g) - p) * ones, (1 << g) * ones, p * ones, (1 << w) - 1
+        self.g, self.big_k, self.big_g = g, big_k, big_g
         self.shifts = shifts = tuple(w * (n - 1 - i) for i in range(n))
 
         def add(x: int, y: int) -> int:

@@ -15,12 +15,12 @@ Both modes compile to one affine map over F_p, f(x) = L x + s.  Coset
 reduction by the secret's RREF basis (``Subgroup.coset_reduce``) is linear
 and the bijection is affine (the identity with zero shift in plain mode),
 so L is the bijection's matrix times the reduction's, whose column j is the
-reduction of the unit vector e_j (``Subgroup.coset_reduce``); L is built
-once per instance (``HiddenInstance._affine``).  Each column of L is packed
-into one Python int, coordinate i in lane i, with lanes of 8, 16, 32 or 64
-bits, wide enough that no lane carries; scaled by 2^b, it is the weight of
-bit b of that coordinate in a packed x.  A label is then one C-level sum of
-the weights of x's set bits, read back lane by lane mod p into vector lanes.
+reduction of the unit vector e_j (``Subgroup.coset_reduce``); L is one int64
+product, built once per instance (``HiddenInstance._affine``).  ``evaluate``
+reads a packed x byte by byte: table j maps byte j of x to L times the part
+of x in that byte, packed, and a label is the packed s plus one table lookup
+and one lane-wise add mod p (``Lanes.add``, inlined) per byte.  Only valid
+packed vectors have labels: a set carry bit or a bit past the n lanes raises.
 ``all_labels`` applies the same L to all of Z_p^n, as one int64 array
 product per 2^16 elements, and ``QueryLog.query_all`` fills a query cache from it.
 """
@@ -28,12 +28,8 @@ product per 2^16 elements, and ``QueryLog.query_all`` fills a query cache from i
 from __future__ import annotations
 
 import random
-import struct
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
-from operator import lshift, mul
 from typing import Iterator
 
 import numpy as np
@@ -43,10 +39,6 @@ from .errors import DimensionMismatchError, ParameterError, ResourceCapError
 
 _INSTANCE_HEADER = "gsp-instance v1"
 
-#: Unsigned memoryview formats by bit width, the lane widths of a packed label.
-_LANE_FORMATS = {8 * struct.calcsize(code): code for code in "BHIQ"}
-#: The binary digits of a bit string as bytes 0 and 1, which ``compress`` reads as flags.
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
 #: Elements of Z_p^n per chunk of ``_space``, to bound brute force's arrays.
 _SPACE_ROWS = 1 << 16
 
@@ -95,33 +87,35 @@ class HiddenInstance:
 
     @cached_property
     def _affine(self) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-        """(columns of L, s) of f(x) = L x + s, entries in [0, p): the bijection's
-        matrix applied to each column ``secret.coset_reduce(e_j)`` of the reduction."""
-        p, n = self.p, self.n
-        reduce_cols = [self.secret.coset_reduce(VectorP.unit(p, n, j)).coords for j in range(n)]
+        """(columns of L, s) of f(x) = L x + s, entries in [0, p): L = M R mod p, one int64 product
+        (sums below n*p^2 < 2^38) of the bijection's matrix M, the identity in plain mode, and R,
+        whose column j is ``secret.coset_reduce(e_j)``: e_j - row at each row's pivot j, else e_j."""
+        p, n, secret = self.p, self.n, self.secret
+        matrix = np.eye(n, dtype=np.int64)
+        matrix[:, list(secret.pivots())] -= np.array([row.coords for row in secret.basis], dtype=np.int64).T
         if self.obfuscate:
             rows, shift = self._bijection
-            cols = [tuple(sum(map(mul, m, col)) % p for m in rows) for col in reduce_cols]
+            matrix = np.array(rows, dtype=np.int64) @ matrix
         else:
-            cols, shift = reduce_cols, (0,) * n
-        return cols, shift
+            shift = (0,) * n
+        return list(map(tuple, (matrix % p).T.tolist())), shift
 
     @cached_property
-    def _label_map(self) -> tuple[list[int], int, int, str, str, tuple[int, ...]]:
-        """(bit weights, packed s, byte length, lane format, bit-string format, vector lane shifts).
-        Bit m of x's binary string is bit w-1-m%w of coordinate m//w.  A lane's
-        sum is at most n(p-1)^2 + (p-1), which the lane width must hold."""
-        p, n = self.p, self.n
-        cols, shift = self._affine
-        width = next(w for w in sorted(_LANE_FORMATS) if n * (p - 1) ** 2 + (p - 1) < 1 << w)
-
-        def pack(lanes):
-            return sum(v << (width * i) for i, v in enumerate(lanes))
-
-        lay, packed = lanes(p, n), [pack(col) for col in cols]
-        w = lay.width
-        weights = [packed[m // w] << (w - 1 - m % w) for m in range(n * w)]
-        return weights, pack(shift), n * width // 8, _LANE_FORMATS[width], f"0{n * w}b", lay.shifts
+    def _label_map(self) -> tuple[list[dict[int, int]], int, int, int, int, int]:
+        """(tables, packed s, byte length, K, G, g of ``Lanes.add``).  Table j maps byte j of
+        ``x.to_bytes(byte length, "little")`` to L times the bits of x in that byte, packed.
+        It is built by doubling over the byte's value bits; carry bits and bits past the n
+        lanes have no entry, so a table holds at most 256 entries (16 at p = 2)."""
+        lay, (cols, shift) = lanes(self.p, self.n), self._affine
+        add, w = lay.add, lay.width
+        tables = [{0: 0} for _ in range((self.n * w + 7) // 8)]
+        for lane, col in enumerate(reversed(cols)):  # the last coordinate is the bottom lane
+            weight = lay.pack(col)  # L times bit q of x, doubled for each next value bit
+            for q in range(lane * w, lane * w + lay.g):
+                table = tables[q // 8]
+                table.update({byte | 1 << q % 8: add(label, weight) for byte, label in table.items()})
+                weight = add(weight, weight)
+        return tables, lay.pack(shift), len(tables), lay.big_k, lay.big_g, lay.g
 
     def all_labels(self) -> tuple[list[int], list[int]]:
         """Every packed x of Z_p^n in index order, and this class's label of each.
@@ -136,12 +130,14 @@ class HiddenInstance:
         return keys, labels
 
     def evaluate(self, x: int) -> int:
-        """The label f(x) = L x + s of a packed x, packed; constant exactly on cosets of the secret."""
-        weights, shift, nbytes, fmt, spec, shifts = self._label_map
-        total = sum(compress(weights, format(x, spec).encode().translate(_BITS)), shift)
-        # native byte order on both sides, so the lanes read back on any host
-        wide = memoryview(total.to_bytes(nbytes, sys.byteorder)).cast(fmt).tolist()
-        return sum(map(lshift, map(self.p.__rmod__, wide), shifts))
+        """The label f(x) = L x + s of a packed x, packed; constant exactly on cosets of the secret.
+        x must be a valid packed vector of Z_p^n: a set carry bit or a bit past the n lanes
+        raises ``KeyError`` or ``OverflowError``, never a label."""
+        (tables, label, nbytes, big_k, big_g, g), p = self._label_map, self.p
+        for table, byte in zip(tables, x.to_bytes(nbytes, "little")):
+            label += table[byte]
+            label -= (((label + big_k) & big_g) >> g) * p
+        return label
 
 
 def make_instance(

@@ -14,6 +14,7 @@ from gsp import (
     make_instance,
     random_subgroup,
 )
+from gsp.algebra import lanes
 from conftest import all_vectors, label_of, pack, sub, vec
 
 
@@ -85,6 +86,15 @@ def test_one_affine_map_feeds_both_label_paths(obfuscate):
     ]
     assert [label_of(inst, x) for x in all_vectors(p, n)] == expect
     assert inst.all_labels() == ([pack(x) for x in all_vectors(p, n)], [pack(y) for y in expect])
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 5), (257, 3)])
+def test_evaluate_refuses_invalid_packed_vectors(p, n):
+    # only valid packed vectors have labels: the tables hold no carry bit and no bit past the lanes
+    inst, w = make_instance(p, n, 1, subgroup_seed=0, obfuscate=True), lanes(p, n).width
+    for x in (1 << (w - 1), 1 << (n * w), 1 << (8 * -(-n * w // 8)), -1):
+        with pytest.raises((KeyError, OverflowError)):
+            inst.evaluate(x)
 
 
 def test_all_labels_cap():

@@ -1,7 +1,6 @@
 """Property tests: subgroup laws, coset reduction, unchecked construction, the label promise and the deterministic solver."""
 
 import random
-import struct
 from operator import mul
 
 import numpy as np
@@ -250,9 +249,10 @@ def test_labels_agree_exactly_on_cosets(data):
     assert (label_of(inst, x) == label_of(inst, y)) == inst.secret.contains(sub(x, y))
 
 
-# Lane widths of the packed label: 8 bits up to n(p-1)^2 + (p-1) = 254 at
-# (3, 63), 16 bits from 258 at (3, 64), 64 bits at (65521, 64).
-LABEL_SPACES = {(2, 3): 8, (3, 4): 8, (5, 3): 8, (2, 64): 8, (3, 63): 8, (3, 64): 16, (65521, 64): 64}
+# Spaces of the packed label, read a byte at a time.  Lanes of w = 2 (p = 2) and
+# 4 (p = 5, 7) bits tile bytes; lanes of 3 (p = 3), 10 (p = 257) and 17 (p = 65521)
+# bits cross them.  n*w is a multiple of 8 only at (2, 64), (3, 64) and (65521, 64).
+LABEL_SPACES = [(2, 3), (3, 4), (3, 5), (5, 3), (7, 3), (257, 3), (2, 64), (3, 63), (3, 64), (65521, 64)]
 
 
 def _reference_label(inst, x):
@@ -267,16 +267,33 @@ def _reference_label(inst, x):
 @PROPERTY
 @given(st.data())
 def test_compiled_label_matches_reference(data):
-    p, n = data.draw(st.sampled_from(sorted(LABEL_SPACES)))
+    p, n = data.draw(st.sampled_from(LABEL_SPACES))
     k = data.draw(st.integers(1, n - 1))
     seeds = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 2**32))
     inst = make_instance(p, n, k, *seeds, obfuscate=data.draw(st.booleans()))
-    assert 8 * struct.calcsize(inst._label_map[3]) == LABEL_SPACES[p, n]
+    tables = inst._label_map[0]  # one per byte of a packed x, keyed by the byte's valid values
+    assert len(tables) == -(-n * lanes(p, n).width // 8)
+    assert all(len(table) <= 256 for table in tables)
     top = VectorP(p, (p - 1,) * n)  # the largest lane sums
     for x in (top, data.draw(_vectors(p, n)), *inst.secret.basis):
         label = VectorP._unchecked(p, lanes(p, n).unpack(inst.evaluate(pack(x))))
         _assert_valid(label)
         assert label.coords == _reference_label(inst, x)
+
+
+@PROPERTY
+@given(st.data())
+def test_affine_map_matches_reference(data):
+    # column j of L is the label rule on e_j without its shift: coset_reduce, then the bijection rows
+    p, n = data.draw(st.sampled_from(LABEL_SPACES))
+    k = data.draw(st.integers(1, n - 1))
+    seeds = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 2**32))
+    inst = make_instance(p, n, k, *seeds, obfuscate=data.draw(st.booleans()))
+    cols, shift = [inst.secret.coset_reduce(VectorP.unit(p, n, j)).coords for j in range(n)], (0,) * n
+    if inst.obfuscate:
+        rows, shift = inst._bijection
+        cols = [tuple(sum(map(mul, row, col)) % p for row in rows) for col in cols]
+    assert inst._affine == (cols, shift)
 
 
 CHECK_SPACES = [(p, n) for p in (2, 3, 5, 7) for n in range(2, 9) if p**n <= 729]
