@@ -1,12 +1,13 @@
 """Exact linear algebra over Z_p^n.
 
-A vector has two forms.  ``VectorP``, a validated tuple of residues, serves
-parsing, printing, subgroup rows and the simulator.  The classical query path
-packs it into one int (``lanes(p, n)``): coordinate 0 in the top lane, so int
-order is tuple order, and lane-wise sums and differences mod p take a few
-whole-int operations for every p (SWAR, SIMD within a register).  The same
-layout keeps an incremental row echelon (``Lanes.insert``), which answers rank
-questions and, back-substituted, gives every RREF (``_rref``).
+A vector is one packed int (``lanes(p, n)``) from the oracle to the answer,
+subgroup rows included: coordinate 0 in the top lane, so int order is tuple
+order, and lane-wise sums and differences mod p take a few whole-int
+operations for every p (SWAR, SIMD within a register).  The same layout keeps
+an incremental row echelon (``Lanes.insert``), which answers rank questions
+and, back-substituted, gives every RREF (``_rref``).  ``VectorP``, a
+validated tuple of residues, is the text boundary: parsing, printing, the
+simulator's measured elements and ``Subgroup.contains``.
 
 Subgroups are kept in reduced row echelon form (RREF) over F_p, which makes
 equality of subgroups a plain ``==`` on their bases and gives every
@@ -15,12 +16,13 @@ arithmetic; p must be a prime below 2**16 and n at most 64.
 
 Validation happens at the boundary.  The public constructors
 (``VectorP(p, coords)``, ``Subgroup(p, n, basis)``, ``from_digits``,
-``Subgroup.from_text``) and the public functions that take a bare p and n
-check everything they are given.  Values computed from already valid ones
-(RREF rows, enumerated subgroups, coset representatives, lane arithmetic)
-are valid by construction and are built through the unchecked private
-constructors ``VectorP._unchecked`` and ``Subgroup._unchecked``, which take
-Python ints only.
+``Subgroup.from_text``), ``canonicalize`` and the public functions that take a
+bare p and n check everything they are given; a packed row must pass
+``Lanes.valid``.  Values computed from already valid ones (RREF rows,
+enumerated subgroups, coset representatives, lane arithmetic) are valid by
+construction and are built through the unchecked private constructors
+``VectorP._unchecked`` and ``Subgroup._unchecked``, which take Python ints
+only.  ``Subgroup.coset_reduce`` takes a packed vector as it is.
 
 Everything in this module is a pure function on immutable values and is
 safe to share across threads.
@@ -31,8 +33,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import lshift, mul, sub
+from functools import lru_cache, reduce
+from operator import lshift
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -103,12 +105,6 @@ class VectorP:
         return len(self.coords)
 
     @classmethod
-    def unit(cls, p: int, n: int, j: int) -> "VectorP":
-        """Standard basis vector with a 1 at column j (0-based)."""
-        _check_space(p, n)
-        return cls._unchecked(p, tuple(1 if i == j else 0 for i in range(n)))
-
-    @classmethod
     def from_index(cls, p: int, n: int, idx: int) -> "VectorP":
         """The vector of rank idx in lexicographic order (base p, most significant coordinate first)."""
         _check_space(p, n)
@@ -119,6 +115,12 @@ class VectorP:
         for i in range(n - 1, -1, -1):
             idx, coords[i] = divmod(idx, p)
         return cls._unchecked(p, tuple(coords))
+
+    def pack(self, p: int, n: int) -> int:
+        """This vector as a packed int of ``lanes(p, n)``, the space it must live in."""
+        if self.p != p or self.n != n:
+            raise DimensionMismatchError(f"vector {self} does not live over (p, n) = ({p}, {n})")
+        return lanes(p, n).pack(self.coords)
 
     def digits(self) -> str:
         """Base-p digit string, most significant coordinate first."""
@@ -155,7 +157,7 @@ class Lanes:
         _check_space(p, n)
         g = (p - 1).bit_length()
         w = g + 1
-        self.n, self.width, ones = n, w, sum(1 << (w * i) for i in range(n))
+        self.n, self.width, ones, top = n, w, sum(1 << (w * i) for i in range(n)), 1 << (w * n)
         big_k, big_g, big_p, mask = ((1 << g) - p) * ones, (1 << g) * ones, p * ones, (1 << w) - 1
         self.g, self.big_k, self.big_g = g, big_k, big_g
         self.shifts = shifts = tuple(w * (n - 1 - i) for i in range(n))
@@ -200,6 +202,10 @@ class Lanes:
                 done[pivot] = row
             return sorted(done.values(), reverse=True)
 
+        def valid(x: int) -> bool:
+            """Whether x is a packed vector: an int, no bit past the n lanes, no carry bit, lanes below p."""
+            return isinstance(x, int) and 0 <= x < top and not (x | x + big_k) & big_g
+
         def pack(coords: Iterable[int]) -> int:
             return sum(map(lshift, coords, shifts))
 
@@ -207,7 +213,7 @@ class Lanes:
             return tuple(map(mask.__and__, map(x.__rshift__, shifts)))
 
         self.add, self.sub, self.scale, self.insert, self.reduced = add, sub, scale, insert, reduced
-        self.pack, self.unpack = pack, unpack
+        self.valid, self.pack, self.unpack = valid, pack, unpack
 
     def digits(self, xs: Sequence[int]) -> np.ndarray:
         """The (len(xs), n) int64 coordinates of packed vectors, read off their big-endian bits."""
@@ -232,7 +238,7 @@ def _rref(p: int, n: int, rows: Iterable[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of Z_p^n held as its unique RREF basis.
+    """A subgroup of Z_p^n held as its unique RREF basis, packed rows in ``lanes(p, n)``.
 
     Equal subgroups have identical bases, so ``==`` and ``hash`` are
     span equality.  The empty basis is the trivial subgroup {0^n}.
@@ -240,21 +246,17 @@ class Subgroup:
 
     p: int
     n: int
-    basis: tuple[VectorP, ...]
+    basis: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_space(self.p, self.n)
         basis = tuple(self.basis)
         object.__setattr__(self, "basis", basis)
-        for row in basis:
-            if row.p != self.p or row.n != self.n:
-                raise DimensionMismatchError("basis row does not live over (p, n)")
         if basis != canonicalize(self.p, self.n, basis).basis:
             raise ParameterError("basis is not in reduced row echelon form")
 
     @classmethod
-    def _unchecked(cls, p: int, n: int, basis: tuple[VectorP, ...]) -> "Subgroup":
-        """A subgroup built without checks: (p, n) valid, basis RREF rows over (p, n)."""
+    def _unchecked(cls, p: int, n: int, basis: tuple[int, ...]) -> "Subgroup":
+        """A subgroup built without checks: (p, n) valid, basis packed RREF rows over (p, n)."""
         h = _new(cls)
         _set(h, "p", p)
         _set(h, "n", n)
@@ -266,44 +268,37 @@ class Subgroup:
         return len(self.basis)
 
     def pivots(self) -> tuple[int, ...]:
-        # an RREF row is zero up to its pivot, which is 1
-        return tuple(row.coords.index(1) for row in self.basis)
+        # an RREF row is zero up to its pivot, which is 1, so the pivot lane is the row's top lane
+        n, w = self.n, lanes(self.p, self.n).width
+        return tuple(n - 1 - (row.bit_length() - 1) // w for row in self.basis)
 
-    def elements(self) -> Iterator[VectorP]:
-        """Every element of the span, ordered by coefficient tuples."""
-        p = self.p
-        cols = [tuple(row.coords[j] for row in self.basis) for j in range(self.n)]
-        for coeffs in itertools.product(range(p), repeat=self.rank):
-            yield VectorP._unchecked(p, tuple(sum(map(mul, coeffs, col)) % p for col in cols))
+    def elements(self) -> Iterator[int]:
+        """Every element of the span, packed, ordered by coefficient tuples."""
+        lay = lanes(self.p, self.n)
+        for coeffs in itertools.product(range(self.p), repeat=self.rank):
+            yield reduce(lay.add, map(lay.scale, coeffs, self.basis), 0)
 
     def contains(self, x: VectorP) -> bool:
-        return not any(self._reduce(x))
+        return not self.coset_reduce(x.pack(self.p, self.n))
 
-    def coset_reduce(self, x: VectorP) -> VectorP:
-        """Canonical representative of the coset x + self.
+    def coset_reduce(self, x: int) -> int:
+        """Canonical representative of the coset x + self, x a valid packed vector.
 
         The unique member of the coset whose coordinates at every pivot
         column are zero: x - sum_i x[pivot_i] * row_i.  Each RREF row is 1
         at its own pivot and 0 at the other rows' pivots, so eliminating
-        the pivots one by one would find each coefficient unchanged in x
-        itself; one pass over the rows with a single reduction mod p at the
-        end gives the same vector.  ``_check_labels`` in ``gsp.solvers``
-        applies the same pass to arrays of packed elements.
+        the pivots one by one finds each coefficient unchanged in x itself.
+        A row's pivot lane starts at bit ``row.bit_length() - 1``, where its
+        1 is.  ``_check_labels`` in ``gsp.solvers`` applies the same sum to
+        arrays of packed elements.
         """
-        coords = self._reduce(x)
-        return x if coords is x.coords else VectorP._unchecked(self.p, tuple(coords))
-
-    def _reduce(self, x: VectorP) -> Iterable[int]:
-        """The representative's coordinates, computed lazily; x's own when no row applies."""
-        if x.p != self.p or len(x.coords) != self.n:
-            raise DimensionMismatchError("vector does not live over (p, n)")
-        coords = residue = x.coords
+        lay = lanes(self.p, self.n)
+        sub, scale, mask = lay.sub, lay.scale, (1 << lay.width) - 1
         for row in self.basis:
-            r = row.coords
-            c = coords[r.index(1)]  # the pivot column, as in ``pivots``
+            c = x >> (row.bit_length() - 1) & mask
             if c:
-                residue = map(sub, residue, map(c.__mul__, r))
-        return coords if residue is coords else map(self.p.__rmod__, residue)
+                x = sub(x, row if c == 1 else scale(c, row))
+        return x
 
     def to_text(self) -> str:
         """``p=<p> n=<n> rows=<row;row;...>`` with rows as base-p digit strings."""
@@ -323,11 +318,12 @@ class Subgroup:
         for row in rows:
             if row.n != n:
                 raise ParameterError(f"row {row} does not have n={n} coordinates")
-        return canonicalize(p, n, rows)
+        return canonicalize(p, n, [row.pack(p, n) for row in rows])
 
     def __str__(self) -> str:
-        rows = ";".join(map(str, self.basis))
-        return f"p={self.p} n={self.n} rows={rows}"
+        p, unpack = self.p, lanes(self.p, self.n).unpack
+        rows = ";".join(str(VectorP._unchecked(p, unpack(row))) for row in self.basis)
+        return f"p={p} n={self.n} rows={rows}"
 
 
 def trivial_subgroup(p: int, n: int) -> Subgroup:
@@ -337,36 +333,32 @@ def trivial_subgroup(p: int, n: int) -> Subgroup:
 
 def _span(p: int, n: int, rows: Iterable[int]) -> Subgroup:
     """The subgroup generated by packed rows, lanes in [0, p), over a valid (p, n)."""
-    unpack = lanes(p, n).unpack
-    return Subgroup._unchecked(p, n, tuple(VectorP._unchecked(p, unpack(r)) for r in _rref(p, n, rows)))
+    return Subgroup._unchecked(p, n, tuple(_rref(p, n, rows)))
 
 
-def canonicalize(p: int, n: int, rows: Iterable[VectorP]) -> Subgroup:
-    """The subgroup generated by ``rows``, in canonical RREF form."""
-    _check_space(p, n)
-    mat = []
+def canonicalize(p: int, n: int, rows: Iterable[int]) -> Subgroup:
+    """The subgroup generated by packed ``rows``, in canonical RREF form."""
+    rows, valid = list(rows), lanes(p, n).valid  # lanes checks p and n
     for row in rows:
-        if row.p != p or row.n != n:
-            raise DimensionMismatchError("generator does not live over (p, n)")
-        mat.append(row.coords)
-    return _span(p, n, map(lanes(p, n).pack, mat))
+        if not valid(row):
+            raise ParameterError(f"generator {row!r} is not a packed vector of Z_{p}^{n}")
+    return _span(p, n, rows)
 
 
 def complement(h: Subgroup) -> Subgroup:
     """A direct complement of H: standard basis vectors at H's non-pivot columns."""
-    pivots = set(h.pivots())
-    rows = tuple(VectorP.unit(h.p, h.n, j) for j in range(h.n) if j not in pivots)
-    return Subgroup._unchecked(h.p, h.n, rows)
+    pivots, shifts = set(h.pivots()), lanes(h.p, h.n).shifts
+    return Subgroup._unchecked(h.p, h.n, tuple(1 << shifts[j] for j in range(h.n) if j not in pivots))
 
 
 def orthogonal(h: Subgroup) -> Subgroup:
     """The orthogonal subgroup {g : g·h = 0 for all h in H}, read off H's RREF basis:
     one generator per non-pivot column f, 1 at f, -row[f] at each row's pivot, 0 elsewhere."""
-    p, n = h.p, h.n
-    row_at = dict(zip(h.pivots(), (row.coords for row in h.basis)))
+    p, n, lay = h.p, h.n, lanes(h.p, h.n)
+    row_at = dict(zip(h.pivots(), map(lay.unpack, h.basis)))
     free = (f for f in range(n) if f not in row_at)
     gens = ([-row_at[j][f] % p if j in row_at else int(j == f) for j in range(n)] for f in free)
-    return _span(p, n, map(lanes(p, n).pack, gens))
+    return _span(p, n, map(lay.pack, gens))
 
 
 def enumerate_subgroups(
@@ -385,18 +377,14 @@ def enumerate_subgroups(
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
     if p**n > cap:
         raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {cap}")
+    shifts = lanes(p, n).shifts
     for pivots in itertools.combinations(range(n), k):
         candidates = []
         for pivot in pivots:
-            free = [c for c in range(pivot + 1, n) if c not in pivots]
-            rows = []
-            for values in itertools.product(range(p), repeat=len(free)):
-                row = [0] * n
-                row[pivot] = 1
-                for c, v in zip(free, values):
-                    row[c] = v
-                rows.append(VectorP._unchecked(p, tuple(row)))
-            candidates.append(rows)
+            free = [shifts[c] for c in range(pivot + 1, n) if c not in pivots]
+            lead = 1 << shifts[pivot]
+            values = itertools.product(range(p), repeat=len(free))
+            candidates.append([lead + sum(map(lshift, v, free)) for v in values])
         for basis in itertools.product(*candidates):
             yield Subgroup._unchecked(p, n, basis)
 

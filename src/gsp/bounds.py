@@ -50,11 +50,11 @@ def evading_subgroup(p: int, n: int, d_set: Iterable[VectorP], k: int, d: int) -
     only when no enumerated subgroup qualifies.  When
     |D| < d(p^n-1)/(p^k-1) a witness always exists by double counting.
     """
-    elements = list(d_set)
-    if any(not any(v.coords) for v in elements):
+    packed = [v.pack(p, n) for v in d_set]  # once, not once per subgroup
+    if 0 in packed:
         raise ParameterError("the scanned set must not contain 0^n")
     for h in enumerate_subgroups(p, n, k):
-        hits = sum(1 for v in elements if h.contains(v))
+        hits = sum(1 for x in packed if not h.coset_reduce(x))
         if hits < d:
             return h
     return None

@@ -259,11 +259,11 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
         rep = bound_report(p, n, k)
         identity_ok = rep.t1 * (p**k - 1) == rep.t2 * (p**n - 1)
         if p**n <= args.enum_cap and rep.t1 <= 20000:
-            e = VectorP.from_index(p, n, 1)
+            e = VectorP.from_index(p, n, 1).pack(p, n)
             t1_brute = t2_brute = 0
             for h in enumerate_subgroups(p, n, k, cap=args.enum_cap):
                 t1_brute += 1
-                t2_brute += h.contains(e)
+                t2_brute += not h.coset_reduce(e)
             enum_ok = t1_brute == rep.t1 and t2_brute == rep.t2
             verdict = "pass" if (identity_ok and enum_ok) else "FAIL"
         else:

@@ -15,12 +15,12 @@ Both modes compile to one affine map over F_p, f(x) = L x + s.  Coset
 reduction by the secret's RREF basis (``Subgroup.coset_reduce``) is linear
 and the bijection is affine (the identity with zero shift in plain mode),
 so L is the bijection's matrix times the reduction's, whose column j is the
-reduction of the unit vector e_j (``Subgroup.coset_reduce``); L is one int64
-product, built once per instance (``HiddenInstance._affine``).  ``evaluate``
-reads a packed x byte by byte: table j maps byte j of x to L times the part
-of x in that byte, packed, and a label is the packed s plus one table lookup
-and one lane-wise add mod p (``Lanes.add``, inlined) per byte.  Only valid
-packed vectors have labels: a set carry bit or a bit past the n lanes raises.
+representative of e_j (e_j minus the secret's row with pivot j, if any); L is
+one int64 product, built once per instance (``HiddenInstance._affine``).
+``evaluate`` reads a packed x byte by byte: table j maps byte j of x to L
+times the part of x in that byte, packed, and a label is the packed s plus one
+lookup and one lane-wise add mod p (``Lanes.add``, inlined) per byte.  Only
+valid packed vectors have labels: a set carry bit or a bit past the lanes raises.
 ``all_labels`` applies the same L to all of Z_p^n, as one int64 array
 product per 2^16 elements, and ``QueryLog.query_all`` fills a query cache from it.
 """
@@ -34,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _independent_rows, lanes, random_subgroup
+from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, _independent_rows, lanes, random_subgroup
 from .errors import DimensionMismatchError, ParameterError, ResourceCapError
 
 _INSTANCE_HEADER = "gsp-instance v1"
@@ -43,15 +43,16 @@ _INSTANCE_HEADER = "gsp-instance v1"
 _SPACE_ROWS = 1 << 16
 
 
-def _space(p: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(coordinates of Z_p^n in index order, int64 unit lanes) per ``_SPACE_ROWS`` elements, for
-    p^n up to the enumeration cap, where n*w <= 60: a packed vector is coordinates @ lanes."""
+def _space(p: int, n: int) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """(coordinates, packed vectors) of Z_p^n in index order per ``_SPACE_ROWS`` elements, for p^n
+    up to the enumeration cap, where n*w <= 60: a packed vector is coordinates @ int64 unit lanes."""
     if p**n > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
     weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     unit_lanes = np.left_shift(1, lanes(p, n).shifts, dtype=np.int64)
     for start in range(0, p**n, _SPACE_ROWS):
-        yield np.arange(start, min(start + _SPACE_ROWS, p**n), dtype=np.int64)[:, None] // weights % p, unit_lanes
+        digits = np.arange(start, min(start + _SPACE_ROWS, p**n), dtype=np.int64)[:, None] // weights % p
+        yield digits, (digits @ unit_lanes).tolist()
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,10 @@ class HiddenInstance:
     def _affine(self) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
         """(columns of L, s) of f(x) = L x + s, entries in [0, p): L = M R mod p, one int64 product
         (sums below n*p^2 < 2^38) of the bijection's matrix M, the identity in plain mode, and R,
-        whose column j is ``secret.coset_reduce(e_j)``: e_j - row at each row's pivot j, else e_j."""
+        whose column j is the coset representative of e_j: e_j - row at each row's pivot j, else e_j."""
         p, n, secret = self.p, self.n, self.secret
         matrix = np.eye(n, dtype=np.int64)
-        matrix[:, list(secret.pivots())] -= np.array([row.coords for row in secret.basis], dtype=np.int64).T
+        matrix[:, list(secret.pivots())] -= lanes(p, n).digits(secret.basis).T
         if self.obfuscate:
             rows, shift = self._bijection
             matrix = np.array(rows, dtype=np.int64) @ matrix
@@ -124,8 +125,9 @@ class HiddenInstance:
         """
         p, n, (cols, shift) = self.p, self.n, self._affine
         keys, labels, matrix = [], [], np.array(cols, dtype=np.int64)
-        for digits, unit_lanes in _space(p, n):
-            keys += (digits @ unit_lanes).tolist()
+        unit_lanes = np.left_shift(1, lanes(p, n).shifts, dtype=np.int64)
+        for digits, xs in _space(p, n):
+            keys += xs
             labels += ((digits @ matrix + shift) % p @ unit_lanes).tolist()
         return keys, labels
 
@@ -182,8 +184,8 @@ class QueryLog:
         The labels come from ``all_labels`` unless a subclass overrides ``evaluate``."""
         inst = self.instance
         if type(inst).evaluate is not HiddenInstance.evaluate:
-            for digits, unit_lanes in _space(inst.p, inst.n):
-                for x in (digits @ unit_lanes).tolist():
+            for _, xs in _space(inst.p, inst.n):
+                for x in xs:
                     self.query(x)
             return
         setdefault = self.cache.setdefault

@@ -165,7 +165,7 @@ def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
 def _label_index_table(inst: HiddenInstance) -> np.ndarray:
     """The index of every element's label, one ``evaluate`` call per element in index order."""
     p, n = inst.p, inst.n
-    labels = [inst.evaluate(x) for digits, unit_lanes in _space(p, n) for x in (digits @ unit_lanes).tolist()]
+    labels = [inst.evaluate(x) for _, xs in _space(p, n) for x in xs]
     table = lanes(p, n).digits(labels) @ p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     table.setflags(write=False)
     return table
@@ -208,13 +208,13 @@ def shrink_subgroup(state: SparseState, y: VectorP) -> SparseState:
     carries the basis state |g.row>.  Makes no oracle queries.
     """
     p, n = state.p, y.n
-    line = canonicalize(p, n, [y])
+    line = canonicalize(p, n, [y.pack(p, n)])
     if line.rank == 0:
         raise ParameterError("cannot shrink by the zero vector")
-    (row,), (j,) = line.basis, line.pivots()
+    (row,), (j,) = map(lanes(p, n).unpack, line.basis), line.pivots()
     main = state.digit(MAIN)
     coefficient = main // p ** (n - 1 - j) % p  # j-th coordinate, msb first
-    row_multiples = np.arange(p)[:, None] * row.coords % p @ p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    row_multiples = np.arange(p)[:, None] * row % p @ p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     tail = state.stride(LABEL)
     keys = state.keys // tail * (tail * p) + coefficient * tail + state.keys % tail
     widened = SparseState(p, state.dims[: LABEL + 1] + (p,) + state.dims[LABEL + 1 :], keys, state.amps)
@@ -291,7 +291,7 @@ def quantum_find_s(
             shrunk = shrink_subgroup(shrunk, found[-1])
         y, state = exact_amplify(inst, shrunk, counter)
         found.append(y)
-    recovered = orthogonal(canonicalize(p, n, found))
+    recovered = orthogonal(canonicalize(p, n, [y.pack(p, n) for y in found]))
     if recovered.rank != k:
         raise ArithmeticError("recovered orthogonal complement has wrong rank")
     result = SolverResult(recovered, counter.oracle_calls - calls_before, 3 * (n - k), None)

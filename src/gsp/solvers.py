@@ -46,9 +46,9 @@ Implementation notes that matter for the query counts:
   asked.  This only lowers counts relative to the query-everything-first
   reading and leaves the returned invariants intact.
 
-Vectors and labels are packed ints (``gsp.algebra.lanes``) from the oracle
-to the answer check, and ``sorted`` orders them as coordinate tuples; they
-become coordinate rows only in a finished subgroup.
+Vectors, labels and subgroup rows are packed ints (``gsp.algebra.lanes``)
+from the oracle to the answer check, and ``sorted`` orders them as coordinate
+tuples; they become ``VectorP``s only in ``SolverResult.trace``.
 
 ``brute_force_solve`` is the correctness oracle (queries everything) and
 ``birthday_solve`` the randomized collision baseline.  Brute force asks all
@@ -76,7 +76,7 @@ from typing import Iterable
 import numpy as np
 
 from .algebra import (
-    DEFAULT_ENUMERATION_CAP, Lanes, Subgroup, VectorP, _span, canonicalize, complement, lanes, trivial_subgroup
+    DEFAULT_ENUMERATION_CAP, Lanes, Subgroup, VectorP, _span, complement, lanes, trivial_subgroup
 )
 from .bounds import det_query_bound
 from .errors import ParameterError, PromiseViolationError, ResourceCapError
@@ -148,7 +148,7 @@ def _check_labels(log: QueryLog, answer: Subgroup) -> None:
     if answer.rank != log.instance.k:
         raise PromiseViolationError(f"answer has rank {answer.rank}, promised k={log.instance.k}")
     p, n, lay = answer.p, answer.n, lanes(answer.p, answer.n)
-    pivots, rows = list(answer.pivots()), np.array([row.coords for row in answer.basis], dtype=np.int64)
+    pivots, rows = list(answer.pivots()), lay.digits(answer.basis)
     xs, reps = list(log.cache), []
     for start in range(0, len(xs), _CHECK_ROWS):
         digits = lay.digits(xs[start : start + _CHECK_ROWS])
@@ -177,8 +177,7 @@ def _birthday_budget(p: int, n: int, k: int, multiplier: float) -> float:
 
 
 def _grow_partial_secret(partial: Subgroup, element: int, k: int) -> Subgroup:
-    pack = lanes(partial.p, partial.n).pack
-    grown = _span(partial.p, partial.n, [pack(row.coords) for row in partial.basis] + [element])
+    grown = _span(partial.p, partial.n, partial.basis + (element,))
     if grown.rank <= partial.rank:
         raise PromiseViolationError("collision difference was already known")
     if grown.rank > k:
@@ -210,7 +209,7 @@ def find_group(
     # the echelon of S2+A+B; each map is one-to-one since span(A) ∩ S = span(B) ∩ S = {0}
     echelon: dict[int, int] = {}
     for row in s1.basis + a_grp.basis:
-        insert(echelon, lay.pack(row.coords))
+        insert(echelon, row)
     b_label_of = {log.query(0): 0}
     b_units, s_cur = [], s1
     while len(b_units) < d:
@@ -263,19 +262,19 @@ def find_s(log: QueryLog, d: int) -> SolverResult:
     b_grp, b_label_of, s1 = find_group(log, triv, {log.query(0): 0}, triv, n - k - d)
     a_grp, a_label_of, s2 = find_group(log, b_grp, b_label_of, s1, d)
 
-    w = complement(canonicalize(p, n, s2.basis + a_grp.basis + b_grp.basis))
-    gens = [lay.pack(row.coords) for row in s2.basis]
+    w = complement(_span(p, n, s2.basis + a_grp.basis + b_grp.basis))
+    gens = list(s2.basis)
     for w_i in w.basis:
         found = None
-        coset = lay.pack(w_i.coords)
-        for a in sorted(add(elem, coset) for elem in a_label_of.values()):
+        for a in sorted(add(elem, w_i) for elem in a_label_of.values()):
             b = b_label_of.get(log.query(a))
             if b is not None:
                 found = sub(a, b)
                 break
         if found is None:
             raise PromiseViolationError(
-                f"coset {w_i} + A holds no collision against B; no subgroup explains this"
+                f"coset {VectorP._unchecked(p, lay.unpack(w_i))} + A holds no collision against B; "
+                "no subgroup explains this"
             )
         gens.append(found)
 

@@ -29,7 +29,7 @@ from gsp import (
     t2_count,
 )
 from gsp.bounds import det_query_bound
-from conftest import add, all_vectors, intersect, marginal, sub, support
+from conftest import add, all_vectors, elements, intersect, marginal, sub, support
 
 GRID = [
     (p, n, k)
@@ -176,11 +176,11 @@ def test_criterion_6_coset_meets_secret():
     for p, n, k, n_seeds in CRIT6_CELLS:
         for seed in range(n_seeds):
             secret = random_subgroup(p, n, k, seed)
-            secret_elems = list(secret.elements())
+            secret_elems = elements(secret)
             for v in enumerate_subgroups(p, n, n - k):
                 if intersect(v, secret).rank:
                     continue
-                v_elems = list(v.elements()) if v.rank <= secret.rank else None
+                v_elems = elements(v) if v.rank <= secret.rank else None
                 for w in all_vectors(p, n):
                     if v.contains(w):
                         continue
@@ -204,7 +204,7 @@ def test_criterion_7_orthogonal_support_law():
             inst = make_instance(p, n, k, seed, _label_seed(seed), bool(seed % 2))
             psi = simon_subroutine(inst, QCounter())
             perp = orthogonal(inst.secret)
-            assert {VectorP.from_index(p, n, i) for i in support(psi, 0)} == set(perp.elements())
+            assert {VectorP.from_index(p, n, i) for i in support(psi, 0)} == set(elements(perp))
             expected = 1.0 / p ** (n - k)
             for prob in marginal(psi, 0).values():
                 assert abs(prob - expected) < 1e-10

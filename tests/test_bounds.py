@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from gsp import (
+    DimensionMismatchError,
     ParameterError,
     VectorP,
     bound_report,
@@ -81,6 +82,13 @@ class TestEvadingSubgroup:
     def test_zero_rejected(self):
         with pytest.raises(ParameterError):
             evading_subgroup(2, 4, [VectorP(2, (0, 0, 0, 0))], k=1, d=1)
+
+    def test_element_of_another_space_rejected(self):
+        # the set is packed once before the scan; an element of another n or p
+        # is refused there, not read in the wrong lane layout
+        for v in (VectorP(2, (0, 0, 1)), VectorP(2, (0, 0, 0, 0, 1)), VectorP(3, (0, 0, 0, 1))):
+            with pytest.raises(DimensionMismatchError):
+                evading_subgroup(2, 4, [VectorP(2, (1, 0, 0, 0)), v], k=1, d=1)
 
     def test_witness_below_threshold(self):
         # |D| under d(p^n-1)/(p^k-1) always admits a sparse-intersection subgroup

@@ -1,5 +1,6 @@
 """Property tests: subgroup laws, coset reduction, unchecked construction, the label promise and the deterministic solver."""
 
+import itertools
 import random
 from operator import mul
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsp import (
+    ParameterError,
     PromiseViolationError,
     QueryLog,
     Subgroup,
@@ -31,15 +33,20 @@ from conftest import (
     cache_pairs,
     checked_find_group,
     consistent,
+    elements,
     index,
     intersect,
     label_of,
     pack,
+    reduce,
+    reference_reduce,
+    rows,
     rref,
     scale,
+    span,
     sub,
     subgroup_sum,
-    unpack,
+    unit,
     zero,
 )
 
@@ -87,8 +94,9 @@ def test_unchecked_vectors_pass_the_checked_constructor(data):
     h = data.draw(subgroups(p, n))
     lay = lanes(p, n)
     total, diff = (VectorP._unchecked(p, lay.unpack(op(pack(x), pack(y)))) for op in (lay.add, lay.sub))
-    for v in (total, diff, VectorP.from_index(p, n, idx), h.coset_reduce(x), *h.elements()):
+    for v in (total, diff, VectorP.from_index(p, n, idx)):
         _assert_valid(v)
+    assert all(map(lay.valid, (h.coset_reduce(pack(x)), *h.elements())))
     assert (total, diff) == (add(x, y), sub(x, y))
     assert index(VectorP.from_index(p, n, idx)) == idx
 
@@ -158,8 +166,7 @@ def test_enumerated_subgroups_pass_the_full_check():
     for p, n in [(2, 5), (3, 3), (5, 2)]:
         for k in range(n + 1):
             for h in enumerate_subgroups(p, n, k):
-                for row in h.basis:
-                    _assert_valid(row)
+                assert all(map(lanes(p, n).valid, h.basis))
                 assert h == Subgroup(h.p, h.n, h.basis)
 
 
@@ -170,20 +177,19 @@ def test_rref_is_unique(data):
     p, n = data.draw(st.sampled_from(SPACES))
     h = data.draw(subgroups(p, n))
     coefficients = st.lists(st.integers(0, p - 1), min_size=h.rank, max_size=h.rank)
-    gens = [scale(row, data.draw(st.integers(1, p - 1))) for row in h.basis]
+    gens = [scale(row, data.draw(st.integers(1, p - 1))) for row in rows(h)]
     for coeffs in data.draw(st.lists(coefficients, max_size=4)):
         combo = zero(p, n)
-        for a, row in zip(coeffs, h.basis):
+        for a, row in zip(coeffs, rows(h)):
             combo = add(combo, scale(row, a))
         gens.append(combo)
-    assert canonicalize(p, n, data.draw(st.permutations(gens))).basis == h.basis
+    assert span(p, n, data.draw(st.permutations(gens))).basis == h.basis
 
 
 def _sequential_reduce(h, x):
     """Coset reduction as first written: eliminate the pivots one by one, mod p after each row."""
     p, coords = h.p, x.coords
-    for row in h.basis:
-        r = row.coords
+    for r in map(lanes(h.p, h.n).unpack, h.basis):
         c = coords[r.index(1)]
         if c:
             coords = tuple((a - c * b) % p for a, b in zip(coords, r))
@@ -191,10 +197,10 @@ def _sequential_reduce(h, x):
 
 
 def _assert_reduces_as_sequential(h, x):
-    rep = h.coset_reduce(x)
-    _assert_valid(rep)
-    assert rep.coords == _sequential_reduce(h, x)
-    assert h.contains(x) == (not any(rep.coords))
+    rep, lay = h.coset_reduce(pack(x)), lanes(h.p, h.n)
+    assert lay.valid(rep)
+    assert lay.unpack(rep) == _sequential_reduce(h, x)
+    assert h.contains(x) == (not rep)
 
 
 def test_one_pass_reduction_matches_sequential_on_small_spaces():
@@ -213,13 +219,53 @@ def test_one_pass_reduction_matches_sequential_at_n64(data):
     p, n = data.draw(st.sampled_from([(2, 64), (3, 64), (65521, 64)]))
     h = data.draw(subgroups(p, n))
     member = zero(p, n)
-    for row in h.basis:
+    for row in rows(h):
         member = add(member, scale(row, data.draw(st.integers(0, p - 1))))
     x = data.draw(_vectors(p, n))
     for v in (VectorP(p, (p - 1,) * n), x, member, add(x, member)):
         _assert_reduces_as_sequential(h, v)
     assert h.contains(member)
-    assert h.coset_reduce(add(x, member)) == h.coset_reduce(x)
+    assert reduce(h, add(x, member)) == reduce(h, x)
+
+
+@PROPERTY
+@given(st.data())
+def test_packed_subgroup_matches_tuple_reference(data):
+    # coset_reduce, contains, pivots and elements on packed rows against tuple
+    # arithmetic, with the all-(p-1) vector, whose lane sums are the largest
+    p, n = data.draw(st.sampled_from([2, 3, 5, 7, 257, 65521])), data.draw(st.integers(1, 64))
+    h, lay = random_subgroup(p, n, data.draw(st.integers(0, n)), data.draw(st.integers(0, 2**32))), lanes(p, n)
+    tuple_rows = [lay.unpack(row) for row in h.basis]
+    assert list(h.pivots()) == [next(j for j, c in enumerate(row) if c) for row in tuple_rows]
+    assert all(row[j] == 1 for row, j in zip(tuple_rows, h.pivots()))
+    member = zero(p, n)
+    for row in rows(h):
+        member = add(member, scale(row, data.draw(st.integers(0, p - 1))))
+    x = data.draw(_vectors(p, n))
+    for v in (VectorP(p, (p - 1,) * n), x, member, add(x, member)):
+        expect = reference_reduce(h, v.coords)
+        assert lay.unpack(h.coset_reduce(pack(v))) == expect
+        assert h.contains(v) == (expect == (0,) * n)
+    if p**h.rank <= 1024:
+        combos = itertools.product(range(p), repeat=h.rank)
+        expect = [tuple(sum(map(mul, cs, col)) % p for col in zip(*tuple_rows)) or (0,) * n for cs in combos]
+        assert [lay.unpack(e) for e in h.elements()] == expect
+    # a set carry bit, a bit past the lanes, a lane at or above p and a negative int are refused
+    j, y = data.draw(st.integers(0, n - 1)), pack(x)
+    lane = st.integers(p, (1 << lay.width) - 1)
+    bad = [
+        y | 1 << (lay.shifts[j] + lay.g),
+        y | 1 << (n * lay.width),
+        y & ~(((1 << lay.width) - 1) << lay.shifts[j]) | data.draw(lane) << lay.shifts[j],
+        ~y,
+    ]
+    assert lay.valid(y) and lay.valid(pack(VectorP(p, (p - 1,) * n)))
+    for z in bad:
+        assert not lay.valid(z)
+        with pytest.raises(ParameterError):
+            Subgroup(p, n, (z,))
+        with pytest.raises(ParameterError):
+            canonicalize(p, n, [z])
 
 
 @PROPERTY
@@ -244,7 +290,7 @@ def test_labels_agree_exactly_on_cosets(data):
     inst = data.draw(instances())
     x = data.draw(_vectors(inst.p, inst.n))
     # half the time y lies in x's coset, so both sides of the law are exercised
-    s = data.draw(st.sampled_from(list(inst.secret.elements())))
+    s = data.draw(st.sampled_from(elements(inst.secret)))
     y = data.draw(st.one_of(_vectors(inst.p, inst.n), st.just(add(x, s))))
     assert (label_of(inst, x) == label_of(inst, y)) == inst.secret.contains(sub(x, y))
 
@@ -257,7 +303,7 @@ LABEL_SPACES = [(2, 3), (3, 4), (3, 5), (5, 3), (7, 3), (257, 3), (2, 64), (3, 6
 
 def _reference_label(inst, x):
     """The label as defined: the canonical coset representative, then the bijection rows."""
-    rep = inst.secret.coset_reduce(x).coords
+    rep = reduce(inst.secret, x).coords
     if not inst.obfuscate:
         return rep
     rows, shift = inst._bijection
@@ -275,7 +321,7 @@ def test_compiled_label_matches_reference(data):
     assert len(tables) == -(-n * lanes(p, n).width // 8)
     assert all(len(table) <= 256 for table in tables)
     top = VectorP(p, (p - 1,) * n)  # the largest lane sums
-    for x in (top, data.draw(_vectors(p, n)), *inst.secret.basis):
+    for x in (top, data.draw(_vectors(p, n)), *rows(inst.secret)):
         label = VectorP._unchecked(p, lanes(p, n).unpack(inst.evaluate(pack(x))))
         _assert_valid(label)
         assert label.coords == _reference_label(inst, x)
@@ -289,7 +335,7 @@ def test_affine_map_matches_reference(data):
     k = data.draw(st.integers(1, n - 1))
     seeds = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 2**32))
     inst = make_instance(p, n, k, *seeds, obfuscate=data.draw(st.booleans()))
-    cols, shift = [inst.secret.coset_reduce(VectorP.unit(p, n, j)).coords for j in range(n)], (0,) * n
+    cols, shift = [lanes(p, n).unpack(inst.secret.coset_reduce(unit(p, n, j))) for j in range(n)], (0,) * n
     if inst.obfuscate:
         rows, shift = inst._bijection
         cols = [tuple(sum(map(mul, row, col)) % p for row in rows) for col in cols]
@@ -320,16 +366,12 @@ def label_checks(draw):
     k = draw(st.integers(1, n - 1))
     inst = make_instance(p, n, k, draw(st.integers(0, 2**32)), draw(st.integers(0, 2**32)), draw(st.booleans()))
     secret, other = inst.secret, random_subgroup(p, n, k, draw(st.integers(0, 2**32)))
-    outside = unpack(p, n, solvers._lex_smallest_outside(lanes(p, n), secret.pivots()))
-
-    def packed(reduce):
-        return lambda x: pack(reduce(unpack(p, n, x)))
-
+    outside = solvers._lex_smallest_outside(lanes(p, n), secret.pivots())
     rule = draw(st.sampled_from([
         inst.evaluate,
-        packed(canonicalize(p, n, secret.basis + (outside,)).coset_reduce),  # coarser than S
-        packed(canonicalize(p, n, secret.basis[1:]).coset_reduce),  # finer than S
-        packed(other.coset_reduce),
+        canonicalize(p, n, secret.basis + (outside,)).coset_reduce,  # coarser than S
+        canonicalize(p, n, secret.basis[1:]).coset_reduce,  # finer than S
+        other.coset_reduce,
         lambda x: random.Random(x).randrange(p) << lanes(p, n).shifts[0],  # no rule
     ]))
     answer = draw(st.sampled_from([secret, other, canonicalize(p, n, secret.basis[1:] + (outside,))]))
@@ -363,18 +405,18 @@ def test_label_check_at_the_limits(p):
     inst = make_instance(p, n, k, 3)
     secret, wrong = inst.secret, random_subgroup(p, n, k, 4)
     xs = [VectorP(p, (p - 1,) * n)] + [VectorP(p, tuple(rng.randrange(p) for _ in range(n))) for _ in range(30)]
-    xs += [scale(unit, p - 1) for unit in complement(secret).basis]  # their own representatives
+    xs += [scale(e, p - 1) for e in rows(complement(secret))]  # their own representatives
     digits = lanes(p, n).digits([pack(x) for x in xs])  # the check's reading of the packed cache
     assert digits.tolist() == [list(x.coords) for x in xs]
     for h in (secret, wrong):
         # the check's representatives: x minus its pivot digits times the basis
-        rows = np.array([row.coords for row in h.basis], dtype=np.int64)
-        reps = (digits - digits[:, list(h.pivots())] @ rows) % p
-        assert reps.tolist() == [list(h.coset_reduce(x).coords) for x in xs]
+        basis = np.array([row.coords for row in rows(h)], dtype=np.int64)
+        reps = (digits - digits[:, list(h.pivots())] @ basis) % p
+        assert reps.tolist() == [list(reduce(h, x).coords) for x in xs]
     log = QueryLog(inst)
     for x in xs:
         member = zero(p, n)
-        for row in secret.basis:
+        for row in rows(secret):
             member = add(member, scale(row, rng.randrange(p)))
         log.query(pack(x))
         log.query(pack(add(x, member)))  # shares x's label, and a coset of the secret only

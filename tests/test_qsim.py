@@ -22,7 +22,6 @@ from gsp import (
     VectorP,
     apply_oracle,
     brute_force_solve,
-    canonicalize,
     dump_state_text,
     exact_amplify,
     fourier,
@@ -35,7 +34,7 @@ from gsp import (
 )
 import gsp.qsim as qsim
 from gsp.qsim import LABEL, MAIN, _label_index_table, _permute, _unitary, _vec_add
-from conftest import all_vectors, dot, index, label_of, marginal, scale, support, vec
+from conftest import all_vectors, dot, elements, index, label_of, marginal, rows, scale, span, support, vec
 from test_acceptance import QGRID, QGRID_LARGE
 
 
@@ -94,8 +93,9 @@ def reference_round(inst, known, counter):
     """One amplified round as the explicit circuit A, then A S_0 A^-1 S_chi per iteration."""
     p, n, k = inst.p, inst.n, inst.k
     m = len(known)
-    span = canonicalize(p, n, known)
-    shrinks = [(row, col, LABEL + 1 + i) for i, (row, col) in enumerate(zip(span.basis, span.pivots()))]
+    known_span = span(p, n, known)
+    pairs = zip(rows(known_span), known_span.pivots())
+    shrinks = [(row, col, LABEL + 1 + i) for i, (row, col) in enumerate(pairs)]
     dims = (p**n, p**n) + (p,) * (m + 1)
     aux = len(dims) - 1
     a = 1.0 - float(p) ** -(n - k - m)
@@ -261,7 +261,7 @@ class TestSimonSubroutine:
         psi = simon_subroutine(ref_instance, c)
         assert c.oracle_calls == 1
         perp = orthogonal(ref_secret)
-        assert {VectorP.from_index(2, 4, i) for i in support(psi, 0)} == set(perp.elements())
+        assert {VectorP.from_index(2, 4, i) for i in support(psi, 0)} == set(elements(perp))
         assert all(abs(prob - 1 / 4) < 1e-10 for prob in marginal(psi, 0).values())
 
     def test_minimal_orthogonal_size(self):
@@ -298,12 +298,12 @@ class TestShrink:
 
 class TestExactAmplify:
     def test_two_dim_instance(self):
-        secret = canonicalize(2, 2, [vec(2, "11")])
+        secret = span(2, 2, [vec(2, "11")])
         inst = HiddenInstance(2, 2, 1, secret, label_seed=3)
         counter = QCounter()
         y, state = exact_amplify(inst, simon_subroutine(inst, QCounter()), counter)
         perp = orthogonal(secret)
-        nonzero = [v for v in perp.elements() if any(v.coords)]
+        nonzero = [v for v in elements(perp) if any(v.coords)]
         assert y == nonzero[0]
         assert counter.oracle_calls == 3
         bad = max(
@@ -324,7 +324,7 @@ class TestExactAmplify:
                 y, _ = exact_amplify(inst, shrunk, counter)
                 assert counter.oracle_calls == 3
                 assert perp.contains(y)
-                assert not canonicalize(p, n, found).contains(y)
+                assert not span(p, n, found).contains(y)
                 found.append(y)
                 shrunk = shrink_subgroup(shrunk, y)
 
@@ -349,7 +349,7 @@ class TestExactAmplify:
 def assert_round_matches_reference(inst, known):
     fast, slow = QCounter(), QCounter()
     shrunk = simon_subroutine(inst, QCounter())
-    for row in reversed(canonicalize(inst.p, inst.n, known).basis):  # descending pivot: each flag goes first
+    for row in reversed(rows(span(inst.p, inst.n, known))):  # descending pivot: each flag goes first
         shrunk = shrink_subgroup(shrunk, row)
     y, state = exact_amplify(inst, shrunk, fast)
     expect = reference_round(inst, known, slow)
@@ -382,10 +382,10 @@ class TestReferenceRound:
         seeds = data.draw(st.tuples(*[st.integers(0, 2**32)] * 3))
         inst = make_instance(p, n, k, seeds[0], seeds[1], data.draw(st.booleans()))
         m = data.draw(st.integers(0, n - k - 1))
-        rng, perp, known = random.Random(seeds[2]), list(orthogonal(inst.secret).elements()), []
+        rng, perp, known = random.Random(seeds[2]), elements(orthogonal(inst.secret)), []
         while len(known) < m:  # m independent elements of S_perp
             v = rng.choice(perp)
-            if not canonicalize(p, n, known).contains(v):
+            if not span(p, n, known).contains(v):
                 known.append(v)
         assert_round_matches_reference(inst, known)
 
@@ -470,11 +470,11 @@ class TestQuantumFindS:
         inst = make_instance(p, n, k, 0, 0x9E3779B9, True)
         assert quantum_find_s(inst).recovered == inst.secret
         assert len(found) == n - k
-        basis = ()
+        basis = []
         for m, y in enumerate(found, 1):
             lead = next(c for c in y.coords if c)
-            new = canonicalize(p, n, found[:m]).basis
-            assert new == (scale(y, pow(lead, -1, p)),) + basis, (p, n, k, m)
+            new = rows(span(p, n, found[:m]))
+            assert new == [scale(y, pow(lead, -1, p))] + basis, (p, n, k, m)
             basis = new
 
     def test_cap(self):
