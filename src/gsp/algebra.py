@@ -3,11 +3,12 @@
 A vector is one packed int (``lanes(p, n)``) from the oracle to the answer,
 subgroup rows included: coordinate 0 in the top lane, so int order is tuple
 order, and lane-wise sums and differences mod p take a few whole-int
-operations for every p (SWAR, SIMD within a register).  The same layout keeps
-an incremental row echelon (``Lanes.insert``), which answers rank questions
-and, back-substituted, gives every RREF (``_rref``).  ``VectorP``, a
-validated tuple of residues, is the text boundary: parsing, printing, the
-simulator's measured elements and ``Subgroup.contains``.
+operations (SWAR, SIMD within a register), one XOR at p = 2 (``_kernels``).
+The same layout keeps an incremental row echelon (``Lanes.insert``), which
+answers rank questions and, back-substituted, gives every RREF (``_rref``);
+``Subgroup.coset_reps`` reduces a whole list of vectors side by side in one
+int.  ``VectorP``, a validated tuple of residues, is the text boundary:
+parsing, printing, the simulator's measured elements and ``Subgroup.contains``.
 
 Subgroups are kept in reduced row echelon form (RREF) over F_p, which makes
 equality of subgroups a plain ``==`` on their bases and gives every
@@ -34,8 +35,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import lshift
-from typing import Iterable, Iterator, Sequence
+from operator import lshift, xor
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -140,18 +141,35 @@ class VectorP:
         return self.digits() if self.p <= len(_DIGITS) else str(self.coords)
 
 
+def _kernels(p: int, g: int, big_k: int, big_g: int, big_p: int) -> tuple[Callable[[int, int], int], ...]:
+    """Lane-wise (add, sub) mod p for the ``Lanes`` constants K, G and P, which may repeat over
+    many lane groups; XOR at p = 2, where lanes are 0 or 1 and no carry bit is ever set."""
+    if p == 2:
+        return xor, xor
+
+    def add(x: int, y: int) -> int:
+        s = x + y
+        return s - (((s + big_k) & big_g) >> g) * p
+
+    def sub(x: int, y: int) -> int:
+        s = x + big_p - y
+        return s - (((s + big_k) & big_g) >> g) * p
+
+    return add, sub
+
+
 class Lanes:
     """Z_p^n as packed ints: coordinate i in the w-bit lane at bit ``shifts[i]`` = (n-1-i)*w.
 
     A lane holds g = w-1 = (p-1).bit_length() value bits under a carry bit G =
     2^g.  A lane of s = x + y lies below 2p <= 2^w; adding K = 2^g - p sets G
     exactly where it reached p, and s - (((s + K) & G) >> g) * p takes p off.
-    x - y is x + (P - y), P = p in every lane, with lanes in [1, 2p).  c*x is
-    double-and-add over ``add``.  An echelon is a dict {pivot column: row},
-    each row 1 at its pivot and 0 left of it; the leading coordinate is read
-    off ``bit_length``, since coordinate 0 is the top lane.  Lanes lie in
-    [0, p).  The operations are closures, so hot loops make no attribute lookups
-    (a loop that inlines ``add`` reads K, G, g off ``big_k``, ``big_g``, ``g``)."""
+    x - y is x + (P - y), P = p in every lane, with lanes in [1, 2p); at p = 2
+    both are XOR (``_kernels``).  c*x is double-and-add over ``add``.  An echelon
+    is a dict {pivot column: row}, each row 1 at its pivot and 0 left of it; the
+    leading coordinate is read off ``bit_length``, since coordinate 0 is the top
+    lane.  Lanes lie in [0, p).  The operations are closures, so hot loops make no
+    attribute lookups (a loop that inlines ``add`` reads ``big_k``, ``big_g``, ``g``)."""
 
     def __init__(self, p: int, n: int) -> None:
         _check_space(p, n)
@@ -159,16 +177,9 @@ class Lanes:
         w = g + 1
         self.n, self.width, ones, top = n, w, sum(1 << (w * i) for i in range(n)), 1 << (w * n)
         big_k, big_g, big_p, mask = ((1 << g) - p) * ones, (1 << g) * ones, p * ones, (1 << w) - 1
-        self.g, self.big_k, self.big_g = g, big_k, big_g
+        self.g, self.big_k, self.big_g, self.big_p = g, big_k, big_g, big_p
         self.shifts = shifts = tuple(w * (n - 1 - i) for i in range(n))
-
-        def add(x: int, y: int) -> int:
-            s = x + y
-            return s - (((s + big_k) & big_g) >> g) * p
-
-        def sub(x: int, y: int) -> int:
-            s = x + big_p - y
-            return s - (((s + big_k) & big_g) >> g) * p
+        add, sub = _kernels(p, g, big_k, big_g, big_p)
 
         def scale(c: int, x: int) -> int:
             total = 0
@@ -289,8 +300,7 @@ class Subgroup:
         at its own pivot and 0 at the other rows' pivots, so eliminating
         the pivots one by one finds each coefficient unchanged in x itself.
         A row's pivot lane starts at bit ``row.bit_length() - 1``, where its
-        1 is.  ``_check_labels`` in ``gsp.solvers`` applies the same sum to
-        arrays of packed elements.
+        1 is.  ``coset_reps`` takes the same sum off many vectors at once.
         """
         lay = lanes(self.p, self.n)
         sub, scale, mask = lay.sub, lay.scale, (1 << lay.width) - 1
@@ -299,6 +309,26 @@ class Subgroup:
             if c:
                 x = sub(x, row if c == 1 else scale(c, row))
         return x
+
+    def coset_reps(self, xs: Iterable[int]) -> list[int]:
+        """``[self.coset_reduce(x) for x in xs]`` in one pass: the xs side by side in whole-byte
+        slots of one int, a row's coefficient read off them one value bit at a time (``ones`` is 1
+        at the bottom of every slot), and that bit times the row, doubled once per bit, taken off
+        every slot by ``_kernels`` on slot-repeated K, G and P."""
+        lay = lanes(self.p, self.n)
+        size = -(-self.n * lay.width // 8) or 1
+        packed = b"".join(x.to_bytes(size, "little") for x in xs)
+        ones = int.from_bytes((b"\1" + bytes(size - 1)) * (len(packed) // size), "little")
+        _, sub = _kernels(self.p, lay.g, lay.big_k * ones, lay.big_g * ones, lay.big_p * ones)
+        whole = rep = int.from_bytes(packed, "little")
+        for row in self.basis:
+            lead = row.bit_length() - 1
+            for bit in range(lead, lead + lay.g):
+                rep = sub(rep, (whole >> bit & ones) * row)
+                row = lay.add(row, row)
+        # bound once: each lookup of the classmethod builds a new method object
+        from_bytes, packed = int.from_bytes, rep.to_bytes(len(packed), "little")
+        return [from_bytes(packed[i : i + size], "little") for i in range(0, len(packed), size)]
 
     def to_text(self) -> str:
         """``p=<p> n=<n> rows=<row;row;...>`` with rows as base-p digit strings."""

@@ -19,8 +19,8 @@ representative of e_j (e_j minus the secret's row with pivot j, if any); L is
 one int64 product, built once per instance (``HiddenInstance._affine``).
 ``evaluate`` reads a packed x byte by byte: table j maps byte j of x to L
 times the part of x in that byte, packed, and a label is the packed s plus one
-lookup and one lane-wise add mod p (``Lanes.add``, inlined) per byte.  Only
-valid packed vectors have labels: a set carry bit or a bit past the lanes raises.
+lookup and one lane-wise add mod p per byte (``Lanes.add`` inlined; XOR at p = 2).
+Only valid packed vectors have labels: a set carry bit or a bit past the lanes raises.
 ``all_labels`` applies the same L to all of Z_p^n, as one int64 array
 product per 2^16 elements, and ``QueryLog.query_all`` fills a query cache from it.
 """
@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import getitem, xor
 from typing import Iterator
 
 import numpy as np
@@ -136,6 +137,8 @@ class HiddenInstance:
         x must be a valid packed vector of Z_p^n: a set carry bit or a bit past the n lanes
         raises ``KeyError`` or ``OverflowError``, never a label."""
         (tables, label, nbytes, big_k, big_g, g), p = self._label_map, self.p
+        if p == 2:  # lanes of one bit add by XOR
+            return reduce(xor, map(getitem, tables, x.to_bytes(nbytes, "little")), label)
         for table, byte in zip(tables, x.to_bytes(nbytes, "little")):
             label += table[byte]
             label -= (((label + big_k) & big_g) >> g) * p

@@ -46,9 +46,10 @@ Implementation notes that matter for the query counts:
   asked.  This only lowers counts relative to the query-everything-first
   reading and leaves the returned invariants intact.
 
-Vectors, labels and subgroup rows are packed ints (``gsp.algebra.lanes``)
-from the oracle to the answer check, and ``sorted`` orders them as coordinate
-tuples; they become ``VectorP``s only in ``SolverResult.trace``.
+Vectors, labels and subgroup rows are packed ints (``gsp.algebra.lanes``,
+added by XOR at p = 2) from the oracle to the answer check, which reduces the
+whole cache in one big-int pass (``Subgroup.coset_reps``).  ``sorted`` orders
+them as coordinate tuples; they become ``VectorP``s only in ``SolverResult.trace``.
 
 ``brute_force_solve`` is the correctness oracle (queries everything) and
 ``birthday_solve`` the randomized collision baseline.  Brute force asks all
@@ -73,17 +74,12 @@ from functools import cache
 from itertools import accumulate, islice
 from typing import Iterable
 
-import numpy as np
-
 from .algebra import (
     DEFAULT_ENUMERATION_CAP, Lanes, Subgroup, VectorP, _span, complement, lanes, trivial_subgroup
 )
 from .bounds import det_query_bound
 from .errors import ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import QueryLog
-
-#: Cache entries ``_check_labels`` reduces per array product, to bound its memory.
-_CHECK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -141,21 +137,12 @@ def _check_labels(log: QueryLog, answer: Subgroup) -> None:
     """Raise unless ``answer`` has rank k and cached elements share a label
     exactly when they share a coset of it.
 
-    A representative is x - sum_i x[pivot_i] * row_i (``Subgroup.coset_reduce``),
-    one integer product (sums below n*p^2 < 2^38, no BLAS call) per ``_CHECK_ROWS``
-    cached elements; its entries lie below p < 2^16, so its uint16 bytes key it.
+    The representatives are ``answer.coset_reps`` of the whole cache, one pass
+    over one big int (XOR at p = 2), and key the three sets as packed ints.
     """
     if answer.rank != log.instance.k:
         raise PromiseViolationError(f"answer has rank {answer.rank}, promised k={log.instance.k}")
-    p, n, lay = answer.p, answer.n, lanes(answer.p, answer.n)
-    pivots, rows = list(answer.pivots()), lay.digits(answer.basis)
-    xs, reps = list(log.cache), []
-    for start in range(0, len(xs), _CHECK_ROWS):
-        digits = lay.digits(xs[start : start + _CHECK_ROWS])
-        digits -= digits[:, pivots] @ rows
-        digits %= p
-        reps += digits.astype(np.uint16).view(f"V{2 * n}").ravel().tolist()
-    labels = log.cache.values()
+    reps, labels = answer.coset_reps(log.cache), log.cache.values()
     if not len(set(zip(reps, labels))) == len(set(reps)) == len(set(labels)):
         raise PromiseViolationError(f"the labels seen are not constant exactly on cosets of {answer}")
 

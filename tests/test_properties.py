@@ -4,7 +4,6 @@ import itertools
 import random
 from operator import mul
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +122,25 @@ def test_lane_layout_matches_tuple_arithmetic(case):
     assert lay.digits(packed).tolist() == [list(u) for u in vectors]
 
 
+@PROPERTY
+@given(st.integers(1, 64).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple), min_size=1, max_size=6)))
+def test_xor_lanes_match_tuple_arithmetic_mod_2(vectors):
+    # at p = 2, add and sub are XOR, and scale and insert run on them unchanged:
+    # doubling gives 0, so c*x is x for odd c and 0 for even c
+    n = len(vectors[0])
+    lay, vectors = lanes(2, n), vectors + [(1,) * n, (0,) * n]
+    packed = [lay.pack(u) for u in vectors]
+    for u, x in zip(vectors, packed):
+        assert [lay.scale(c, x) for c in range(4)] == [0, x, 0, x]
+        for v, y in zip(vectors, packed):
+            assert lay.unpack(lay.add(x, y)) == lay.unpack(lay.sub(x, y)) == tuple((a + b) % 2 for a, b in zip(u, v))
+    echelon = {}
+    for m, x in enumerate(packed):
+        assert lay.insert(echelon, x) == (len(rref(2, n, vectors[: m + 1])) > len(rref(2, n, vectors[:m])))
+    assert [lay.unpack(row) for row in lay.reduced(echelon)] == rref(2, n, vectors)
+
+
 @st.composite
 def row_lists(draw):
     """(p, n, rows): up to five rows of Z_p^n, entries often 0, 1 or p-1, mixed
@@ -226,6 +244,28 @@ def test_one_pass_reduction_matches_sequential_at_n64(data):
         _assert_reduces_as_sequential(h, v)
     assert h.contains(member)
     assert reduce(h, add(x, member)) == reduce(h, x)
+
+
+@PROPERTY
+@given(st.data())
+def test_coset_reps_match_coset_reduce(data):
+    # one pass over the xs side by side against one coset_reduce per x; n*w not a
+    # multiple of 8 leaves spare bits in every slot, and 0, the all-(p-1) vector,
+    # members, basis rows and duplicates sit among random vectors
+    p, n = data.draw(st.sampled_from([2, 3, 5, 7, 257, 65521])), data.draw(st.integers(1, 64))
+    h, lay = data.draw(subgroups(p, n)), lanes(p, n)
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=h.rank, max_size=h.rank))
+    member = 0
+    for c, row in zip(coeffs, h.basis):
+        member = lay.add(member, lay.scale(c, row))
+    special = st.sampled_from([0, lay.pack((p - 1,) * n), member, *h.basis])
+    vector = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(lay.pack)
+    xs = data.draw(st.lists(vector | special, max_size=12))
+    if xs:
+        xs = data.draw(st.permutations(xs + data.draw(st.lists(st.sampled_from(xs), max_size=3))))
+    assert h.coset_reps(xs) == [h.coset_reduce(x) for x in xs]
+    assert h.coset_reps(iter(xs)) == h.coset_reps(xs)
+    assert h.coset_reps([]) == []
 
 
 @PROPERTY
@@ -399,20 +439,17 @@ def test_label_check_matches_reference(case):
 
 @pytest.mark.parametrize("p", [2, 65521])
 def test_label_check_at_the_limits(p):
-    # n = 64 at the largest prime: products reach n(p-1)^2 before the mod,
-    # and representatives and labels use the top residue p - 1
+    # n = 64 at the smallest and the largest prime: slots of n*w bits fill whole
+    # bytes, and representatives and labels use the top residue p - 1
     n, k, rng = 64, 20, random.Random(p)
     inst = make_instance(p, n, k, 3)
     secret, wrong = inst.secret, random_subgroup(p, n, k, 4)
     xs = [VectorP(p, (p - 1,) * n)] + [VectorP(p, tuple(rng.randrange(p) for _ in range(n))) for _ in range(30)]
     xs += [scale(e, p - 1) for e in rows(complement(secret))]  # their own representatives
-    digits = lanes(p, n).digits([pack(x) for x in xs])  # the check's reading of the packed cache
-    assert digits.tolist() == [list(x.coords) for x in xs]
     for h in (secret, wrong):
-        # the check's representatives: x minus its pivot digits times the basis
-        basis = np.array([row.coords for row in rows(h)], dtype=np.int64)
-        reps = (digits - digits[:, list(h.pivots())] @ basis) % p
-        assert reps.tolist() == [list(reduce(h, x).coords) for x in xs]
+        # the check's representatives, one pass over the packed xs side by side
+        reps = h.coset_reps([pack(x) for x in xs])
+        assert [lanes(p, n).unpack(r) for r in reps] == [reference_reduce(h, x.coords) for x in xs]
     log = QueryLog(inst)
     for x in xs:
         member = zero(p, n)
@@ -421,6 +458,28 @@ def test_label_check_at_the_limits(p):
         log.query(pack(x))
         log.query(pack(add(x, member)))  # shares x's label, and a coset of the secret only
     assert any(p - 1 in lanes(p, n).unpack(label) for label in log.cache.values())
+    solvers._check_labels(log, secret)
+    with pytest.raises(PromiseViolationError, match="not constant exactly on cosets"):
+        solvers._check_labels(log, wrong)
+
+
+def test_label_check_sees_the_last_slot_of_a_long_cache():
+    # thousands of lone labels agree with any rank-k answer; only the last pair,
+    # in the top slots of the check's one int, tells the secret from a wrong answer
+    p, n, k, rng = 2, 64, 20, random.Random(5)
+    inst = make_instance(p, n, k, 3, obfuscate=True)
+    secret, wrong = inst.secret, random_subgroup(p, n, k, 4)
+    log = QueryLog(inst)
+    for _ in range(3000):
+        log.query(pack(VectorP(p, tuple(rng.randrange(p) for _ in range(n)))))
+    x = VectorP(p, tuple(rng.randrange(p) for _ in range(n)))
+    member = next(m for m in rows(secret) if not wrong.contains(m))
+    log.query(pack(x))
+    log.query(pack(add(x, member)))
+    assert log.count == 3002
+    reps = wrong.coset_reps(log.cache)
+    assert reps == [wrong.coset_reduce(x) for x in log.cache]
+    assert len(set(reps)) == log.count == len(set(log.cache.values())) + 1
     solvers._check_labels(log, secret)
     with pytest.raises(PromiseViolationError, match="not constant exactly on cosets"):
         solvers._check_labels(log, wrong)
