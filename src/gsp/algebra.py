@@ -1,14 +1,13 @@
 """Exact linear algebra over Z_p^n.
 
-A vector is one packed int (``lanes(p, n)``) from the oracle to the answer,
-subgroup rows included: coordinate 0 in the top lane, so int order is tuple
-order, and lane-wise sums and differences mod p take a few whole-int
-operations (SWAR, SIMD within a register), one XOR at p = 2 (``_kernels``).
-The same layout keeps an incremental row echelon (``Lanes.insert``), which
-answers rank questions and, back-substituted, gives every RREF (``_rref``);
-``Subgroup.coset_reps`` reduces a whole list of vectors side by side in one
-int.  ``VectorP``, a validated tuple of residues, is the text boundary:
-parsing, printing, the simulator's measured elements and ``Subgroup.contains``.
+A vector is one packed int (``lanes(p, n)``) from the oracle to the answer, subgroup
+rows included: coordinate 0 in the top lane, so int order is tuple order, and
+lane-wise sums and differences mod p take a few whole-int operations (SWAR, SIMD
+within a register), one XOR at p = 2.  The same layout keeps an incremental row echelon
+(``Lanes.insert``), which answers rank questions and, back-substituted, gives every
+RREF (``_rref``); ``Subgroup.coset_reps`` reduces many vectors at once.  ``VectorP``, a
+validated tuple of residues, is the text boundary: parsing, printing, the simulator's
+measured elements and ``Subgroup.contains``.
 
 Subgroups are kept in reduced row echelon form (RREF) over F_p, which makes
 equality of subgroups a plain ``==`` on their bases and gives every
@@ -36,7 +35,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import lshift, xor
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +46,9 @@ MAX_DIM = 64
 
 #: Largest p**n accepted by the subgroup/element enumerators by default.
 DEFAULT_ENUMERATION_CAP = 1 << 20
+
+#: Vectors ``Subgroup.coset_reps`` reduces per array product for p > 2, to bound its memory.
+_REPS_CHUNK = 1 << 12
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -141,35 +143,18 @@ class VectorP:
         return self.digits() if self.p <= len(_DIGITS) else str(self.coords)
 
 
-def _kernels(p: int, g: int, big_k: int, big_g: int, big_p: int) -> tuple[Callable[[int, int], int], ...]:
-    """Lane-wise (add, sub) mod p for the ``Lanes`` constants K, G and P, which may repeat over
-    many lane groups; XOR at p = 2, where lanes are 0 or 1 and no carry bit is ever set."""
-    if p == 2:
-        return xor, xor
-
-    def add(x: int, y: int) -> int:
-        s = x + y
-        return s - (((s + big_k) & big_g) >> g) * p
-
-    def sub(x: int, y: int) -> int:
-        s = x + big_p - y
-        return s - (((s + big_k) & big_g) >> g) * p
-
-    return add, sub
-
-
 class Lanes:
     """Z_p^n as packed ints: coordinate i in the w-bit lane at bit ``shifts[i]`` = (n-1-i)*w.
 
     A lane holds g = w-1 = (p-1).bit_length() value bits under a carry bit G =
     2^g.  A lane of s = x + y lies below 2p <= 2^w; adding K = 2^g - p sets G
     exactly where it reached p, and s - (((s + K) & G) >> g) * p takes p off.
-    x - y is x + (P - y), P = p in every lane, with lanes in [1, 2p); at p = 2
-    both are XOR (``_kernels``).  c*x is double-and-add over ``add``.  An echelon
-    is a dict {pivot column: row}, each row 1 at its pivot and 0 left of it; the
-    leading coordinate is read off ``bit_length``, since coordinate 0 is the top
-    lane.  Lanes lie in [0, p).  The operations are closures, so hot loops make no
-    attribute lookups (a loop that inlines ``add`` reads ``big_k``, ``big_g``, ``g``)."""
+    x - y is x + (P - y), P = p in every lane, with lanes in [1, 2p); at p = 2,
+    lanes of one bit, both are XOR.  c*x is double-and-add over ``add``.  An
+    echelon is a dict {pivot column: row}, each row 1 at its pivot and 0 left of
+    it; the leading coordinate is read off ``bit_length``, since coordinate 0 is
+    the top lane.  Lanes lie in [0, p).  The operations are closures, so hot loops
+    make no attribute lookups (a loop that inlines ``add`` reads K, G, g)."""
 
     def __init__(self, p: int, n: int) -> None:
         _check_space(p, n)
@@ -177,9 +162,18 @@ class Lanes:
         w = g + 1
         self.n, self.width, ones, top = n, w, sum(1 << (w * i) for i in range(n)), 1 << (w * n)
         big_k, big_g, big_p, mask = ((1 << g) - p) * ones, (1 << g) * ones, p * ones, (1 << w) - 1
-        self.g, self.big_k, self.big_g, self.big_p = g, big_k, big_g, big_p
+        self.g, self.big_k, self.big_g = g, big_k, big_g
         self.shifts = shifts = tuple(w * (n - 1 - i) for i in range(n))
-        add, sub = _kernels(p, g, big_k, big_g, big_p)
+
+        def add(x: int, y: int) -> int:
+            s = x + y
+            return s - (((s + big_k) & big_g) >> g) * p
+
+        def sub(x: int, y: int) -> int:
+            s = x + big_p - y
+            return s - (((s + big_k) & big_g) >> g) * p
+
+        add, sub = (xor, xor) if p == 2 else (add, sub)
 
         def scale(c: int, x: int) -> int:
             total = 0
@@ -228,8 +222,7 @@ class Lanes:
 
     def digits(self, xs: Sequence[int]) -> np.ndarray:
         """The (len(xs), n) int64 coordinates of packed vectors, read off their big-endian bits."""
-        n, w = self.n, self.width
-        size = (n * w + 7) // 8
+        n, w, size = self.n, self.width, (self.n * self.width + 7) // 8
         raw = np.frombuffer(b"".join(x.to_bytes(size, "big") for x in xs), np.uint8).reshape(len(xs), size)
         bits = np.unpackbits(raw, axis=1)[:, 8 * size - n * w :].reshape(len(xs), n, w)
         return bits @ (1 << np.arange(w - 1, -1, -1, dtype=np.int64))
@@ -311,23 +304,30 @@ class Subgroup:
         return x
 
     def coset_reps(self, xs: Iterable[int]) -> list[int]:
-        """``[self.coset_reduce(x) for x in xs]`` in one pass: the xs side by side in whole-byte
-        slots of one int, a row's coefficient read off them one value bit at a time (``ones`` is 1
-        at the bottom of every slot), and that bit times the row, doubled once per bit, taken off
-        every slot by ``_kernels`` on slot-repeated K, G and P."""
-        lay = lanes(self.p, self.n)
-        size = -(-self.n * lay.width // 8) or 1
+        """``[self.coset_reduce(x) for x in xs]``.  At p = 2 the xs lie side by side in whole-byte
+        slots of one int, and a row times its pivot bit in every slot (``ones`` is 1 at the bottom of
+        each) is XORed off all of them in one pass.  For p > 2 that pass would run per value bit,
+        each a product by an n*w-bit row; instead, per ``_REPS_CHUNK`` xs, one integer product
+        (sums below n*p^2 < 2^38) gives the columns off the pivots, where representatives are 0,
+        and one more with their lanes' units packs them (in int64 if n*w < 64, else as ints)."""
+        p, lay = self.p, lanes(self.p, self.n)
+        if p > 2:
+            pivots, reps, xs = list(self.pivots()), [], list(xs)
+            free = [j for j in range(self.n) if j not in pivots]
+            kind, rows = np.int64 if self.n * lay.width < 64 else object, lay.digits(self.basis)[:, free]
+            units = np.array([1 << lay.shifts[j] for j in free], kind)
+            for start in range(0, len(xs), _REPS_CHUNK):
+                digits = lay.digits(xs[start : start + _REPS_CHUNK])
+                off_pivots = (digits[:, free] - digits[:, pivots] @ rows) % p
+                reps += (off_pivots.astype(kind, copy=False) @ units).tolist()
+            return reps
+        size = -(-self.n // 4) or 1
         packed = b"".join(x.to_bytes(size, "little") for x in xs)
         ones = int.from_bytes((b"\1" + bytes(size - 1)) * (len(packed) // size), "little")
-        _, sub = _kernels(self.p, lay.g, lay.big_k * ones, lay.big_g * ones, lay.big_p * ones)
         whole = rep = int.from_bytes(packed, "little")
         for row in self.basis:
-            lead = row.bit_length() - 1
-            for bit in range(lead, lead + lay.g):
-                rep = sub(rep, (whole >> bit & ones) * row)
-                row = lay.add(row, row)
-        # bound once: each lookup of the classmethod builds a new method object
-        from_bytes, packed = int.from_bytes, rep.to_bytes(len(packed), "little")
+            rep ^= (whole >> row.bit_length() - 1 & ones) * row
+        from_bytes, packed = int.from_bytes, rep.to_bytes(len(packed), "little")  # bound once
         return [from_bytes(packed[i : i + size], "little") for i in range(0, len(packed), size)]
 
     def to_text(self) -> str:

@@ -48,7 +48,7 @@ Implementation notes that matter for the query counts:
 
 Vectors, labels and subgroup rows are packed ints (``gsp.algebra.lanes``,
 added by XOR at p = 2) from the oracle to the answer check, which reduces the
-whole cache in one big-int pass (``Subgroup.coset_reps``).  ``sorted`` orders
+whole cache at once (``Subgroup.coset_reps``).  ``sorted`` orders
 them as coordinate tuples; they become ``VectorP``s only in ``SolverResult.trace``.
 
 ``brute_force_solve`` is the correctness oracle (queries everything) and
@@ -137,8 +137,8 @@ def _check_labels(log: QueryLog, answer: Subgroup) -> None:
     """Raise unless ``answer`` has rank k and cached elements share a label
     exactly when they share a coset of it.
 
-    The representatives are ``answer.coset_reps`` of the whole cache, one pass
-    over one big int (XOR at p = 2), and key the three sets as packed ints.
+    The representatives of the whole cache come from one ``answer.coset_reps``
+    call and key the three sets as packed ints.
     """
     if answer.rank != log.instance.k:
         raise PromiseViolationError(f"answer has rank {answer.rank}, promised k={log.instance.k}")
