@@ -3,11 +3,12 @@
 A vector is one packed int (``lanes(p, n)``) from the oracle to the answer, subgroup
 rows included: coordinate 0 in the top lane, so int order is tuple order, and
 lane-wise sums and differences mod p take a few whole-int operations (SWAR, SIMD
-within a register), one XOR at p = 2.  The same layout keeps an incremental row echelon
+within a register); at p = 2 lanes are one bit, so they are one XOR, and a packed
+vector is its own index.  The same layout keeps an incremental row echelon
 (``Lanes.insert``), which answers rank questions and, back-substituted, gives every
-RREF (``_rref``); ``Subgroup.coset_reps`` reduces many vectors at once.  ``VectorP``, a
-validated tuple of residues, is the text boundary: parsing, printing, the simulator's
-measured elements and ``Subgroup.contains``.
+RREF (``_rref``); ``Subgroup.coset_reps`` reduces many vectors at once.  ``VectorP``,
+a validated tuple of residues, is the text boundary: parsing, printing, the
+simulator's measured elements and ``Subgroup.contains``.
 
 Subgroups are kept in reduced row echelon form (RREF) over F_p, which makes
 equality of subgroups a plain ``==`` on their bases and gives every
@@ -146,11 +147,12 @@ class VectorP:
 class Lanes:
     """Z_p^n as packed ints: coordinate i in the w-bit lane at bit ``shifts[i]`` = (n-1-i)*w.
 
-    A lane holds g = w-1 = (p-1).bit_length() value bits under a carry bit G =
-    2^g.  A lane of s = x + y lies below 2p <= 2^w; adding K = 2^g - p sets G
-    exactly where it reached p, and s - (((s + K) & G) >> g) * p takes p off.
-    x - y is x + (P - y), P = p in every lane, with lanes in [1, 2p); at p = 2,
-    lanes of one bit, both are XOR.  c*x is double-and-add over ``add``.  An
+    A lane holds g = (p-1).bit_length() value bits.  For p > 2, w = g+1 and a carry
+    bit G = 2^g sits above them: a lane of s = x + y lies below 2p <= 2^w, adding
+    K = 2^g - p sets G exactly where it reached p, and s - (((s + K) & G) >> g) * p
+    takes p off; x - y is x + (P - y), P = p in every lane, with lanes in [1, 2p).
+    At p = 2, w = g = 1 (no carry bit, so a packed vector is its own base-2 index)
+    and both are XOR.  c*x is double-and-add over ``add``.  An
     echelon is a dict {pivot column: row}, each row 1 at its pivot and 0 left of
     it; the leading coordinate is read off ``bit_length``, since coordinate 0 is
     the top lane.  Lanes lie in [0, p).  The operations are closures, so hot loops
@@ -159,9 +161,9 @@ class Lanes:
     def __init__(self, p: int, n: int) -> None:
         _check_space(p, n)
         g = (p - 1).bit_length()
-        w = g + 1
+        w = g + (p > 2)
         self.n, self.width, ones, top = n, w, sum(1 << (w * i) for i in range(n)), 1 << (w * n)
-        big_k, big_g, big_p, mask = ((1 << g) - p) * ones, (1 << g) * ones, p * ones, (1 << w) - 1
+        big_k, big_g, big_p, mask = ((1 << g) - p) * ones, ((1 << w) - (1 << g)) * ones, p * ones, (1 << w) - 1
         self.g, self.big_k, self.big_g = g, big_k, big_g
         self.shifts = shifts = tuple(w * (n - 1 - i) for i in range(n))
 
@@ -304,12 +306,11 @@ class Subgroup:
         return x
 
     def coset_reps(self, xs: Iterable[int]) -> list[int]:
-        """``[self.coset_reduce(x) for x in xs]``.  At p = 2 the xs lie side by side in whole-byte
-        slots of one int, and a row times its pivot bit in every slot (``ones`` is 1 at the bottom of
-        each) is XORed off all of them in one pass.  For p > 2 that pass would run per value bit,
-        each a product by an n*w-bit row; instead, per ``_REPS_CHUNK`` xs, one integer product
-        (sums below n*p^2 < 2^38) gives the columns off the pivots, where representatives are 0,
-        and one more with their lanes' units packs them (in int64 if n*w < 64, else as ints)."""
+        """``[self.coset_reduce(x) for x in xs]``.  At p = 2 a packed vector is its own index, below
+        2^n <= 2^64, so the xs fill one uint64 array, and each row times the xs' pivot bits is XORed
+        off all of them at once.  For p > 2, per ``_REPS_CHUNK`` xs, one integer product (sums below
+        n*p^2 < 2^38) gives the columns off the pivots, where representatives are 0, and one more
+        with their lanes' units packs them (in int64 if n*w < 64, else as ints)."""
         p, lay = self.p, lanes(self.p, self.n)
         if p > 2:
             pivots, reps, xs = list(self.pivots()), [], list(xs)
@@ -321,14 +322,10 @@ class Subgroup:
                 off_pivots = (digits[:, free] - digits[:, pivots] @ rows) % p
                 reps += (off_pivots.astype(kind, copy=False) @ units).tolist()
             return reps
-        size = -(-self.n // 4) or 1
-        packed = b"".join(x.to_bytes(size, "little") for x in xs)
-        ones = int.from_bytes((b"\1" + bytes(size - 1)) * (len(packed) // size), "little")
-        whole = rep = int.from_bytes(packed, "little")
+        reps, one = np.fromiter(xs, np.uint64), np.uint64(1)
         for row in self.basis:
-            rep ^= (whole >> row.bit_length() - 1 & ones) * row
-        from_bytes, packed = int.from_bytes, rep.to_bytes(len(packed), "little")  # bound once
-        return [from_bytes(packed[i : i + size], "little") for i in range(0, len(packed), size)]
+            reps ^= (reps >> np.uint64(row.bit_length() - 1) & one) * np.uint64(row)
+        return reps.tolist()
 
     def to_text(self) -> str:
         """``p=<p> n=<n> rows=<row;row;...>`` with rows as base-p digit strings."""

@@ -19,7 +19,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .algebra import VectorP, _check_digits, _check_space, enumerate_subgroups, is_prime
+from .algebra import _check_digits, _check_space, enumerate_subgroups, is_prime
 from .bounds import bound_report
 from .errors import GspError, ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import HiddenInstance, QueryLog, make_instance, read_instance, write_instance
@@ -259,7 +259,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
         rep = bound_report(p, n, k)
         identity_ok = rep.t1 * (p**k - 1) == rep.t2 * (p**n - 1)
         if p**n <= args.enum_cap and rep.t1 <= 20000:
-            e = VectorP.from_index(p, n, 1).pack(p, n)
+            e = 1  # packed e_{n-1}, the unit vector in the bottom lane, for every p
             t1_brute = t2_brute = 0
             for h in enumerate_subgroups(p, n, k, cap=args.enum_cap):
                 t1_brute += 1

@@ -107,7 +107,7 @@ class HiddenInstance:
         """(tables, packed s, byte length, K, G, g of ``Lanes.add``).  Table j maps byte j of
         ``x.to_bytes(byte length, "little")`` to L times the bits of x in that byte, packed.
         It is built by doubling over the byte's value bits; carry bits and bits past the n
-        lanes have no entry, so a table holds at most 256 entries (16 at p = 2)."""
+        lanes have no entry, so a table holds at most 256 entries (⌈n/8⌉ tables at p = 2)."""
         lay, (cols, shift) = lanes(self.p, self.n), self._affine
         add, w = lay.add, lay.width
         tables = [{0: 0} for _ in range((self.n * w + 7) // 8)]

@@ -272,11 +272,9 @@ def find_s(log: QueryLog, d: int) -> SolverResult:
 
 def brute_force_solve(log: QueryLog) -> SolverResult:
     """Correctness oracle: query all of Z_p^n, return the span of the elements labelled f(0).
-    Refuses before any query when p^n exceeds ``DEFAULT_ENUMERATION_CAP``."""
+    ``QueryLog.query_all`` refuses before any query when p^n exceeds ``DEFAULT_ENUMERATION_CAP``."""
     inst = log.instance
     p, n = inst.p, inst.n
-    if p**n > DEFAULT_ENUMERATION_CAP:
-        raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
     log.query_all()
     zero_label = log.query(0)
     members = [x for x, label in log.cache.items() if label == zero_label]

@@ -120,6 +120,10 @@ def test_lane_layout_matches_tuple_arithmetic(case):
             assert (x < y) == (u < v)
     packed = [lay.pack(u) for u in vectors]
     assert lay.digits(packed).tolist() == [list(u) for u in vectors]
+    if p == 2:  # lanes of one bit: a packed vector is its own index, and every int in [0, 2^n) is one
+        i = int("".join(map(str, a)), 2)
+        assert lay.pack(VectorP.from_index(p, n, i).coords) == i
+        assert [lay.valid(z) for z in (-1, 0, i, (1 << n) - 1, 1 << n, i | 1 << n)] == [False] + [True] * 3 + [False] * 2
 
 
 @st.composite
@@ -230,9 +234,8 @@ def test_one_pass_reduction_matches_sequential_at_n64(data):
 @PROPERTY
 @given(st.data())
 def test_coset_reps_match_coset_reduce(data):
-    # one pass over the xs side by side against one coset_reduce per x; n*w not a
-    # multiple of 8 leaves spare bits in every slot, and 0, the all-(p-1) vector,
-    # members, basis rows and duplicates sit among random vectors
+    # all the xs reduced at once against one coset_reduce per x, with 0, the
+    # all-(p-1) vector, members, basis rows and duplicates among random vectors
     p, n = data.draw(st.sampled_from([2, 3, 5, 7, 257, 65521])), data.draw(st.integers(1, 64))
     h, lay = data.draw(subgroups(p, n)), lanes(p, n)
     coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=h.rank, max_size=h.rank))
@@ -271,15 +274,13 @@ def test_packed_subgroup_matches_tuple_reference(data):
         combos = itertools.product(range(p), repeat=h.rank)
         expect = [tuple(sum(map(mul, cs, col)) % p for col in zip(*tuple_rows)) or (0,) * n for cs in combos]
         assert [lay.unpack(e) for e in h.elements()] == expect
-    # a set carry bit, a bit past the lanes, a lane at or above p and a negative int are refused
+    # a bit past the lanes and a negative int are refused, and for p > 2, whose lanes
+    # have a carry bit, so are a set carry bit and a lane at or above p
     j, y = data.draw(st.integers(0, n - 1)), pack(x)
-    lane = st.integers(p, (1 << lay.width) - 1)
-    bad = [
-        y | 1 << (lay.shifts[j] + lay.g),
-        y | 1 << (n * lay.width),
-        y & ~(((1 << lay.width) - 1) << lay.shifts[j]) | data.draw(lane) << lay.shifts[j],
-        ~y,
-    ]
+    bad = [y | 1 << (n * lay.width), ~y]
+    if p > 2:
+        lane = data.draw(st.integers(p, (1 << lay.width) - 1))
+        bad += [y | 1 << (lay.shifts[j] + lay.g), y & ~(((1 << lay.width) - 1) << lay.shifts[j]) | lane << lay.shifts[j]]
     assert lay.valid(y) and lay.valid(pack(VectorP(p, (p - 1,) * n)))
     for z in bad:
         assert not lay.valid(z)
@@ -420,15 +421,15 @@ def test_label_check_matches_reference(case):
 
 @pytest.mark.parametrize("p", [2, 65521])
 def test_label_check_at_the_limits(p):
-    # n = 64 at the smallest and the largest prime: slots of n*w bits fill whole
-    # bytes, and representatives and labels use the top residue p - 1
+    # n = 64 at the smallest and the largest prime: at p = 2 a vector fills all
+    # 64 bits of a uint64, and representatives and labels use the top residue p - 1
     n, k, rng = 64, 20, random.Random(p)
     inst = make_instance(p, n, k, 3)
     secret, wrong = inst.secret, random_subgroup(p, n, k, 4)
     xs = [VectorP(p, (p - 1,) * n)] + [VectorP(p, tuple(rng.randrange(p) for _ in range(n))) for _ in range(30)]
     xs += [scale(e, p - 1) for e in rows(complement(secret))]  # their own representatives
     for h in (secret, wrong):
-        # the check's representatives, one pass over the packed xs side by side
+        # the check's representatives, all the packed xs reduced at once
         reps = h.coset_reps([pack(x) for x in xs])
         assert [lanes(p, n).unpack(r) for r in reps] == [reference_reduce(h, x.coords) for x in xs]
     log = QueryLog(inst)
@@ -447,7 +448,7 @@ def test_label_check_at_the_limits(p):
 @pytest.mark.parametrize("p, count", [(2, 3000), (257, 5000)])
 def test_label_check_sees_the_end_of_a_long_cache(p, count):
     # thousands of lone labels agree with any rank-k answer; only the last pair,
-    # in the top slots of the one int at p = 2 and past the first array chunk at
+    # at the end of the uint64 array at p = 2 and past the first array chunk at
     # p > 2, tells the secret from a wrong answer
     n, k, rng = 64, 20, random.Random(5)
     inst = make_instance(p, n, k, 3, obfuscate=True)

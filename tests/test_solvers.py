@@ -405,10 +405,13 @@ class TestBruteForce:
 
     def test_cap(self):
         # p^n = 2^21 is past the default enumeration cap; refused before any query
-        log = QueryLog(make_instance(2, 21, 2, 0))
-        with pytest.raises(ResourceCapError):
-            brute_force_solve(log)
-        assert log.count == 0
+        # on the array path and on the per-element path of an overridden evaluate
+        inst = make_instance(2, 21, 2, 0)
+        for instance in (inst, _scalar(inst)):
+            log = QueryLog(instance)
+            with pytest.raises(ResourceCapError, match="exceeds enumeration cap"):
+                brute_force_solve(log)
+            assert log.count == 0
 
 
 class _ScalarPath(HiddenInstance):
