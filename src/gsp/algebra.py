@@ -10,6 +10,10 @@ RREF (``_rref``); ``Subgroup.coset_reps`` reduces many vectors at once.  ``Vecto
 a validated tuple of residues, is the text boundary: parsing, printing, the
 simulator's measured elements and ``Subgroup.contains``.
 
+``_rref_bases`` yields every rank-k RREF basis, grouped by pivot pattern, and coset
+reduction (``_reducer``) is set up once per pattern, so brute-force counts and
+witness searches test bases with no ``Subgroup`` per basis.
+
 Subgroups are kept in reduced row echelon form (RREF) over F_p, which makes
 equality of subgroups a plain ``==`` on their bases and gives every
 subgroup a unique textual serialization.  All arithmetic is exact integer
@@ -36,7 +40,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import lshift, xor
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -288,22 +292,10 @@ class Subgroup:
         return not self.coset_reduce(x.pack(self.p, self.n))
 
     def coset_reduce(self, x: int) -> int:
-        """Canonical representative of the coset x + self, x a valid packed vector.
-
-        The unique member of the coset whose coordinates at every pivot
-        column are zero: x - sum_i x[pivot_i] * row_i.  Each RREF row is 1
-        at its own pivot and 0 at the other rows' pivots, so eliminating
-        the pivots one by one finds each coefficient unchanged in x itself.
-        A row's pivot lane starts at bit ``row.bit_length() - 1``, where its
-        1 is.  ``coset_reps`` takes the same sum off many vectors at once.
-        """
-        lay = lanes(self.p, self.n)
-        sub, scale, mask = lay.sub, lay.scale, (1 << lay.width) - 1
-        for row in self.basis:
-            c = x >> (row.bit_length() - 1) & mask
-            if c:
-                x = sub(x, row if c == 1 else scale(c, row))
-        return x
+        """Canonical representative of the coset x + self, x a valid packed vector: the unique
+        member whose coordinates at every pivot column are zero (``_reducer``).
+        ``coset_reps`` takes the same sum off many vectors at once."""
+        return _reducer(lanes(self.p, self.n), self.pivots(), x)(self.basis)
 
     def coset_reps(self, xs: Iterable[int]) -> list[int]:
         """``[self.coset_reduce(x) for x in xs]``.  At p = 2 a packed vector is its own index, below
@@ -388,17 +380,10 @@ def orthogonal(h: Subgroup) -> Subgroup:
     return _span(p, n, map(lay.pack, gens))
 
 
-def enumerate_subgroups(
-    p: int, n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Subgroup]:
-    """Every rank-k subgroup of Z_p^n exactly once.
-
-    RREF bases are generated directly: choose the pivot columns, then run
-    over all assignments of the free entries.  Uniqueness of the RREF makes
-    the stream duplicate-free.  The free entries of different rows are
-    independent, so each row's candidates are built once per pivot choice
-    and the bases are their product (row-major, last entry fastest).
-    """
+def _rref_bases(p: int, n: int, k: int, cap: int) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[int, ...]]]]:
+    """(pivots, every rank-k RREF basis of Z_p^n with those pivots) per pivot pattern, packed
+    rows.  The free entries of different rows are independent, so each row's candidates are
+    built once per pattern and the bases are their product (row-major, last entry fastest)."""
     _check_space(p, n)
     if not (0 <= k <= n):
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -412,16 +397,48 @@ def enumerate_subgroups(
             lead = 1 << shifts[pivot]
             values = itertools.product(range(p), repeat=len(free))
             candidates.append([lead + sum(map(lshift, v, free)) for v in values])
-        for basis in itertools.product(*candidates):
-            yield Subgroup._unchecked(p, n, basis)
+        yield pivots, itertools.product(*candidates)
+
+
+def _reducer(lay: Lanes, pivots: Sequence[int], x: int) -> Callable[[Sequence[int]], int]:
+    """basis -> x - sum_i c_i * row_i, for any packed RREF basis with these pivots: the coset
+    representative of a valid packed x, 0 exactly when x is in the span.  Each RREF row is 1 at
+    its own pivot and 0 at the other pivots, so c_i, x's coordinate at pivot i, is the same for
+    every basis of the pattern: it is read once, and terms with c_i = 0 are dropped."""
+    mask, sub, scale = (1 << lay.width) - 1, lay.sub, lay.scale
+    terms = [(i, c) for i, pivot in enumerate(pivots) if (c := x >> lay.shifts[pivot] & mask)]
+    def residue(basis: Sequence[int]) -> int:
+        r = x
+        for i, c in terms:
+            r = sub(r, basis[i] if c == 1 else scale(c, basis[i]))
+        return r
+    return residue
+
+
+def enumerate_subgroups(p: int, n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Subgroup]:
+    """Every rank-k subgroup of Z_p^n exactly once: RREF bases generated directly, pivot columns
+    first, then every assignment of the free entries (``_rref_bases``).  Uniqueness of the RREF
+    makes the stream duplicate-free."""
+    return (Subgroup._unchecked(p, n, basis) for _, bases in _rref_bases(p, n, k, cap) for basis in bases)
+
+
+def _randbelow(rng: random.Random, p: int) -> Callable[[], int]:
+    """A draw in [0, p) that consumes ``rng`` as ``rng.randrange(p)`` does on CPython 3.10-3.12:
+    ``getrandbits(p.bit_length())`` until the value is below p, without its argument checks."""
+    getrandbits, bits = rng.getrandbits, p.bit_length()
+    def draw() -> int:
+        while (r := getrandbits(bits)) >= p:
+            pass
+        return r
+    return draw
 
 
 def _independent_rows(rng: random.Random, p: int, n: int, count: int) -> list[tuple[int, ...]]:
     """``count`` linearly independent rows of Z_p^n, rejection-sampled from ``rng``:
     a draw is kept when ``Lanes.insert`` finds it outside the span of those kept."""
-    lay, echelon, rows = lanes(p, n), {}, []
+    lay, echelon, rows, draw = lanes(p, n), {}, [], _randbelow(rng, p)
     while len(rows) < count:
-        cand = tuple(rng.randrange(p) for _ in range(n))
+        cand = tuple(draw() for _ in range(n))
         if lay.insert(echelon, lay.pack(cand)):
             rows.append(cand)
     return rows

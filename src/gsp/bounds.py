@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebra import Subgroup, VectorP, enumerate_subgroups
+from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _reducer, _rref_bases, lanes
 from .errors import ParameterError
 
 
@@ -46,17 +46,18 @@ def t2_count(p: int, n: int, k: int) -> int:
 def evading_subgroup(p: int, n: int, d_set: Iterable[VectorP], k: int, d: int) -> Optional[Subgroup]:
     """Some rank-k subgroup meeting the given set in fewer than d points.
 
-    Exhaustive scan over ``enumerate_subgroups`` at its default cap; None
-    only when no enumerated subgroup qualifies.  When
-    |D| < d(p^n-1)/(p^k-1) a witness always exists by double counting.
+    The first in ``enumerate_subgroups`` order at its default cap, scanned with one
+    ``_reducer`` per element and pivot pattern; None only when no subgroup qualifies.
+    When |D| < d(p^n-1)/(p^k-1) a witness always exists by double counting.
     """
     packed = [v.pack(p, n) for v in d_set]  # once, not once per subgroup
     if 0 in packed:
         raise ParameterError("the scanned set must not contain 0^n")
-    for h in enumerate_subgroups(p, n, k):
-        hits = sum(1 for x in packed if not h.coset_reduce(x))
-        if hits < d:
-            return h
+    for pivots, bases in _rref_bases(p, n, k, DEFAULT_ENUMERATION_CAP):
+        reducers = [_reducer(lanes(p, n), pivots, x) for x in packed]
+        for basis in bases:
+            if [r(basis) for r in reducers].count(0) < d:
+                return Subgroup._unchecked(p, n, basis)
     return None
 
 

@@ -19,7 +19,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .algebra import _check_digits, _check_space, enumerate_subgroups, is_prime
+from .algebra import _check_digits, _check_space, _reducer, _rref_bases, is_prime, lanes
 from .bounds import bound_report
 from .errors import GspError, ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import HiddenInstance, QueryLog, make_instance, read_instance, write_instance
@@ -259,12 +259,10 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
         rep = bound_report(p, n, k)
         identity_ok = rep.t1 * (p**k - 1) == rep.t2 * (p**n - 1)
         if p**n <= args.enum_cap and rep.t1 <= 20000:
-            e = 1  # packed e_{n-1}, the unit vector in the bottom lane, for every p
-            t1_brute = t2_brute = 0
-            for h in enumerate_subgroups(p, n, k, cap=args.enum_cap):
-                t1_brute += 1
-                t2_brute += not h.coset_reduce(e)
-            enum_ok = t1_brute == rep.t1 and t2_brute == rep.t2
+            # each basis reduces 1, packed e_{n-1}, the unit vector in the bottom lane for every p
+            residues = [r for pivots, bases in _rref_bases(p, n, k, args.enum_cap)
+                        for r in map(_reducer(lanes(p, n), pivots, 1), bases)]
+            enum_ok = len(residues) == rep.t1 and residues.count(0) == rep.t2
             verdict = "pass" if (identity_ok and enum_ok) else "FAIL"
         else:
             verdict = "pass(identity-only)" if identity_ok else "FAIL"

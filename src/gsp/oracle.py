@@ -20,7 +20,7 @@ one int64 product, built once per instance (``HiddenInstance._affine``).
 ``evaluate`` reads a packed x byte by byte: table j maps byte j of x to L
 times the part of x in that byte, packed, and a label is the packed s plus one
 lookup and one lane-wise add mod p per byte (``Lanes.add`` inlined; XOR at p = 2).
-Only valid packed vectors have labels: a set carry bit or a bit past the lanes raises.
+Only valid packed vectors (``Lanes.valid``) have labels; any other int raises.
 ``all_labels`` applies the same L to all of Z_p^n, as one int64 array
 product per 2^16 elements, and ``QueryLog.query_all`` fills a query cache from it.
 """
@@ -35,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, _independent_rows, lanes, random_subgroup
+from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, _independent_rows, _randbelow, lanes, random_subgroup
 from .errors import DimensionMismatchError, ParameterError, ResourceCapError
 
 _INSTANCE_HEADER = "gsp-instance v1"
@@ -81,8 +81,8 @@ class HiddenInstance:
     def _bijection(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Seeded invertible affine map (matrix, shift), with a seeded output permutation folded in."""
         rng = random.Random(self.label_seed)
-        rows = _independent_rows(rng, self.p, self.n, self.n)
-        shift = tuple(rng.randrange(self.p) for _ in range(self.n))
+        rows, draw = _independent_rows(rng, self.p, self.n, self.n), _randbelow(rng, self.p)
+        shift = tuple(draw() for _ in range(self.n))
         perm = list(range(self.n))
         rng.shuffle(perm)
         return tuple(rows[i] for i in perm), tuple(shift[i] for i in perm)
@@ -134,11 +134,13 @@ class HiddenInstance:
 
     def evaluate(self, x: int) -> int:
         """The label f(x) = L x + s of a packed x, packed; constant exactly on cosets of the secret.
-        x must be a valid packed vector of Z_p^n: a set carry bit or a bit past the n lanes
-        raises ``KeyError`` or ``OverflowError``, never a label."""
+        x must be a valid packed vector of Z_p^n: a set carry bit, a lane at or above p or a bit
+        past the n lanes raises ``KeyError`` or ``OverflowError``, never a label."""
         (tables, label, nbytes, big_k, big_g, g), p = self._label_map, self.p
         if p == 2:  # lanes of one bit add by XOR
             return reduce(xor, map(getitem, tables, x.to_bytes(nbytes, "little")), label)
+        if (x | x + big_k) & big_g:  # as in ``Lanes.valid``: a lane in [p, 2^g) has table entries
+            raise KeyError(x)
         for table, byte in zip(tables, x.to_bytes(nbytes, "little")):
             label += table[byte]
             label -= (((label + big_k) & big_g) >> g) * p

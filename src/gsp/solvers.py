@@ -75,7 +75,7 @@ from itertools import accumulate, islice
 from typing import Iterable
 
 from .algebra import (
-    DEFAULT_ENUMERATION_CAP, Lanes, Subgroup, VectorP, _span, complement, lanes, trivial_subgroup
+    DEFAULT_ENUMERATION_CAP, Lanes, Subgroup, VectorP, _randbelow, _span, complement, lanes, trivial_subgroup
 )
 from .bounds import det_query_bound
 from .errors import ParameterError, PromiseViolationError, ResourceCapError
@@ -213,8 +213,9 @@ def find_group(
         span = sorted(add(b, m) for b in b_label_of.values() for m in multiples)
         span.remove(u)
         span.insert(0, u)
+        labels = []  # each asked once: an accepted span's labels go into B's map
         for b in span:
-            label = log.query(b)
+            labels.append(label := log.query(b))
             if label in a_label_of:
                 s_cur = _grow_partial_secret(s_cur, diff := sub(a_label_of[label], b), k)
                 insert(echelon, diff)
@@ -222,7 +223,7 @@ def find_group(
         else:
             insert(echelon, u)
             b_units.append(u)
-            b_label_of.update((log.query(b), b) for b in span)
+            b_label_of.update(zip(labels, span))
 
     return _span(p, n, b_units), b_label_of, s_cur
 
@@ -301,12 +302,11 @@ def birthday_solve(
     samples = math.ceil(budget)
     if samples > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(f"sample budget {budget:.6g} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    rng = random.Random(seed)
-    lay = lanes(p, n)
+    draw, lay = _randbelow(random.Random(seed), p), lanes(p, n)
     first_with_label: dict[int, int] = {}
     diffs = []
     for _ in range(samples):
-        x = lay.pack([rng.randrange(p) for _ in range(n)])
+        x = lay.pack([draw() for _ in range(n)])
         label = log.query(x)
         seen = first_with_label.setdefault(label, x)
         if seen != x:

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from gsp import DimensionMismatchError, HiddenInstance, VectorP, canonicalize, orthogonal, solvers
+from gsp import (
+    DimensionMismatchError, HiddenInstance, VectorP, canonicalize, enumerate_subgroups, orthogonal, solvers
+)
 from gsp.algebra import lanes
 from gsp.solvers import find_group
 
@@ -97,6 +99,15 @@ def reference_reduce(h, coords):
         c = coords[row.index(1)]
         residue = [a - c * b for a, b in zip(residue, row)]
     return tuple(a % p for a in residue)
+
+
+def reference_evading(p, n, d_set, k, d):
+    """The first rank-k subgroup in ``enumerate_subgroups`` order that holds fewer than d
+    elements of d_set by ``reference_reduce``, or None; the reference for ``evading_subgroup``."""
+    for h in enumerate_subgroups(p, n, k):
+        if sum(reference_reduce(h, v.coords) == (0,) * n for v in d_set) < d:
+            return h
+    return None
 
 
 def label_of(inst, x):

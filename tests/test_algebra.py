@@ -1,6 +1,7 @@
 """Exact-arithmetic checks for vectors and canonical subgroup bases."""
 
 import itertools
+import random
 
 import pytest
 
@@ -17,10 +18,10 @@ from gsp import (
     random_subgroup,
     trivial_subgroup,
 )
-from gsp.algebra import lanes
+from gsp.algebra import DEFAULT_ENUMERATION_CAP, _reducer, _rref_bases, lanes
 from conftest import (
-    add, all_vectors, dot, elements, full_subgroup, index, intersect, pack, reduce, rows, scale, span, sub,
-    subgroup_sum, unit, vec, zero
+    add, all_vectors, dot, elements, full_subgroup, index, intersect, pack, reduce, reference_reduce, rows,
+    scale, span, sub, subgroup_sum, unit, vec, zero
 )
 
 
@@ -283,6 +284,14 @@ class TestOrthogonal:
                     assert orthogonal(perp) == h
 
 
+def sum_of_rows(h, rng):
+    """A random member of H: a random combination of its rows."""
+    total = zero(h.p, h.n)
+    for row in rows(h):
+        total = add(total, scale(row, rng.randrange(h.p)))
+    return total
+
+
 class TestEnumeration:
     def test_rank1_of_z2_squared(self):
         subs = list(enumerate_subgroups(2, 2, 1))
@@ -296,6 +305,34 @@ class TestEnumeration:
         subs = list(enumerate_subgroups(2, 4, 2))
         assert len(subs) == 35
         assert len(set(subs)) == 35
+
+    def test_rref_bases_are_the_enumeration(self):
+        for p, n in [(2, 4), (3, 3), (5, 2)]:
+            for k in range(n + 1):
+                patterns = _rref_bases(p, n, k, DEFAULT_ENUMERATION_CAP)
+                flat = [(pivots, basis) for pivots, bases in patterns for basis in bases]
+                subs = list(enumerate_subgroups(p, n, k))
+                assert [basis for _, basis in flat] == [h.basis for h in subs]
+                assert [pivots for pivots, _ in flat] == [h.pivots() for h in subs]
+
+    def test_reducer_matches_coset_reduce_on_every_basis(self):
+        # random x, plus the all-(p-1) vector, whose pivot coefficients are p - 1 (c != 1 for
+        # p > 2, the scale path) and, at p = 2, 1 at every pivot; a member and 0 are reduced to 0
+        rng = random.Random(3)
+        for p, n in [(2, 5), (3, 4), (5, 3), (7, 3)]:
+            lay = lanes(p, n)
+            for k in range(n + 1):
+                for pivots, bases in _rref_bases(p, n, k, DEFAULT_ENUMERATION_CAP):
+                    xs = [rng.randrange(p**n) for _ in range(6)] + [p**n - 1, 0]
+                    xs = [VectorP.from_index(p, n, i) for i in xs]
+                    reducers = [_reducer(lay, pivots, pack(x)) for x in xs]
+                    for basis in bases:
+                        h = Subgroup._unchecked(p, n, basis)
+                        member = pack(sum_of_rows(h, rng))
+                        for x, residue in zip(xs, reducers):
+                            expect = pack(VectorP(p, reference_reduce(h, x.coords)))
+                            assert residue(basis) == h.coset_reduce(pack(x)) == expect
+                        assert _reducer(lay, pivots, member)(basis) == 0
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):

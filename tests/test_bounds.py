@@ -17,6 +17,7 @@ from gsp import (
     t2_count,
 )
 from gsp.bounds import det_query_bound, optimal_d
+from conftest import reference_evading
 
 PRIMES = (2, 3, 5, 7)
 
@@ -115,6 +116,18 @@ class TestEvadingSubgroup:
             h = evading_subgroup(2, 4, d_set, k=2, d=2)
             assert h is not None
             assert sum(1 for v in d_set if h.contains(v)) <= 1
+
+    def test_witness_matches_reference_scan(self):
+        # the first qualifying basis in enumeration order, or None when every subgroup meets
+        # D in d points or more (D the whole space but 0 at d up to p^k - 1)
+        rng = random.Random(11)
+        for p, n in [(2, 4), (2, 5), (3, 3), (5, 2), (7, 2)]:
+            nonzero = [VectorP.from_index(p, n, i) for i in range(1, p**n)]
+            for k in range(1, n):
+                for d in (1, 2, 3):
+                    for size in (0, 1, len(nonzero) // 2, len(nonzero) - 1, len(nonzero)):
+                        d_set = rng.sample(nonzero, size)
+                        assert evading_subgroup(p, n, d_set, k, d) == reference_evading(p, n, d_set, k, d)
 
 
 class TestBoundReport:

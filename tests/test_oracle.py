@@ -88,13 +88,14 @@ def test_one_affine_map_feeds_both_label_paths(obfuscate):
     assert inst.all_labels() == ([pack(x) for x in all_vectors(p, n)], [pack(y) for y in expect])
 
 
-@pytest.mark.parametrize("p,n", [(2, 4), (3, 5), (257, 3)])
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 5), (5, 4), (257, 3)])
 def test_evaluate_refuses_invalid_packed_vectors(p, n):
     # only valid packed vectors have labels: the tables hold no carry bit and no bit past the
-    # lanes; p = 2 lanes have no carry bit, and there 1 << (w - 1) = 1 is the valid e_{n-1}
+    # lanes, and a lane at or above p is refused; p = 2 lanes have no carry bit and no value
+    # at or above p, and there 1 << (w - 1) = 1 is the valid e_{n-1}
     inst, w = make_instance(p, n, 1, subgroup_seed=0, obfuscate=True), lanes(p, n).width
-    carry = [1 << (w - 1)] if p > 2 else []
-    for x in (*carry, 1 << (n * w), 1 << (8 * -(-n * w // 8)), -1):
+    past_p = [1 << (w - 1), p] if p > 2 else []  # the carry bit; p in the bottom lane
+    for x in (*past_p, 1 << (n * w), 1 << (8 * -(-n * w // 8)), -1):
         with pytest.raises((KeyError, OverflowError)):
             inst.evaluate(x)
 

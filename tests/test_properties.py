@@ -24,7 +24,7 @@ from gsp import (
     random_subgroup,
     solvers,
 )
-from gsp.algebra import _REPS_CHUNK, _independent_rows, _rref, lanes
+from gsp.algebra import _REPS_CHUNK, _independent_rows, _randbelow, _rref, lanes
 from gsp.bounds import det_query_bound
 from conftest import (
     add,
@@ -477,6 +477,16 @@ def _rejection_rows(rng, p, n, count):
         if len(rref(p, n, rows + [cand])) > len(rows):
             rows.append(cand)
     return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 257, 65521])
+def test_randbelow_draws_as_randrange(p):
+    # the same values from the same stream as Random.randrange on every supported CPython
+    for seed in range(200):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        draw = _randbelow(rng, p)
+        assert [draw() for _ in range(50)] == [ref_rng.randrange(p) for _ in range(50)]
+        assert rng.random() == ref_rng.random()
 
 
 @PROPERTY
