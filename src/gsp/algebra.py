@@ -27,7 +27,7 @@ bare p and n check everything they are given; a packed row must pass
 enumerated subgroups, coset representatives, lane arithmetic) are valid by
 construction and are built through the unchecked private constructors
 ``VectorP._unchecked`` and ``Subgroup._unchecked``, which take Python ints
-only.  ``Subgroup.coset_reduce`` takes a packed vector as it is.
+only.  ``Subgroup.coset_reduce`` checks its packed vector with ``Lanes.valid``.
 
 Everything in this module is a pure function on immutable values and is
 safe to share across threads.
@@ -227,8 +227,13 @@ class Lanes:
         self.valid, self.pack, self.unpack = valid, pack, unpack
 
     def digits(self, xs: Sequence[int]) -> np.ndarray:
-        """The (len(xs), n) int64 coordinates of packed vectors, read off their big-endian bits."""
+        """The (len(xs), n) int64 coordinates of packed vectors: each lane shifted and masked out of
+        a uint64 word when n*w <= 64 (below 2^w, so the uint64 result is viewed as int64), else
+        read off the big-endian bits of the vectors' bytes."""
         n, w, size = self.n, self.width, (self.n * self.width + 7) // 8
+        if n * w <= 64:
+            words = np.fromiter(xs, np.uint64, len(xs))[:, None] >> np.array(self.shifts, np.uint64)
+            return (words & np.uint64((1 << w) - 1)).view(np.int64)
         raw = np.frombuffer(b"".join(x.to_bytes(size, "big") for x in xs), np.uint8).reshape(len(xs), size)
         bits = np.unpackbits(raw, axis=1)[:, 8 * size - n * w :].reshape(len(xs), n, w)
         return bits @ (1 << np.arange(w - 1, -1, -1, dtype=np.int64))
@@ -292,10 +297,12 @@ class Subgroup:
         return not self.coset_reduce(x.pack(self.p, self.n))
 
     def coset_reduce(self, x: int) -> int:
-        """Canonical representative of the coset x + self, x a valid packed vector: the unique
-        member whose coordinates at every pivot column are zero (``_reducer``).
-        ``coset_reps`` takes the same sum off many vectors at once."""
-        return _reducer(lanes(self.p, self.n), self.pivots(), x)(self.basis)
+        """Canonical representative of the coset x + self: the unique member whose coordinates at
+        every pivot column are zero (``_reducer``).  x must pass ``Lanes.valid``, else
+        ``ParameterError``.  ``coset_reps`` takes the same sum off many vectors at once."""
+        if not (lay := lanes(self.p, self.n)).valid(x):
+            raise ParameterError(f"{x!r} is not a packed vector of Z_{self.p}^{self.n}")
+        return _reducer(lay, self.pivots(), x)(self.basis)
 
     def coset_reps(self, xs: Iterable[int]) -> list[int]:
         """``[self.coset_reduce(x) for x in xs]``.  At p = 2 a packed vector is its own index, below

@@ -11,18 +11,17 @@ f(x) = f(y) holds exactly when x - y is in S, for both label modes.
 Queries and labels are packed ints in the lane layout of
 ``gsp.algebra.lanes(p, n)``, and ``QueryLog``'s cache maps one to the other.
 
-Both modes compile to one affine map over F_p, f(x) = L x + s.  Coset
-reduction by the secret's RREF basis (``Subgroup.coset_reduce``) is linear
-and the bijection is affine (the identity with zero shift in plain mode),
-so L is the bijection's matrix times the reduction's, whose column j is the
-representative of e_j (e_j minus the secret's row with pivot j, if any); L is
-one int64 product, built once per instance (``HiddenInstance._affine``).
-``evaluate`` reads a packed x byte by byte: table j maps byte j of x to L
-times the part of x in that byte, packed, and a label is the packed s plus one
-lookup and one lane-wise add mod p per byte (``Lanes.add`` inlined; XOR at p = 2).
-Only valid packed vectors (``Lanes.valid``) have labels; any other int raises.
-``all_labels`` applies the same L to all of Z_p^n, as one int64 array
-product per 2^16 elements, and ``QueryLog.query_all`` fills a query cache from it.
+Both modes compile to one affine map over F_p, f(x) = L x + s.  Coset reduction by the
+secret's RREF basis (``Subgroup.coset_reduce``) is linear and the bijection is affine (the
+identity with zero shift in plain mode), so L is the bijection's matrix times the reduction's,
+whose column j is the representative of e_j (e_j minus the secret's row with pivot j, if any).
+``HiddenInstance._affine`` builds L's columns as packed ints in lane arithmetic, once per
+instance, and ``_label_map`` turns them into byte tables by doubling lists of keys and labels.
+``evaluate`` reads a packed x byte by byte: table j maps byte j of x to L times the part of x
+in that byte, packed, and a label is the packed s plus one lookup and one lane-wise add mod p
+per byte (``Lanes.add`` inlined; XOR at p = 2).  Only valid packed vectors (``Lanes.valid``)
+have labels; any other int raises.  ``all_labels`` applies the same L to all of Z_p^n, as one
+int64 array product per 2^16 elements, and ``QueryLog.query_all`` fills a query cache from it.
 """
 
 from __future__ import annotations
@@ -88,45 +87,48 @@ class HiddenInstance:
         return tuple(rows[i] for i in perm), tuple(shift[i] for i in perm)
 
     @cached_property
-    def _affine(self) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-        """(columns of L, s) of f(x) = L x + s, entries in [0, p): L = M R mod p, one int64 product
-        (sums below n*p^2 < 2^38) of the bijection's matrix M, the identity in plain mode, and R,
-        whose column j is the coset representative of e_j: e_j - row at each row's pivot j, else e_j."""
-        p, n, secret = self.p, self.n, self.secret
-        matrix = np.eye(n, dtype=np.int64)
-        matrix[:, list(secret.pivots())] -= lanes(p, n).digits(secret.basis).T
+    def _affine(self) -> tuple[list[int], tuple[int, ...]]:
+        """(columns of L packed in ``lanes(p, n)``, s) of f(x) = L x + s.  L = M R, M the bijection's
+        matrix (the identity in plain mode), R's column j the coset representative of e_j: a non-pivot
+        column of L is M's, and the secret row with pivot j (0 at the other pivots) gives column j =
+        M(e_j - row) = -sum of row[t] times M's column t over non-pivot t, in lane arithmetic."""
+        lay, secret = lanes(self.p, self.n), self.secret
         if self.obfuscate:
             rows, shift = self._bijection
-            matrix = np.array(rows, dtype=np.int64) @ matrix
+            cols = [lay.pack(c) for c in zip(*rows)]
         else:
-            shift = (0,) * n
-        return list(map(tuple, (matrix % p).T.tolist())), shift
+            cols, shift = [1 << at for at in lay.shifts], (0,) * self.n
+        pivots, mask = secret.pivots(), (1 << lay.width) - 1
+        free = [(t, lay.shifts[t]) for t in range(self.n) if t not in pivots]
+        for j, row in zip(pivots, secret.basis):
+            terms = (cols[t] if c == 1 else lay.scale(c, cols[t]) for t, at in free if (c := row >> at & mask))
+            cols[j] = lay.sub(0, reduce(lay.add, terms, 0))
+        return cols, shift
 
     @cached_property
     def _label_map(self) -> tuple[list[dict[int, int]], int, int, int, int, int]:
         """(tables, packed s, byte length, K, G, g of ``Lanes.add``).  Table j maps byte j of
         ``x.to_bytes(byte length, "little")`` to L times the bits of x in that byte, packed.
-        It is built by doubling over the byte's value bits; carry bits and bits past the n
-        lanes have no entry, so a table holds at most 256 entries (⌈n/8⌉ tables at p = 2)."""
+        Its keys and labels are lists doubled per value bit of the byte; carry bits and bits past
+        the n lanes have no entry, so a table holds at most 256 entries (⌈n/8⌉ tables at p = 2)."""
         lay, (cols, shift) = lanes(self.p, self.n), self._affine
-        add, w = lay.add, lay.width
-        tables = [{0: 0} for _ in range((self.n * w + 7) // 8)]
-        for lane, col in enumerate(reversed(cols)):  # the last coordinate is the bottom lane
-            weight = lay.pack(col)  # L times bit q of x, doubled for each next value bit
-            for q in range(lane * w, lane * w + lay.g):
-                table = tables[q // 8]
-                table.update({byte | 1 << q % 8: add(label, weight) for byte, label in table.items()})
+        add, w, nbytes = lay.add, lay.width, (self.n * lay.width + 7) // 8
+        keys, labels = [[0] for _ in range(nbytes)], [[0] for _ in range(nbytes)]
+        for lane, weight in enumerate(reversed(cols)):  # the last coordinate is the bottom lane
+            for q in range(lane * w, lane * w + lay.g):  # weight: L times bit q of x
+                bit, ks, vs = 1 << q % 8, keys[q // 8], labels[q // 8]
+                ks += [k | bit for k in ks]
+                vs += [v ^ weight for v in vs] if self.p == 2 else [add(v, weight) for v in vs]
                 weight = add(weight, weight)
-        return tables, lay.pack(shift), len(tables), lay.big_k, lay.big_g, lay.g
+        return [dict(zip(*kv)) for kv in zip(keys, labels)], lay.pack(shift), nbytes, lay.big_k, lay.big_g, lay.g
 
     def all_labels(self) -> tuple[list[int], list[int]]:
-        """Every packed x of Z_p^n in index order, and this class's label of each.
-
-        One product digits @ Lᵀ + s mod p per ``_space`` chunk, whose sums stay below n*p^2 < 2^38.
-        """
+        """Every packed x of Z_p^n in index order, and this class's label of each: L's digits come
+        from its packed columns in one ``Lanes.digits`` call, then one product digits @ Lᵀ + s mod p
+        per ``_space`` chunk, whose sums stay below n*p^2 < 2^38."""
         p, n, (cols, shift) = self.p, self.n, self._affine
-        keys, labels, matrix = [], [], np.array(cols, dtype=np.int64)
-        unit_lanes = np.left_shift(1, lanes(p, n).shifts, dtype=np.int64)
+        keys, labels, lay = [], [], lanes(p, n)
+        matrix, unit_lanes = lay.digits(cols), np.left_shift(1, lay.shifts, dtype=np.int64)
         for digits, xs in _space(p, n):
             keys += xs
             labels += ((digits @ matrix + shift) % p @ unit_lanes).tolist()

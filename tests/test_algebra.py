@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from gsp import (
@@ -121,6 +122,19 @@ class TestVectorOps:
         assert VectorP.from_digits(5, v.digits()) == v
 
 
+@pytest.mark.parametrize("p,n", [(2, 64), (5, 16), (7, 16), (3, 22), (5, 17)])
+def test_lane_digits_at_the_word_boundary(p, n):
+    # n*w = 64 fills a uint64 word, read lane by lane; n*w > 64 is read byte by byte.  With 0,
+    # e_0 in the top lane, the all-(p-1) vector and every bit of the n lanes set (bit 63 included
+    # on the word path), digits must be unpack, in int64
+    lay = lanes(p, n)
+    assert (n * lay.width <= 64) == (n in (64, 16))
+    xs = [0, unit(p, n, 0), lay.pack((p - 1,) * n), (1 << n * lay.width) - 1]
+    out = lay.digits(xs)
+    assert out.dtype == np.int64
+    assert out.tolist() == [list(lay.unpack(x)) for x in xs]
+
+
 class TestCanonicalize:
     def test_worked_example(self):
         h = span(2, 4, [vec(2, "0011"), vec(2, "0110")])
@@ -182,6 +196,17 @@ class TestMembership:
         ]
         assert candidates == [vec(2, "1001")]
         assert reduce(ref_secret, x) == candidates[0]
+
+    def test_coset_reduce_refuses_invalid_packed_vectors(self, ref_secret):
+        # a set carry bit, a lane at p, an int of a longer space, and -1 are no packed vector
+        h = random_subgroup(3, 4, 2, 0)
+        w = lanes(3, 4).width
+        for x in (1 << (w - 1), 3, unit(3, 5, 0), -1):
+            with pytest.raises(ParameterError):
+                h.coset_reduce(x)
+        for x in (unit(2, 5, 0), -1):
+            with pytest.raises(ParameterError):
+                ref_secret.coset_reduce(x)
 
     def test_coset_reduce_law(self):
         # equal representatives exactly when the difference is in the subgroup

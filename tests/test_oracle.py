@@ -79,7 +79,7 @@ def test_one_affine_map_feeds_both_label_paths(obfuscate):
     p, n = 3, 3
     inst = make_instance(p, n, 1, subgroup_seed=2, label_seed=6, obfuscate=obfuscate)
     cols, shift = [(1, 2, 0), (0, 1, 1), (2, 0, 1)], (1, 0, 2)  # column j of L is cols[j]
-    vars(inst)["_affine"] = (cols, shift)
+    vars(inst)["_affine"] = ([lanes(p, n).pack(c) for c in cols], shift)  # columns packed, as _affine keeps them
     expect = [
         VectorP(p, tuple((sum(c[i] * xj for c, xj in zip(cols, x.coords)) + shift[i]) % p for i in range(n)))
         for x in all_vectors(p, n)

@@ -361,7 +361,22 @@ def test_affine_map_matches_reference(data):
     if inst.obfuscate:
         rows, shift = inst._bijection
         cols = [tuple(sum(map(mul, row, col)) % p for row in rows) for col in cols]
-    assert inst._affine == (cols, shift)
+    assert inst._affine == ([lanes(p, n).pack(col) for col in cols], shift)
+
+
+@pytest.mark.parametrize("obfuscate", [False, True])
+@pytest.mark.parametrize("p,n", LABEL_SPACES)
+def test_label_tables_hold_exactly_the_valid_bytes(p, n, obfuscate):
+    # table j has an entry for byte j of a packed x exactly when every set bit of the byte is a
+    # value bit of a lane inside the n lanes: absolute bit q below n*w with q mod w below g,
+    # lanes of g = bit length of p-1 value bits plus, for p > 2, one carry bit
+    g = (p - 1).bit_length()
+    w = g + (p > 2)
+    tables = make_instance(p, n, n // 2, 3, 5, obfuscate)._label_map[0]
+    assert len(tables) == -(-n * w // 8)
+    for j, table in enumerate(tables):
+        value_bits = sum(1 << i for i in range(8) if 8 * j + i < n * w and (8 * j + i) % w < g)
+        assert sorted(table) == [byte for byte in range(256) if not byte & ~value_bits]
 
 
 CHECK_SPACES = [(p, n) for p in (2, 3, 5, 7) for n in range(2, 9) if p**n <= 729]
