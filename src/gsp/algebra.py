@@ -6,9 +6,9 @@ lane-wise sums and differences mod p take a few whole-int operations (SWAR, SIMD
 within a register); at p = 2 lanes are one bit, so they are one XOR, and a packed
 vector is its own index.  The same layout keeps an incremental row echelon
 (``Lanes.insert``), which answers rank questions and, back-substituted, gives every
-RREF (``_rref``); ``Subgroup.coset_reps`` reduces many vectors at once.  ``VectorP``,
-a validated tuple of residues, is the text boundary: parsing, printing, the
-simulator's measured elements and ``Subgroup.contains``.
+RREF (``_rref``); ``Subgroup.coset_reps`` reduces many vectors at once; the simulator
+runs ``add`` and ``sub`` on int64 arrays.  ``VectorP``, a validated tuple of
+residues, is the text boundary: parsing, printing, traces and ``Subgroup.contains``.
 
 ``_rref_bases`` yields every rank-k RREF basis, grouped by pivot pattern, and coset
 reduction (``_reducer``) is set up once per pattern, so brute-force counts and

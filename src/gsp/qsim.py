@@ -6,11 +6,11 @@ one flag qudit of dimension p per subgroup-shrinking step, by ascending
 pivot of its row, and one auxiliary qudit for the exact amplitude
 amplification, in that order.  A state is two flat arrays: int64
 mixed-radix basis keys (main register most significant) and their
-complex128 amplitudes.  Every gate is one of two primitives: a unitary on
-one register (the Fourier transforms), or a key permutation by vectorized
-base-p digit arithmetic (the oracle and the shrink step); the aux rotation
-is a product factor, and the amplification's reflections only change signs
-and amplitudes on fixed keys.  Entries below 1e-12 are pruned after each
+complex128 amplitudes.  Every gate is a unitary on one register (the Fourier
+transforms) or a key permutation (the oracle, the shrink step) by ``Lanes``
+sums on int64 arrays of packed vectors, indexed through ``_packed``; the aux
+rotation is a product factor, and the amplification's reflections only change
+signs and amplitudes on fixed keys.  Entries below 1e-12 are pruned after each
 unitary and after the reflections, and the norm is asserted there, never
 corrected, so unitarity bugs cannot hide behind renormalization.
 
@@ -53,9 +53,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import VectorP, canonicalize, lanes, orthogonal
+from .algebra import canonicalize, lanes, orthogonal
 from .errors import ParameterError, ResourceCapError
-from .oracle import HiddenInstance, _space
+from .oracle import HiddenInstance
 from .solvers import SolverResult
 
 PRUNE_EPS = 1e-12
@@ -143,13 +143,10 @@ def _permute(state: SparseState, reg: int, values: np.ndarray) -> SparseState:
     return SparseState(state.p, state.dims, keys, state.amps)
 
 
-def _vec_add(p: int, n: int, a: np.ndarray, b: np.ndarray, sign: int = 1) -> np.ndarray:
-    """Digitwise a + sign*b (mod p) of base-p vectors of Z_p^n, by one add table on ceil(n/2)-digit halves."""
-    half = (n + 1) // 2
-    base, powers = p**half, p ** np.arange(half, dtype=np.int64)
-    digits = np.arange(base, dtype=np.int64)[:, None] // powers % p
-    table = (digits[:, None] + sign * digits) % p @ powers
-    return table[a // base, b // base] * base + table[a % base, b % base]
+def _packed(p: int, n: int) -> np.ndarray:
+    """The packed vector of every basis value of Z_p^n, in int64: ascending, as int order is index order."""
+    digits = np.arange(p**n, dtype=np.int64)[:, None] // p ** np.arange(n - 1, -1, -1, dtype=np.int64) % p
+    return digits @ np.left_shift(1, lanes(p, n).shifts, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -163,10 +160,8 @@ def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
 
 @lru_cache(maxsize=1)  # one solve's table; a larger cache would keep every instance alive
 def _label_index_table(inst: HiddenInstance) -> np.ndarray:
-    """The index of every element's label, one ``evaluate`` call per element in index order."""
-    p, n = inst.p, inst.n
-    labels = [inst.evaluate(x) for _, xs in _space(p, n) for x in xs]
-    table = lanes(p, n).digits(labels) @ p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    """Every element's packed label, one ``evaluate`` call per element in index order."""
+    table = np.array([inst.evaluate(x) for x in _packed(inst.p, inst.n).tolist()], dtype=np.int64)
     table.setflags(write=False)
     return table
 
@@ -180,9 +175,12 @@ def fourier(state: SparseState, reg: int, inverse: bool = False) -> SparseState:
 
 def apply_oracle(state: SparseState, inst: HiddenInstance, counter: QCounter) -> SparseState:
     """|g>|y> -> |g>|y + f(g)>; one oracle call."""
-    labels = _label_index_table(inst)[state.digit(MAIN)]
+    p, n = inst.p, inst.n
+    if state.p != p or state.dims[:2] != (p**n, p**n):
+        raise ParameterError(f"state dims {state.dims} do not fit p={p} n={n}")
+    packed, labels = _packed(p, n), _label_index_table(inst)[state.digit(MAIN)]
     counter.oracle_calls += 1
-    return _permute(state, LABEL, _vec_add(inst.p, inst.n, state.digit(LABEL), labels))
+    return _permute(state, LABEL, np.searchsorted(packed, lanes(p, n).add(packed[state.digit(LABEL)], labels)))
 
 
 def simon_subroutine(inst: HiddenInstance, counter: QCounter) -> SparseState:
@@ -198,32 +196,33 @@ def simon_subroutine(inst: HiddenInstance, counter: QCounter) -> SparseState:
     return fourier(state, MAIN)
 
 
-def shrink_subgroup(state: SparseState, y: VectorP) -> SparseState:
+def shrink_subgroup(state: SparseState, y: int) -> SparseState:
     """Insert a flag qudit at register ``LABEL + 1`` and collapse the main-register
     support group H to {h in H : h_j = 0}, j the leading column of y.
 
-    Takes y's RREF row and its pivot j from ``canonicalize``, writes the main
-    value's j-th coordinate into the flag, subtracts that multiple of the row
-    from the main register, then inverse-Fouriers the flag so each branch
-    carries the basis state |g.row>.  Makes no oracle queries.
+    y is a packed vector of Z_p^n, n read off the main register.  Takes y's RREF
+    row and its pivot j from ``canonicalize``, writes the main value's j-th
+    coordinate into the flag, subtracts that multiple of the row from the main
+    register, then inverse-Fouriers the flag so each branch carries the basis
+    state |g.row>.  Makes no oracle queries.
     """
-    p, n = state.p, y.n
-    line = canonicalize(p, n, [y.pack(p, n)])
+    p, n = state.p, round(math.log(state.dims[MAIN], state.p))
+    line, lay, packed = canonicalize(p, n, [y]), lanes(p, n), _packed(p, n)
     if line.rank == 0:
         raise ParameterError("cannot shrink by the zero vector")
-    (row,), (j,) = map(lanes(p, n).unpack, line.basis), line.pivots()
-    main = state.digit(MAIN)
-    coefficient = main // p ** (n - 1 - j) % p  # j-th coordinate, msb first
-    row_multiples = np.arange(p)[:, None] * row % p @ p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    (row,), (j,) = line.basis, line.pivots()
+    main = packed[state.digit(MAIN)]
+    coefficient = main >> lay.shifts[j] & (1 << lay.width) - 1  # j-th coordinate, off its lane
+    row_multiples = np.array([lay.scale(c, row) for c in range(p)], dtype=np.int64)
     tail = state.stride(LABEL)
     keys = state.keys // tail * (tail * p) + coefficient * tail + state.keys % tail
     widened = SparseState(p, state.dims[: LABEL + 1] + (p,) + state.dims[LABEL + 1 :], keys, state.amps)
-    shifted = _permute(widened, MAIN, _vec_add(p, n, main, row_multiples[coefficient], -1))
+    shifted = _permute(widened, MAIN, np.searchsorted(packed, lay.sub(main, row_multiples[coefficient])))
     return fourier(shifted, LABEL + 1, inverse=True)
 
 
-def exact_amplify(inst: HiddenInstance, shrunk: SparseState, counter: QCounter) -> tuple[VectorP, SparseState]:
-    """One solver round: a certain fresh element of S_perp, and the round's final state.
+def exact_amplify(inst: HiddenInstance, shrunk: SparseState, counter: QCounter) -> tuple[int, SparseState]:
+    """One solver round: a certain fresh element of S_perp, packed, and the round's final state.
 
     ``shrunk`` is ``simon_subroutine(inst, ...)`` after ``shrink_subgroup``
     by each of the m elements found so far, the state the round's A starts
@@ -267,7 +266,7 @@ def exact_amplify(inst: HiddenInstance, shrunk: SparseState, counter: QCounter) 
         raise ArithmeticError(f"bad-outcome amplitude {bad:.3e} after amplification")
 
     mains = state.digit(MAIN)
-    return VectorP.from_index(p, n, int(mains[mains != 0].min())), state
+    return int(_packed(p, n)[mains[mains != 0].min()]), state
 
 
 def quantum_find_s(
@@ -284,14 +283,14 @@ def quantum_find_s(
     counter = counter if counter is not None else QCounter()
     calls_before = counter.oracle_calls
     shrunk = simon_subroutine(inst, QCounter())  # each round counts its own call
-    found: list[VectorP] = []
+    found: list[int] = []
     for _ in range(n - k):
         if found:
             state = None  # only the last round's state is returned; free this one before the shrink
             shrunk = shrink_subgroup(shrunk, found[-1])
         y, state = exact_amplify(inst, shrunk, counter)
         found.append(y)
-    recovered = orthogonal(canonicalize(p, n, [y.pack(p, n) for y in found]))
+    recovered = orthogonal(canonicalize(p, n, found))
     if recovered.rank != k:
         raise ArithmeticError("recovered orthogonal complement has wrong rank")
     result = SolverResult(recovered, counter.oracle_calls - calls_before, 3 * (n - k), None)

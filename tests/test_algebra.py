@@ -365,6 +365,10 @@ class TestEnumeration:
         with pytest.raises(ResourceCapError):
             list(enumerate_subgroups(2, 12, 1, cap=2**10))
 
+    def test_rank_past_n_rejected(self):
+        with pytest.raises(ParameterError, match="need 0 <= k <= n, got k=4, n=3"):
+            list(enumerate_subgroups(2, 3, 4))
+
 
 class TestRandomSubgroup:
     def test_deterministic(self):
@@ -372,6 +376,10 @@ class TestRandomSubgroup:
 
     def test_rank0(self):
         assert random_subgroup(3, 4, 0, seed=1).rank == 0
+
+    def test_rank_past_n_rejected(self):
+        with pytest.raises(ParameterError, match="need 0 <= k <= n, got k=5, n=4"):
+            random_subgroup(3, 4, 5, seed=1)
 
     def test_coverage_and_uniformity(self):
         import scipy.stats
@@ -409,3 +417,5 @@ class TestSerialization:
         for text in ("p=4 n=3 rows=", "p=2 n=-1 rows=", "p=2 n=70 rows="):
             with pytest.raises(ParameterError):
                 Subgroup.from_text(text)
+        with pytest.raises(ParameterError, match="bad digit string '1!'"):
+            Subgroup.from_text("p=3 n=2 rows=1!")

@@ -50,6 +50,12 @@ class TestCounts:
         assert t2_count(2, 4, 2) == 7
         assert t2_count(5, 3, 1) == 1  # empty product
 
+    def test_ranks_out_of_range_rejected(self):
+        with pytest.raises(ParameterError, match="need 0 <= k <= n, got k=5, n=4"):
+            t1_count(2, 4, 5)
+        with pytest.raises(ParameterError, match="need 1 <= k <= n, got k=0, n=4"):
+            t2_count(2, 4, 0)
+
     def test_against_literal_formula(self):
         for p in PRIMES:
             for n in range(0, 13):
@@ -135,6 +141,10 @@ class TestBoundReport:
         # CPython 3.10.0-3.10.6 have neither the int-to-str limit nor its getter
         monkeypatch.delattr(sys, "get_int_max_str_digits")
         assert bound_report(2, 240, 120).t1 == t1_count(2, 240, 120)
+
+    def test_full_rank_rejected(self):
+        with pytest.raises(ParameterError, match="need 1 <= k < n, got k=4, n=4"):
+            bound_report(2, 4, 4)
 
     def test_reference_point(self):
         rep = bound_report(2, 4, 2)

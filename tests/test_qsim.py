@@ -1,6 +1,7 @@
 """Unitarity, support laws, and exactness of the quantum simulation."""
 
 import cmath
+import functools
 import gc
 import math
 import random
@@ -33,8 +34,10 @@ from gsp import (
     zero_state,
 )
 import gsp.qsim as qsim
-from gsp.qsim import LABEL, MAIN, _label_index_table, _permute, _unitary, _vec_add
-from conftest import all_vectors, dot, elements, index, label_of, marginal, rows, scale, span, support, vec
+from gsp.qsim import LABEL, MAIN, _permute, _unitary
+from conftest import (
+    add, all_vectors, dot, elements, index, label_of, marginal, pack, rows, scale, span, sub, support, unpack, vec
+)
 from test_acceptance import QGRID, QGRID_LARGE
 
 
@@ -53,36 +56,50 @@ def basis_amps(state):
     return {tuple(int(d[i]) for d in digits): complex(a) for i, a in enumerate(state.amps)}
 
 
-def random_sparse_state(p, dims, seed):
+def random_sparse_state(p, dims, seed, size=5):
     rng = random.Random(seed)
     amps = {}
-    for _ in range(5):
+    for _ in range(size):
         basis = tuple(rng.randrange(d) for d in dims)
         amps[basis] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
     return make_state(p, dims, {b: a / norm for b, a in amps.items()})
 
 
-def reference_inverse_oracle(state, inst, counter):
-    """|g>|y> -> |g>|y - f(g)>; one oracle call."""
-    labels = _label_index_table(inst)[state.digit(MAIN)]
+@functools.cache
+def vectors(p, n):
+    """Z_p^n as ``VectorP``s in index order, so a basis value picks its vector, and each vector's index."""
+    space = list(all_vectors(p, n))
+    return space, {v: index(v) for v in space}
+
+
+def reference_oracle(state, inst, counter, sign=1):
+    """|g>|y> -> |g>|y + sign*f(g)>, one oracle call, in conftest's tuple arithmetic."""
+    space, position = vectors(inst.p, inst.n)
+    step = add if sign > 0 else sub
+    label = functools.cache(lambda g: label_of(inst, space[g]))
+    pairs = zip(state.digit(MAIN).tolist(), state.digit(LABEL).tolist())
     counter.oracle_calls += 1
-    return _permute(state, LABEL, _vec_add(inst.p, inst.n, state.digit(LABEL), labels, -1))
+    return _permute(state, LABEL, np.array([position[step(space[y], label(g))] for g, y in pairs]))
 
 
 def reference_shrink(state, y, j, flag, sign):
     """The shrink step on an existing, zeroed ``flag`` register (sign +1), or
-    its inverse (sign -1): the forward steps in reverse order with opposite signs."""
-    p, n = state.p, y.n
+    its inverse (sign -1): the forward steps in reverse order with opposite signs,
+    in conftest's tuple arithmetic."""
+    p = state.p
+    space, position = vectors(p, y.n)
     c_inv = pow(y.coords[j], p - 2, p)
-    y_multiples = np.array([index(scale(y, c)) for c in range(p)], dtype=np.int64)
 
     def copy_coefficient(state, sign):
-        coefficient = state.digit(MAIN) // p ** (n - 1 - j) % p * c_inv
+        coefficient = np.array([space[g].coords[j] * c_inv for g in state.digit(MAIN).tolist()])
         return _permute(state, flag, (state.digit(flag) + sign * coefficient) % p)
 
     def shift_main(state, sign):
-        return _permute(state, MAIN, _vec_add(p, n, state.digit(MAIN), y_multiples[state.digit(flag)], -sign))
+        step = sub if sign > 0 else add
+        shifted = functools.cache(lambda g, c: position[step(space[g], scale(y, c))])
+        pairs = zip(state.digit(MAIN).tolist(), state.digit(flag).tolist())
+        return _permute(state, MAIN, np.array([shifted(g, c) for g, c in pairs]))
 
     if sign > 0:
         return fourier(shift_main(copy_coefficient(state, 1), 1), flag, inverse=True)
@@ -117,7 +134,7 @@ def reference_round(inst, known, counter):
         for row, col, flag in reversed(shrinks):
             state = reference_shrink(state, row, col, flag, -1)
         state = fourier(state, MAIN, inverse=True)
-        state = reference_inverse_oracle(state, inst, counter)
+        state = reference_oracle(state, inst, counter, -1)
         return fourier(state, MAIN)
 
     def flip(state, mask):
@@ -175,7 +192,7 @@ class TestFourier:
 
 
 class TestKernels:
-    """The digit-factored transform and the table-driven digit addition against direct references."""
+    """The digit-factored transform against the dense kernel."""
 
     @pytest.mark.parametrize("p,m_max", [(2, 9), (3, 5), (5, 3), (7, 3)])
     def test_fourier_matches_dense_kernel(self, p, m_max):
@@ -199,28 +216,6 @@ class TestKernels:
                     expect = np.einsum("hg,agb->ahb", mat, before.reshape(dims)).reshape(-1)
                     assert np.abs(after - expect).max() < 1e-12, (p, m, inverse)
 
-    @staticmethod
-    def digitwise(p, n, a, b, sign):
-        out = 0
-        for i in range(n):
-            place = p**i
-            out += (a // place % p + sign * (b // place % p)) % p * place
-        return out
-
-    @pytest.mark.parametrize("p,n_max", [(2, 12), (3, 7), (5, 5), (7, 4)])
-    def test_vec_add_matches_digitwise_reference(self, p, n_max):
-        rng = np.random.default_rng(n_max)
-        for n in range(1, n_max + 1):
-            size = p**n
-            if size <= 64:  # every pair
-                a, b = (g.ravel() for g in np.meshgrid(np.arange(size), np.arange(size)))
-            else:
-                a, b = rng.integers(0, size, size=(2, 500))
-            for sign in (1, -1):
-                got = _vec_add(p, n, a.astype(np.int64), b.astype(np.int64), sign)
-                expect = [self.digitwise(p, n, int(x), int(y), sign) for x, y in zip(a, b)]
-                assert got.tolist() == expect, (p, n, sign)
-
 
 class TestOracle:
     def test_basis_action(self, ref_instance):
@@ -237,7 +232,7 @@ class TestOracle:
         c = QCounter()
         state = simon_subroutine(ref_instance, c)
         there = apply_oracle(state, ref_instance, c)
-        back = reference_inverse_oracle(there, ref_instance, c)
+        back = reference_oracle(there, ref_instance, c, -1)
         assert c.oracle_calls == 3
         back = basis_amps(back)
         assert max(abs(back.get(b, 0) - a) for b, a in basis_amps(state).items()) < 1e-12
@@ -253,6 +248,36 @@ class TestOracle:
         mains = [frozenset(v) for v in by_label.values()]
         assert all(len(m) == 4 for m in mains)
         assert len(set(mains)) == 4
+
+    def test_state_of_another_space_rejected(self, ref_instance):
+        # an (8, 8) state would get keys past its 64; a p = 3 state is no Z_2^4 state
+        for p, dims in ((2, (8, 8)), (3, (9, 9)), (2, (16,))):
+            with pytest.raises(ParameterError, match="do not fit p=2 n=4"):
+                apply_oracle(zero_state(p, dims), ref_instance, QCounter())
+
+
+class TestGatesAgainstTupleReference:
+    """``apply_oracle`` and ``shrink_subgroup``, on random sparse states, against conftest's tuple arithmetic."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_random_sparse_states(self, data):
+        p, n = data.draw(st.sampled_from([(2, 3), (2, 6), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2)]))
+        k = data.draw(st.integers(1, n - 1))
+        seeds = data.draw(st.tuples(*[st.integers(0, 2**32)] * 3))
+        inst = make_instance(p, n, k, seeds[0], seeds[1], data.draw(st.booleans()))
+        dims = (p**n, p**n) + (p,) * data.draw(st.integers(0, 2))
+        state = random_sparse_state(p, dims, seeds[2], size=data.draw(st.integers(1, 12)))
+        assert basis_amps(apply_oracle(state, inst, QCounter())) == basis_amps(reference_oracle(state, inst, QCounter()))
+
+        y = VectorP.from_index(p, n, data.draw(st.integers(1, p**n - 1)))
+        j, lead = next((i, c) for i, c in enumerate(y.coords) if c)
+        flagged = {b[: LABEL + 1] + (0,) + b[LABEL + 1 :]: a for b, a in basis_amps(state).items()}
+        flagged = make_state(p, dims[: LABEL + 1] + (p,) + dims[LABEL + 1 :], flagged)
+        got = basis_amps(shrink_subgroup(state, pack(y)))  # shrinks by y's RREF row, 1 at column j
+        want = basis_amps(reference_shrink(flagged, scale(y, pow(lead, -1, p)), j, LABEL + 1, 1))
+        assert got.keys() == want.keys(), (p, n, y)
+        assert max(abs(got[b] - a) for b, a in want.items()) < 1e-12
 
 
 class TestSimonSubroutine:
@@ -274,7 +299,7 @@ class TestSimonSubroutine:
 class TestShrink:
     def test_support_law(self, ref_instance):
         psi = simon_subroutine(ref_instance, QCounter())
-        out = shrink_subgroup(psi, vec(2, "1000"))
+        out = shrink_subgroup(psi, pack(vec(2, "1000")))
         assert {VectorP.from_index(2, 4, i).digits() for i in support(out, 0)} == {"0000", "0111"}
         assert abs(out.norm_sq() - 1.0) < 1e-10
 
@@ -282,7 +307,7 @@ class TestShrink:
         # each branch |phi_t K>|f(t)> gains the basis flag |t.y|
         y = vec(2, "1000")
         psi = simon_subroutine(ref_instance, QCounter())
-        out = shrink_subgroup(psi, y)
+        out = shrink_subgroup(psi, pack(y))
         label_to_rep = {}
         for x in all_vectors(2, 4):
             label_to_rep.setdefault(index(label_of(ref_instance, x)), x)
@@ -292,8 +317,19 @@ class TestShrink:
 
     def test_zero_vector_rejected(self, ref_instance):
         psi = simon_subroutine(ref_instance, QCounter())
-        with pytest.raises(ParameterError):
-            shrink_subgroup(psi, vec(2, "0000"))
+        with pytest.raises(ParameterError, match="zero vector"):
+            shrink_subgroup(psi, 0)
+
+    def test_vector_of_another_space_rejected(self, ref_instance):
+        # n comes from the main register, so y must be a packed vector of Z_2^4
+        psi = simon_subroutine(ref_instance, QCounter())
+        for y in (1 << 4, -1, vec(2, "101"), vec(2, "1000")):
+            with pytest.raises(ParameterError, match="not a packed vector of Z_2\\^4"):
+                shrink_subgroup(psi, y)
+        psi = simon_subroutine(make_instance(3, 2, 1, 0), QCounter())
+        for y in (0b0100, 0b0011):  # a carry bit, a lane at p
+            with pytest.raises(ParameterError, match="not a packed vector of Z_3\\^2"):
+                shrink_subgroup(psi, y)
 
 
 class TestExactAmplify:
@@ -304,7 +340,7 @@ class TestExactAmplify:
         y, state = exact_amplify(inst, simon_subroutine(inst, QCounter()), counter)
         perp = orthogonal(secret)
         nonzero = [v for v in elements(perp) if any(v.coords)]
-        assert y == nonzero[0]
+        assert y == pack(nonzero[0])
         assert counter.oracle_calls == 3
         bad = max(
             (abs(a) for b, a in basis_amps(state).items() if b[0] == 0 or b[-1] != 1),
@@ -323,14 +359,14 @@ class TestExactAmplify:
                 counter = QCounter()
                 y, _ = exact_amplify(inst, shrunk, counter)
                 assert counter.oracle_calls == 3
-                assert perp.contains(y)
-                assert not span(p, n, found).contains(y)
-                found.append(y)
+                assert perp.contains(unpack(p, n, y))
+                assert not span(p, n, found).contains(unpack(p, n, y))
+                found.append(unpack(p, n, y))
                 shrunk = shrink_subgroup(shrunk, y)
 
     def test_parameter_errors(self, ref_instance):
         simon = simon_subroutine(ref_instance, QCounter())
-        full = shrink_subgroup(shrink_subgroup(simon, vec(2, "0111")), vec(2, "1000"))
+        full = shrink_subgroup(shrink_subgroup(simon, pack(vec(2, "0111"))), pack(vec(2, "1000")))
         with pytest.raises(ParameterError):
             exact_amplify(ref_instance, full, QCounter())  # m = n-k
         other = simon_subroutine(make_instance(2, 3, 1, 0), QCounter())
@@ -349,7 +385,7 @@ class TestExactAmplify:
 def assert_round_matches_reference(inst, known):
     fast, slow = QCounter(), QCounter()
     shrunk = simon_subroutine(inst, QCounter())
-    for row in reversed(rows(span(inst.p, inst.n, known))):  # descending pivot: each flag goes first
+    for row in reversed(span(inst.p, inst.n, known).basis):  # descending pivot: each flag goes first
         shrunk = shrink_subgroup(shrunk, row)
     y, state = exact_amplify(inst, shrunk, fast)
     expect = reference_round(inst, known, slow)
@@ -359,7 +395,7 @@ def assert_round_matches_reference(inst, known):
     assert got.keys() == want.keys(), (inst.p, inst.n, inst.k, len(known))
     assert max(abs(got[i] - amp) for i, amp in want.items()) < 1e-12, (inst.p, inst.n, inst.k, len(known))
     assert fast.oracle_calls == slow.oracle_calls == 3
-    return y
+    return unpack(inst.p, inst.n, y)
 
 
 class TestReferenceRound:
@@ -396,6 +432,7 @@ class TestQuantumFindS:
         res = quantum_find_s(ref_instance, counter)
         assert res.recovered == ref_secret
         assert res.queries == counter.oracle_calls == 6  # 3 per round, n-k rounds
+        assert res.trace == ()  # no query log: the simulator's calls are not classical queries
 
     @pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
     def test_agreement_with_brute_force(self, p, n):
@@ -463,7 +500,7 @@ class TestQuantumFindS:
 
         def recording_amplify(*args):
             y, state = exact_amplify(*args)
-            found.append(y)
+            found.append(unpack(p, n, y))
             return y, state
 
         monkeypatch.setattr(qsim, "exact_amplify", recording_amplify)
