@@ -24,24 +24,25 @@ O(rows * p^2m) of a dense matrix, and no matrix larger than p x p is built.
 One solver round starts from the shrunk state, a uniform superposition
 over the subgroup of still-unknown orthogonal-subgroup elements; the known
 success probability a = 1 - p^-(n-k-m) is then boosted to exactly 1 by
-amplitude amplification run on a deliberately deflated target: an
-auxiliary-qudit rotation scales the success probability down to
-sin^2(pi/(2(2j+1))) for the integer iteration count
-j = ceil(pi/(4*arcsin(sqrt(a))) - 1/2), after which j full iterations land
-the good-subspace amplitude on 1 up to double-precision error.  An
-iteration is the circuit A S_0 A^-1 S_chi, where A prepares the round's
-state psi = A|0>, S_chi negates the good outcomes and S_0 negates |0>.
-Since A S_0 A^-1 = I - 2|psi><psi| (Brassard, Hoyer, Mosca, Tapp,
-quant-ph/0005055), the simulator applies it as one overlap with psi on
-psi's own keys and never runs A^-1.  The Simon state depends only on the
-instance, so it is prepared once per solve, and the shrunk state (it after
-one shrink per element found so far) is carried across rounds: n-k-1
-shrinks a solve.  Each element lies in a support that is zero at every
-earlier pivot, so its RREF row goes in front of the earlier rows.  Each round counts the
-circuit's calls, one for its A and two for each iteration's A^-1 and A;
-since a >= 1/2, j is always 1, so a round costs exactly 3 oracle calls and
-a solve 3(n-k).  Reading any surviving main-register basis value therefore
-yields a fresh independent element with certainty, and n-k rounds recover
+amplitude amplification run on a deliberately deflated target.  Since
+a >= 1 - 1/p >= 1/2, one iteration always suffices: an auxiliary-qudit
+rotation scales the success probability down to sin^2(pi/6) = 1/4, and the
+one iteration lands the good-subspace amplitude on 1 up to double-precision
+error.  The iteration is the circuit A S_0 A^-1 S_chi, where A prepares the
+round's state psi = A|0>, S_chi negates the good outcomes and S_0 negates
+|0>.  Since A S_0 A^-1 = I - 2|psi><psi| and amplification never leaves the
+plane of psi's good and bad parts (Brassard, Hoyer, Mosca, Tapp,
+quant-ph/0005055, section 2), the simulator runs the round on three class
+factors of the shrunk state's amplitudes (aux 0; aux 1 with main = 0; aux 1
+with main != 0), takes one overlap with psi and never runs A^-1.  The Simon
+state depends only on the instance, so it is prepared once per solve, and
+the shrunk state (it after one shrink per element found so far) is carried
+across rounds: n-k-1 shrinks a solve.  Each element lies in a support that
+is zero at every earlier pivot, so its RREF row goes in front of the earlier
+rows.  Each round counts the circuit's calls, one for its A and two for the
+iteration's A^-1 and A, so a round costs exactly 3 oracle calls and a solve
+3(n-k).  Reading any surviving main-register basis value therefore yields a
+fresh independent element with certainty, and n-k rounds recover
 the orthogonal subgroup, hence the secret.
 """
 
@@ -74,7 +75,9 @@ class SparseState:
     """Amplitudes ``amps[i]`` of the mixed-radix basis keys ``keys[i]``.
 
     ``dims`` are the register dimensions, each a power of ``p``, most
-    significant first; a key is unique within a state.
+    significant first; a key is unique within a state.  The constructor
+    checks p, dims, the keys' shape and range and the amplitudes' length;
+    gate outputs, valid by construction, are built by ``_unchecked``.
     """
 
     p: int
@@ -83,9 +86,24 @@ class SparseState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.p < 2:
+            raise ParameterError(f"p must be at least 2, got {self.p}")
         for dim in self.dims:
             if dim < self.p or self.p ** round(math.log(dim, self.p)) != dim:
                 raise ParameterError(f"register dimension {dim} is not a positive power of p={self.p}")
+        if self.keys.ndim != 1:
+            raise ParameterError(f"keys must be one-dimensional, got shape {self.keys.shape}")
+        if self.amps.shape != self.keys.shape:
+            raise ParameterError(f"{len(self.keys)} keys but amplitudes of shape {self.amps.shape}")
+        if len(self.keys) and not (0 <= int(self.keys.min()) and int(self.keys.max()) < math.prod(self.dims)):
+            raise ParameterError(f"keys must lie in [0, {math.prod(self.dims)})")
+
+    @classmethod
+    def _unchecked(cls, p: int, dims: tuple[int, ...], keys: np.ndarray, amps: np.ndarray) -> "SparseState":
+        """A gate's output, built without checks: valid by construction from a valid state."""
+        state = object.__new__(cls)
+        state.p, state.dims, state.keys, state.amps = p, dims, keys, amps
+        return state
 
     def stride(self, reg: int) -> int:
         return math.prod(self.dims[reg + 1 :])
@@ -105,7 +123,7 @@ class QCounter:
     ``apply_oracle`` counts its one call.  ``quantum_find_s`` prepares the
     Simon state once per solve, on a counter of its own, and each round of
     ``exact_amplify`` counts the circuit's calls in full: the one in its A,
-    plus the two that each amplification iteration's A^-1 and A would make.
+    plus the two that its one amplification iteration's A^-1 and A would make.
     """
 
     oracle_calls: int = 0
@@ -132,7 +150,7 @@ def _unitary(state: SparseState, reg: int, mat: np.ndarray) -> SparseState:
         block = (mat @ block.reshape(len(rest), -1, p).transpose(0, 2, 1)).reshape(block.shape)
     keep = np.abs(block) >= PRUNE_EPS
     keys = (rest[:, None] + np.arange(dim, dtype=np.int64) * stride)[keep]
-    result = SparseState(p, state.dims, keys, block[keep])
+    result = SparseState._unchecked(p, state.dims, keys, block[keep])
     _assert_normalized(result)
     return result
 
@@ -140,7 +158,7 @@ def _unitary(state: SparseState, reg: int, mat: np.ndarray) -> SparseState:
 def _permute(state: SparseState, reg: int, values: np.ndarray) -> SparseState:
     """Primitive: set one register to ``values``, a bijection of the keys."""
     keys = state.keys + (values - state.digit(reg)) * state.stride(reg)
-    return SparseState(state.p, state.dims, keys, state.amps)
+    return SparseState._unchecked(state.p, state.dims, keys, state.amps)
 
 
 def _packed(p: int, n: int) -> np.ndarray:
@@ -216,7 +234,7 @@ def shrink_subgroup(state: SparseState, y: int) -> SparseState:
     row_multiples = np.array([lay.scale(c, row) for c in range(p)], dtype=np.int64)
     tail = state.stride(LABEL)
     keys = state.keys // tail * (tail * p) + coefficient * tail + state.keys % tail
-    widened = SparseState(p, state.dims[: LABEL + 1] + (p,) + state.dims[LABEL + 1 :], keys, state.amps)
+    widened = SparseState._unchecked(p, state.dims[: LABEL + 1] + (p,) + state.dims[LABEL + 1 :], keys, state.amps)
     shifted = _permute(widened, MAIN, np.searchsorted(packed, lay.sub(main, row_multiples[coefficient])))
     return fourier(shifted, LABEL + 1, inverse=True)
 
@@ -227,12 +245,14 @@ def exact_amplify(inst: HiddenInstance, shrunk: SparseState, counter: QCounter) 
     ``shrunk`` is ``simon_subroutine(inst, ...)`` after ``shrink_subgroup``
     by each of the m elements found so far, the state the round's A starts
     from; m is its number of flag registers.  The round reads it and counts
-    its oracle call, so the counter gains the circuit's 2*iters + 1 = 3
-    calls.  The success probability a = 1 - p^-(n-k-m) is known, so the
-    amplification is calibrated to finish with the good-subspace amplitude
-    exactly 1 and the measured element is read off the support.  psi = A|0>
-    is ``shrunk`` times the aux qudit's cos(phi)|0> + sin(phi)|1>: psi and the
-    iterate are (len(shrunk.keys), 2) arrays, as aux values 2..p-1 carry nothing.
+    its oracle call, so the counter gains the circuit's 3 calls: its A's and
+    the one iteration's A^-1 and A.  The success probability
+    a = 1 - p^-(n-k-m) is known, so the amplification is calibrated to
+    finish with the good-subspace amplitude exactly 1 and the measured
+    element is read off the support.  psi = A|0> is ``shrunk`` times the aux
+    qudit's cos(phi)|0> + sin(phi)|1>, as aux values 2..p-1 carry nothing, so
+    psi and the iterate are ``shrunk.amps`` times one factor per class: aux 0;
+    aux 1 with main = 0; aux 1 with main != 0, the good outcomes.
     """
     p, n, k = inst.p, inst.n, inst.k
     m = len(shrunk.dims) - 2
@@ -242,26 +262,20 @@ def exact_amplify(inst: HiddenInstance, shrunk: SparseState, counter: QCounter) 
         raise ParameterError(f"already hold {m} elements; only n-k-1={n-k-1} rounds allowed")
 
     a = 1.0 - float(p) ** -(n - k - m)
-    theta = math.asin(math.sqrt(a))
-    iters = math.ceil(math.pi / (4.0 * theta) - 0.5)
-    theta_bar = math.pi / (2.0 * (2 * iters + 1))
-    phi = math.asin(math.sin(theta_bar) / math.sqrt(a))
+    phi = math.asin(0.5 / math.sqrt(a))  # a sin^2(phi) = sin^2(pi/6): the one iteration turns pi/6 to 3pi/6
+    counter.oracle_calls += 3  # the oracle in A, and the A^-1 and A that I - 2|psi><psi| replaces
 
-    counter.oracle_calls += 1  # the oracle in A, whose Simon state the caller prepared
-    psi = np.outer(shrunk.amps, [math.cos(phi), math.sin(phi)])
-    good = (shrunk.digit(MAIN) != 0)[:, None] & [False, True]
-
-    # A S_0 A^-1 S_chi with A S_0 A^-1 = I - 2|psi><psi|: the chi flip, then one overlap on psi's keys
-    amps = psi
-    for _ in range(iters):
-        amps = np.where(good, -amps, amps)
-        amps = amps - 2 * np.vdot(psi, amps) * psi
-        counter.oracle_calls += 2  # the A^-1 and A that the identity replaces
+    good = shrunk.digit(MAIN) != 0
+    mass = float(np.linalg.norm(shrunk.amps[good]) ** 2)
+    overlap = 1.0 - 2.0 * math.sin(phi) ** 2 * mass  # <psi|S_chi|psi>
+    # S_chi, then I - 2|psi><psi|, on psi's factors: aux 0; aux 1 with main = 0; aux 1 with main != 0
+    amps = np.outer(shrunk.amps, [(1 - 2 * overlap) * math.cos(phi), (1 - 2 * overlap) * math.sin(phi)])
+    amps[good, 1] = shrunk.amps[good] * (-(1 + 2 * overlap) * math.sin(phi))
     keep = np.abs(amps) >= PRUNE_EPS
-    state = SparseState(p, shrunk.dims + (p,), (shrunk.keys[:, None] * p + np.arange(2))[keep], amps[keep])
+    state = SparseState._unchecked(p, shrunk.dims + (p,), (shrunk.keys[:, None] * p + np.arange(2))[keep], amps[keep])
     _assert_normalized(state)
 
-    bad = float(np.abs(amps[~good]).max(initial=0.0))
+    bad = max(np.abs(amps[:, 0]).max(initial=0.0), np.abs(amps[~good, 1]).max(initial=0.0))
     if bad > BAD_AMPLITUDE_EPS:
         raise ArithmeticError(f"bad-outcome amplitude {bad:.3e} after amplification")
 

@@ -386,6 +386,17 @@ class TestVerifyBounds:
         code, out, _ = run(capsys, "verify-bounds", "--p", "2", "--n", "3", "--enum-cap", "0")
         assert code == 0 and all(line.endswith(" pass(identity-only)") for line in out.splitlines()[1:])
 
+    def test_enumeration_limit_on_subgroup_count(self, capsys):
+        # p^n = 729 is within the default --enum-cap, but t1 = 33880 rank-3 subgroups exceed 20000
+        code, out, _ = run(capsys, "verify-bounds", "--p", "3", "--n", "6", "--k", "3")
+        assert code == 0
+        line = out.splitlines()[1]
+        assert line.startswith("3 6 3 33880 1210 ") and line.endswith(" pass(identity-only)")
+        code, out, _ = run(capsys, "verify-bounds", "--p", "2", "--n", "7", "--k", "3")
+        assert code == 0
+        line = out.splitlines()[1]
+        assert line.startswith("2 7 3 11811 ") and line.endswith(" pass")
+
     def test_float_range(self, capsys):
         # sqrt(p^(n-k)) fits a float at n = 70; past 2^1024 it is an error, not an OverflowError
         code, out, _ = run(capsys, "verify-bounds", "--p", "2", "--n", "70", "--k", "1")

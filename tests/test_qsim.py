@@ -190,6 +190,17 @@ class TestFourier:
         with pytest.raises(ParameterError):
             zero_state(3, (1,))
 
+    @pytest.mark.parametrize("p,keys,amps,message", [
+        (2, [7], [1], r"keys must lie in \[0, 4\)"),  # fourier would return keys 4..7
+        (2, [1, 2], [1], r"2 keys but amplitudes of shape \(1,\)"),
+        (2, [[1]], [[1]], r"keys must be one-dimensional, got shape \(1, 1\)"),
+        (1, [1], [1], "p must be at least 2, got 1"),
+        (0, [1], [1], "p must be at least 2, got 0"),
+    ], ids=["key-out-of-range", "length-mismatch", "2d-keys", "p-1", "p-0"])
+    def test_malformed_state_rejected(self, p, keys, amps, message):
+        with pytest.raises(ParameterError, match=message):
+            SparseState(p, (4,), np.array(keys, dtype=np.int64), np.array(amps, dtype=complex))
+
 
 class TestKernels:
     """The digit-factored transform against the dense kernel."""
