@@ -8,11 +8,13 @@ amplification, in that order.  A state is two flat arrays: int64
 mixed-radix basis keys (main register most significant) and their
 complex128 amplitudes.  Every gate is a unitary on one register (the Fourier
 transforms) or a key permutation (the oracle, the shrink step) by ``Lanes``
-sums on int64 arrays of packed vectors, indexed through ``_packed``; the aux
-rotation is a product factor, and the amplification's reflections only change
-signs and amplitudes on fixed keys.  Entries below 1e-12 are pruned after each
-unitary and after the reflections, and the norm is asserted there, never
-corrected, so unitarity bugs cannot hide behind renormalization.
+sums on int64 arrays of packed vectors; ``_to_packed`` and ``_to_index``
+convert a state's basis values to packed vectors and back, digit by digit
+(both are the identity at p = 2).  The aux rotation is a product factor, and
+the amplification's reflections only change signs and amplitudes on fixed
+keys.  Entries below 1e-12 are pruned after each unitary and after the
+reflections, and the norm is asserted there, never corrected, so unitarity
+bugs cannot hide behind renormalization.
 
 The Fourier transform on a register of dimension p^m uses the kernel
 omega^(g.h) with omega = exp(2*pi*i/p) and g.h the dot product of the base-p
@@ -34,16 +36,30 @@ round's state psi = A|0>, S_chi negates the good outcomes and S_0 negates
 plane of psi's good and bad parts (Brassard, Hoyer, Mosca, Tapp,
 quant-ph/0005055, section 2), the simulator runs the round on three class
 factors of the shrunk state's amplitudes (aux 0; aux 1 with main = 0; aux 1
-with main != 0), takes one overlap with psi and never runs A^-1.  The Simon
-state depends only on the instance, so it is prepared once per solve, and
-the shrunk state (it after one shrink per element found so far) is carried
-across rounds: n-k-1 shrinks a solve.  Each element lies in a support that
-is zero at every earlier pivot, so its RREF row goes in front of the earlier
-rows.  Each round counts the circuit's calls, one for its A and two for the
-iteration's A^-1 and A, so a round costs exactly 3 oracle calls and a solve
-3(n-k).  Reading any surviving main-register basis value therefore yields a
-fresh independent element with certainty, and n-k rounds recover
-the orthogonal subgroup, hence the secret.
+with main != 0), takes one overlap with psi and never runs A^-1.  Each round
+counts the circuit's calls, one for its A and two for the iteration's A^-1
+and A, so a round costs exactly 3 oracle calls and a solve 3(n-k).  Reading
+any surviving main-register basis value therefore yields a fresh independent
+element with certainty, and n-k rounds recover the orthogonal subgroup,
+hence the secret.
+
+No gate acts on the label register after the oracle, so measuring it there
+leaves the distribution of every later outcome unchanged (deferred
+measurement, Nielsen & Chuang section 4.4).  ``quantum_find_s`` therefore
+simulates one branch of the Simon state: psi_0, the branch of label f(0),
+uniform over the p^k elements labelled f(0) (the coset S itself), read off
+the label table, Fourier-transformed on the main register.  The shrinks and
+the class factors are the same on every branch up to a phase and a flag
+shift, so psi_0 also gives every round's element, and the full state, where
+it is asked for, is the sum over one t per label of
+omega^(t.h) psi_0(h, flags - (t.r_i)_i, aux) (x) |f(t)>, over sqrt(p^(n-k)).
+The branch depends only on the instance, so it is prepared once per solve,
+and the shrunk state (it after one shrink per element found so far) is
+carried across rounds: n-k-1 shrinks a solve.  Each element lies in a support
+that is zero at every earlier pivot, so its RREF row goes in front of the
+earlier rows.  Only the label table, the answer check against it, the one
+row of psi_0's Fourier transform and, where asked for, the rebuilt full state
+are larger than the branch; a round's arrays hold at most p^(n-k) keys.
 """
 
 from __future__ import annotations
@@ -54,8 +70,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import canonicalize, lanes, orthogonal
-from .errors import ParameterError, ResourceCapError
+from .algebra import Subgroup, canonicalize, lanes, orthogonal
+from .errors import ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import HiddenInstance
 from .solvers import SolverResult
 
@@ -64,7 +80,7 @@ NORM_EPS = 1e-9
 BAD_AMPLITUDE_EPS = 1e-9
 
 #: Largest p**n the simulator accepts by default.
-DEFAULT_SIM_CAP = 4096
+DEFAULT_SIM_CAP = 1 << 16
 
 #: Fixed register positions; flags follow the label, the aux qudit is last.
 MAIN, LABEL = 0, 1
@@ -76,8 +92,8 @@ class SparseState:
 
     ``dims`` are the register dimensions, each a power of ``p``, most
     significant first; a key is unique within a state.  The constructor
-    checks p, dims, the keys' shape and range and the amplitudes' length;
-    gate outputs, valid by construction, are built by ``_unchecked``.
+    checks p, dims, the keys' shape, range and uniqueness and the amplitudes'
+    length; gate outputs, valid by construction, are built by ``_unchecked``.
     """
 
     p: int
@@ -97,6 +113,8 @@ class SparseState:
             raise ParameterError(f"{len(self.keys)} keys but amplitudes of shape {self.amps.shape}")
         if len(self.keys) and not (0 <= int(self.keys.min()) and int(self.keys.max()) < math.prod(self.dims)):
             raise ParameterError(f"keys must lie in [0, {math.prod(self.dims)})")
+        if not np.diff(np.sort(self.keys)).all():
+            raise ParameterError("keys must not repeat")
 
     @classmethod
     def _unchecked(cls, p: int, dims: tuple[int, ...], keys: np.ndarray, amps: np.ndarray) -> "SparseState":
@@ -120,10 +138,11 @@ class SparseState:
 class QCounter:
     """Oracle calls of the circuit.
 
-    ``apply_oracle`` counts its one call.  ``quantum_find_s`` prepares the
-    Simon state once per solve, on a counter of its own, and each round of
-    ``exact_amplify`` counts the circuit's calls in full: the one in its A,
-    plus the two that its one amplification iteration's A^-1 and A would make.
+    ``apply_oracle`` counts its one call.  ``quantum_find_s`` reads its
+    label branch and checks its answer off the label table, with no counted
+    call, and each round of ``exact_amplify`` counts the circuit's calls in
+    full: the one in its A, plus the two that its one amplification
+    iteration's A^-1 and A would make.
     """
 
     oracle_calls: int = 0
@@ -161,10 +180,25 @@ def _permute(state: SparseState, reg: int, values: np.ndarray) -> SparseState:
     return SparseState._unchecked(state.p, state.dims, keys, state.amps)
 
 
-def _packed(p: int, n: int) -> np.ndarray:
-    """The packed vector of every basis value of Z_p^n, in int64: ascending, as int order is index order."""
-    digits = np.arange(p**n, dtype=np.int64)[:, None] // p ** np.arange(n - 1, -1, -1, dtype=np.int64) % p
-    return digits @ np.left_shift(1, lanes(p, n).shifts, dtype=np.int64)
+def _digits(p: int, n: int, idx: np.ndarray) -> np.ndarray:
+    """The (..., n) base-p digits of int64 basis values of Z_p^n, most significant first."""
+    return idx[..., None] // p ** np.arange(n - 1, -1, -1, dtype=np.int64) % p
+
+
+def _to_packed(p: int, n: int, idx: np.ndarray) -> np.ndarray:
+    """The packed vectors of int64 basis values: digit i goes to lane i.  At p = 2 a vector is its own index."""
+    if p == 2:
+        return idx
+    return _digits(p, n, idx) @ np.left_shift(1, lanes(p, n).shifts, dtype=np.int64)
+
+
+def _to_index(p: int, n: int, packed: np.ndarray) -> np.ndarray:
+    """The basis values of int64 packed vectors of Z_p^n: ``_to_packed`` inverted, lane by lane."""
+    if p == 2:
+        return packed
+    lay = lanes(p, n)
+    lane = packed[..., None] >> np.array(lay.shifts, dtype=np.int64) & (1 << lay.width) - 1
+    return lane @ p ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -179,7 +213,8 @@ def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
 @lru_cache(maxsize=1)  # one solve's table; a larger cache would keep every instance alive
 def _label_index_table(inst: HiddenInstance) -> np.ndarray:
     """Every element's packed label, one ``evaluate`` call per element in index order."""
-    table = np.array([inst.evaluate(x) for x in _packed(inst.p, inst.n).tolist()], dtype=np.int64)
+    everything = _to_packed(inst.p, inst.n, np.arange(inst.p**inst.n, dtype=np.int64))
+    table = np.array([inst.evaluate(x) for x in everything.tolist()], dtype=np.int64)
     table.setflags(write=False)
     return table
 
@@ -196,9 +231,9 @@ def apply_oracle(state: SparseState, inst: HiddenInstance, counter: QCounter) ->
     p, n = inst.p, inst.n
     if state.p != p or state.dims[:2] != (p**n, p**n):
         raise ParameterError(f"state dims {state.dims} do not fit p={p} n={n}")
-    packed, labels = _packed(p, n), _label_index_table(inst)[state.digit(MAIN)]
+    labels = _label_index_table(inst)[state.digit(MAIN)]
     counter.oracle_calls += 1
-    return _permute(state, LABEL, np.searchsorted(packed, lanes(p, n).add(packed[state.digit(LABEL)], labels)))
+    return _permute(state, LABEL, _to_index(p, n, lanes(p, n).add(_to_packed(p, n, state.digit(LABEL)), labels)))
 
 
 def simon_subroutine(inst: HiddenInstance, counter: QCounter) -> SparseState:
@@ -221,32 +256,38 @@ def shrink_subgroup(state: SparseState, y: int) -> SparseState:
     y is a packed vector of Z_p^n, n read off the main register.  Takes y's RREF
     row and its pivot j from ``canonicalize``, writes the main value's j-th
     coordinate into the flag, subtracts that multiple of the row from the main
-    register, then inverse-Fouriers the flag so each branch carries the basis
-    state |g.row>.  Makes no oracle queries.
+    register, then inverse-Fouriers the flag so the branch of label f(t)
+    carries the basis state |t.row>, 0 on the branch of f(0).  Runs alike on
+    the full Simon state and on one label branch; every conversion between
+    basis values and packed vectors acts on the state's keys only.  Makes no
+    oracle queries.
     """
     p, n = state.p, round(math.log(state.dims[MAIN], state.p))
-    line, lay, packed = canonicalize(p, n, [y]), lanes(p, n), _packed(p, n)
+    line, lay = canonicalize(p, n, [y]), lanes(p, n)
     if line.rank == 0:
         raise ParameterError("cannot shrink by the zero vector")
     (row,), (j,) = line.basis, line.pivots()
-    main = packed[state.digit(MAIN)]
+    main = _to_packed(p, n, state.digit(MAIN))
     coefficient = main >> lay.shifts[j] & (1 << lay.width) - 1  # j-th coordinate, off its lane
     row_multiples = np.array([lay.scale(c, row) for c in range(p)], dtype=np.int64)
     tail = state.stride(LABEL)
     keys = state.keys // tail * (tail * p) + coefficient * tail + state.keys % tail
     widened = SparseState._unchecked(p, state.dims[: LABEL + 1] + (p,) + state.dims[LABEL + 1 :], keys, state.amps)
-    shifted = _permute(widened, MAIN, np.searchsorted(packed, lay.sub(main, row_multiples[coefficient])))
+    shifted = _permute(widened, MAIN, _to_index(p, n, lay.sub(main, row_multiples[coefficient])))
     return fourier(shifted, LABEL + 1, inverse=True)
 
 
 def exact_amplify(inst: HiddenInstance, shrunk: SparseState, counter: QCounter) -> tuple[int, SparseState]:
     """One solver round: a certain fresh element of S_perp, packed, and the round's final state.
 
-    ``shrunk`` is ``simon_subroutine(inst, ...)`` after ``shrink_subgroup``
+    ``shrunk`` is ``simon_subroutine(inst, ...)``, or its renormalised label
+    branch of f(0) as ``quantum_find_s`` runs it, after ``shrink_subgroup``
     by each of the m elements found so far, the state the round's A starts
-    from; m is its number of flag registers.  The round reads it and counts
-    its oracle call, so the counter gains the circuit's 3 calls: its A's and
-    the one iteration's A^-1 and A.  The success probability
+    from; m is its number of flag registers.  Every label branch has the same
+    good mass, so the class factors are the same on each, and a branch gives
+    the same element and its own slice of the full round.  The round reads it
+    and counts its oracle call, so the counter gains the circuit's 3 calls:
+    its A's and the one iteration's A^-1 and A.  The success probability
     a = 1 - p^-(n-k-m) is known, so the amplification is calibrated to
     finish with the good-subspace amplitude exactly 1 and the measured
     element is read off the support.  psi = A|0> is ``shrunk`` times the aux
@@ -280,7 +321,52 @@ def exact_amplify(inst: HiddenInstance, shrunk: SparseState, counter: QCounter) 
         raise ArithmeticError(f"bad-outcome amplitude {bad:.3e} after amplification")
 
     mains = state.digit(MAIN)
-    return int(_packed(p, n)[mains[mains != 0].min()]), state
+    return int(_to_packed(p, n, mains[mains != 0].min(keepdims=True))[0]), state
+
+
+def _label_branch(inst: HiddenInstance, table: np.ndarray) -> SparseState:
+    """psi_0, the Simon state's branch of label f(0) before its last Fourier transform, renormalised:
+    amplitude p^(-k/2) on each element labelled f(0), with the label register at f(0).  Read off
+    the label table, with no oracle call.  Raises ``PromiseViolationError`` unless there are p^k."""
+    p, n, k = inst.p, inst.n, inst.k
+    mains = np.flatnonzero(table == table[0])
+    if len(mains) != p**k:
+        raise PromiseViolationError(f"{len(mains)} elements share the label of 0, promised p^k = {p**k}")
+    keys = mains * p**n + _to_index(p, n, table[:1])
+    return SparseState._unchecked(p, (p**n, p**n), keys, np.full(len(mains), p ** (-k / 2), dtype=complex))
+
+
+def _check_answer(answer: Subgroup, k: int, table: np.ndarray, labels: np.ndarray) -> None:
+    """Raise ``PromiseViolationError`` unless the labels of ``table``, whose distinct values are
+    ``labels``, hide ``answer``: rank k, ``table[x + s] == table[x]`` for every x and basis row s,
+    and p^(n-k) distinct labels."""
+    p, n = answer.p, answer.n
+    if answer.rank != k:
+        raise PromiseViolationError(f"answer has rank {answer.rank}, promised k={k}")
+    lay, everything = lanes(p, n), _to_packed(p, n, np.arange(len(table), dtype=np.int64))
+    for row in answer.basis:
+        if not np.array_equal(table[_to_index(p, n, lay.add(everything, row))], table):
+            raise PromiseViolationError(f"the labels are not constant on the cosets of {answer}")
+    if len(labels) != p ** (n - k):
+        raise PromiseViolationError(f"{len(labels)} distinct labels, promised p^(n-k) = {p ** (n - k)}")
+
+
+def _all_branches(branch: SparseState, labels: np.ndarray, reps: np.ndarray, rows: tuple[int, ...]) -> SparseState:
+    """The full state sum_t psi_t (x) |f(t)> / sqrt(p^(n-k)) from ``branch``, psi_0 at the label of f(0).
+
+    t runs over ``reps``, the smallest element of each of the distinct ``labels``, and psi_t(h, flags, aux) is
+    omega^(t.h) psi_0(h, flags - (t.r_i)_i, aux), r_i the RREF row of flag i (``rows``, the
+    latest flag first): the branch of f(t) is psi_0 times omega^(t.h) before the shrinks, and
+    each shrink by r_i puts t.r_i in its flag."""
+    p, n = branch.p, round(math.log(branch.dims[MAIN], branch.p))
+    lay, t = lanes(p, n), _digits(p, n, reps)
+    phase = t @ _digits(p, n, branch.digit(MAIN)).T % p
+    keys = branch.keys + (_to_index(p, n, labels)[:, None] - branch.digit(LABEL)) * branch.stride(LABEL)
+    for reg, row in enumerate(rows, LABEL + 1):
+        flag, shift = branch.digit(reg), t @ np.array(lay.unpack(row), dtype=np.int64)
+        keys += ((flag + shift[:, None]) % p - flag) * branch.stride(reg)
+    amps = np.exp(2j * np.pi * np.arange(p) / p)[phase] * (branch.amps / math.sqrt(len(labels)))
+    return SparseState._unchecked(p, branch.dims, keys.ravel(), amps.ravel())
 
 
 def quantum_find_s(
@@ -288,15 +374,23 @@ def quantum_find_s(
     counter: QCounter | None = None,
     return_final_state: bool = False,
 ):
-    """Recover the secret exactly with n-k amplified rounds from one Simon state, shrunk
-    by each round's element, for p^n up to ``DEFAULT_SIM_CAP``.  The result's queries are
-    the oracle calls this solve added to ``counter``; its bound is the module docstring's 3(n-k)."""
+    """Recover the secret exactly with n-k amplified rounds on the Simon state's label branch of
+    f(0), shrunk by each round's element, for p^n up to ``DEFAULT_SIM_CAP``.
+
+    The result's queries are the oracle calls this solve added to ``counter``; its bound is the
+    module docstring's 3(n-k).  The branch and the answer check read the label table, which
+    belongs to the simulator: they make no ``evaluate`` call past the table's one per element and
+    add no call to ``counter``, so queries stay 3(n-k).  The answer must have rank k, and the
+    table must be constant on its cosets with p^(n-k) distinct labels, else
+    ``PromiseViolationError``; so does a branch of other than p^k elements.  With
+    ``return_final_state``, the full final state is rebuilt from the branch's."""
     p, n, k = inst.p, inst.n, inst.k
     if p**n > DEFAULT_SIM_CAP:
         raise ResourceCapError(f"p^n = {p**n} exceeds simulation cap {DEFAULT_SIM_CAP}")
     counter = counter if counter is not None else QCounter()
     calls_before = counter.oracle_calls
-    shrunk = simon_subroutine(inst, QCounter())  # each round counts its own call
+    table = _label_index_table(inst)
+    shrunk = fourier(_label_branch(inst, table), MAIN)
     found: list[int] = []
     for _ in range(n - k):
         if found:
@@ -305,10 +399,12 @@ def quantum_find_s(
         y, state = exact_amplify(inst, shrunk, counter)
         found.append(y)
     recovered = orthogonal(canonicalize(p, n, found))
-    if recovered.rank != k:
-        raise ArithmeticError("recovered orthogonal complement has wrong rank")
+    labels, reps = np.unique(table, return_index=True)
+    _check_answer(recovered, k, table, labels)
     result = SolverResult(recovered, counter.oracle_calls - calls_before, 3 * (n - k), None)
-    return (result, state) if return_final_state else result
+    if not return_final_state:
+        return result
+    return result, _all_branches(state, labels, reps, canonicalize(p, n, found[:-1]).basis)
 
 
 def dump_state_text(state: SparseState) -> str:

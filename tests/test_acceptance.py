@@ -196,6 +196,8 @@ def test_criterion_6_coset_meets_secret():
 QGRID = [(p, n, k) for p in (2, 3) for n in range(2, 6) for k in range(1, n)]
 # cells past the former 512 simulation cap, at each of p = 2, 3 and 5
 QGRID_LARGE = [(2, 10, 6), (3, 6, 3), (5, 4, 2), (3, 7, 5), (5, 5, 3)]
+# a cell past the former 4096 simulation cap, which only the label-branch simulation reaches
+QGRID_BRANCH = [(2, 14, 2)]
 
 
 def test_criterion_7_orthogonal_support_law():
@@ -216,7 +218,7 @@ def test_criterion_8_quantum_exactness_and_calls():
     # exact amplification spends 2*iters + 1 calls per round, and iters = 1
     # because the success probability 1 - p^-(n-k-m) is at least 1/2
     per_round = set()
-    for p, n, k in QGRID + QGRID_LARGE:
+    for p, n, k in QGRID + QGRID_LARGE + QGRID_BRANCH:
         for seed in range(10):
             inst = make_instance(p, n, k, seed, _label_seed(seed), bool(seed % 2))
             counter = QCounter()

@@ -190,7 +190,7 @@ class TestQsolve:
 
     def test_resource_cap_exit_code(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
-        run(capsys, "gen", "--p", "2", "--n", "13", "--k", "2", "--out", str(path))
+        run(capsys, "gen", "--p", "2", "--n", "17", "--k", "2", "--out", str(path))
         code, _, err = run(capsys, "qsolve", "--in", str(path))
         assert code == 3 and "resource cap" in err
 
@@ -353,7 +353,7 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["recovered_ok"] == "True"
 
-    @pytest.mark.parametrize("solver,n,k", [("quantum", 13, 2), ("det", 60, 1)])
+    @pytest.mark.parametrize("solver,n,k", [("quantum", 17, 2), ("det", 60, 1)])
     def test_over_cap_cell_skipped_with_warning(self, capsys, tmp_path, solver, n, k):
         out = tmp_path / "cap.csv"
         code, _, err = run(capsys, "bench", "--p", "2", "--n", str(n), "--k", str(k),

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from gsp import (
     HiddenInstance,
     ParameterError,
+    PromiseViolationError,
     QCounter,
     QueryLog,
     ResourceCapError,
@@ -196,7 +197,8 @@ class TestFourier:
         (2, [[1]], [[1]], r"keys must be one-dimensional, got shape \(1, 1\)"),
         (1, [1], [1], "p must be at least 2, got 1"),
         (0, [1], [1], "p must be at least 2, got 0"),
-    ], ids=["key-out-of-range", "length-mismatch", "2d-keys", "p-1", "p-0"])
+        (2, [1, 1], [0.6, 0.8], "keys must not repeat"),  # fourier would sum them and report a norm drift
+    ], ids=["key-out-of-range", "length-mismatch", "2d-keys", "p-1", "p-0", "repeated-key"])
     def test_malformed_state_rejected(self, p, keys, amps, message):
         with pytest.raises(ParameterError, match=message):
             SparseState(p, (4,), np.array(keys, dtype=np.int64), np.array(amps, dtype=complex))
@@ -437,6 +439,60 @@ class TestReferenceRound:
         assert_round_matches_reference(inst, known)
 
 
+def full_state_solve(inst):
+    """The solve on the whole Simon state, every label branch at once: the found elements and the last round's state."""
+    shrunk, found = simon_subroutine(inst, QCounter()), []
+    for _ in range(inst.n - inst.k):
+        if found:
+            shrunk = shrink_subgroup(shrunk, found[-1])
+        y, state = exact_amplify(inst, shrunk, QCounter())
+        found.append(y)
+    return found, state
+
+
+class TestLabelBranch:
+    """``quantum_find_s`` runs on the Simon state's label branch of f(0); the full state is its reference."""
+
+    @pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 3), (5, 2), (7, 2)])
+    def test_branch_is_oracle_output_slice(self, p, n):
+        # psi_0 is the label-f(0) slice of the oracle's output on the uniform superposition, renormalised
+        for k in range(1, n):
+            for obfuscate in (False, True):
+                inst = make_instance(p, n, k, k, 3 * k, obfuscate)
+                table = qsim._label_index_table(inst)
+                out = apply_oracle(fourier(zero_state(p, (p**n, p**n)), MAIN, inverse=True), inst, QCounter())
+                zero_label = index(label_of(inst, vec(p, "0" * n)))
+                mask = out.digit(LABEL) == zero_label
+                want = dict(zip(out.keys[mask].tolist(), (out.amps[mask] * math.sqrt(p ** (n - k))).tolist()))
+                branch = qsim._label_branch(inst, table)
+                got = dict(zip(branch.keys.tolist(), branch.amps.tolist()))
+                assert got.keys() == want.keys() and len(got) == p**k, (p, n, k)
+                assert max(abs(got[i] - a) for i, a in want.items()) < 1e-12
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.data())
+    def test_expanded_final_state_matches_full_state(self, data):
+        p, n = data.draw(st.sampled_from([(2, 3), (2, 5), (2, 7), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]))
+        k = data.draw(st.integers(1, n - 1))
+        seeds = data.draw(st.tuples(*[st.integers(0, 2**32)] * 2))
+        inst = make_instance(p, n, k, seeds[0], seeds[1], data.draw(st.booleans()))
+        found, expect = full_state_solve(inst)
+        res, state = quantum_find_s(inst, return_final_state=True)
+        assert res.recovered == orthogonal(span(p, n, [unpack(p, n, y) for y in found])) == inst.secret
+        assert state.dims == expect.dims
+        got = dict(zip(state.keys.tolist(), state.amps.tolist()))
+        want = dict(zip(expect.keys.tolist(), expect.amps.tolist()))
+        assert got.keys() == want.keys(), (p, n, k)
+        assert max(abs(got[i] - a) for i, a in want.items()) < 1e-12, (p, n, k)
+
+    def test_branch_of_wrong_size_refused(self):
+        # a label of 0 shared by p^(k+1) elements is no coset of a rank-k subgroup
+        inst = make_instance(2, 4, 2, 0)
+        table = np.zeros(16, dtype=np.int64)
+        with pytest.raises(PromiseViolationError, match="16 elements share the label of 0, promised p\\^k = 4"):
+            qsim._label_branch(inst, table)
+
+
 class TestQuantumFindS:
     def test_reference_fixture(self, ref_instance, ref_secret):
         counter = QCounter()
@@ -457,20 +513,26 @@ class TestQuantumFindS:
 
     @pytest.mark.parametrize("p,n,k", [(2, 5, 2), (3, 4, 1)])
     def test_simon_state_prepared_once_per_solve(self, p, n, k, monkeypatch):
-        # one apply_oracle per solve: neither rebuilt every round nor kept from an earlier solve
-        calls = []
+        # one label branch per solve, read off the table with no apply_oracle:
+        # neither rebuilt every round nor kept from an earlier solve
+        branches, oracles, label_branch = [], [], qsim._label_branch
 
-        def counting_oracle(state, inst, counter):
-            calls.append(1)
-            return apply_oracle(state, inst, counter)
+        def counting_branch(*args):
+            branches.append(1)
+            return label_branch(*args)
 
+        def counting_oracle(*args):
+            oracles.append(1)
+            return apply_oracle(*args)
+
+        monkeypatch.setattr(qsim, "_label_branch", counting_branch)
         monkeypatch.setattr(qsim, "apply_oracle", counting_oracle)
         for _ in range(2):
             inst = make_instance(p, n, k, 5, 7, True)  # equal instances, so a cache would hit
             counter = QCounter()
-            calls.clear()
+            branches.clear()
             res = quantum_find_s(inst, counter)
-            assert len(calls) == 1
+            assert len(branches) == 1 and not oracles
             assert res.recovered == inst.secret
             assert res.queries == counter.oracle_calls == 3 * (n - k)
 
@@ -526,9 +588,10 @@ class TestQuantumFindS:
             basis = new
 
     def test_cap(self):
-        inst = make_instance(2, 13, 2, 0)
-        with pytest.raises(ResourceCapError):
-            quantum_find_s(inst)
+        assert qsim.DEFAULT_SIM_CAP == 1 << 16
+        for p, n, k in ((2, 17, 2), (3, 11, 2), (257, 2, 1)):
+            with pytest.raises(ResourceCapError, match="exceeds simulation cap 65536"):
+                quantum_find_s(make_instance(p, n, k, 0))
 
     @pytest.mark.parametrize("p,n,k", [(2, 4, 2), (3, 3, 1)])
     def test_shared_counter_reports_each_solve(self, p, n, k):

@@ -20,6 +20,7 @@ from gsp import (
     brute_force_solve,
     canonicalize,
     choose_d,
+    complement,
     enumerate_subgroups,
     find_group,
     find_s,
@@ -324,6 +325,44 @@ def test_adversarial_oracle_never_misleads(mode):
             assert res.recovered.rank == k and consistent(res.recovered, res.trace), where
             returned += 1
     print(f"\nadversarial {mode}: {returned} consistent answers, {failures} birthday failures")
+
+
+@pytest.mark.parametrize("mode", ADVERSARIAL_MODES)
+def test_adversarial_oracle_never_misleads_quantum_solver(mode):
+    # the quantum solver refuses every broken-promise cell: a label branch of
+    # the wrong size, an amplification that misses, or an answer the label
+    # table contradicts; it never returns
+    for p, n, k, seed, inst in _adversarial_cells(mode):
+        try:
+            quantum_find_s(inst)
+        except (PromiseViolationError, ArithmeticError):
+            continue
+        pytest.fail(f"quantum_find_s returned on {(mode, p, n, k, seed)}")
+
+
+@dataclass(frozen=True)
+class _MergingInstance(HiddenInstance):
+    """An honest oracle, except that the coset of ``rows[1]`` gets the label of the coset of ``rows[0]``."""
+
+    rows: tuple[int, int] = (0, 0)
+
+    def evaluate(self, x):
+        honest = super().evaluate
+        label, kept, merged = honest(x), honest(self.rows[0]), honest(self.rows[1])
+        return kept if label == merged else label
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 4, 2), (2, 6, 1), (3, 4, 2), (5, 3, 1)])
+def test_quantum_solver_refuses_merged_cosets(p, n, k):
+    # the coset of 0 keeps its own label, so the label branch and every round are
+    # those of the honest instance; only the count of distinct labels is off
+    for seed in range(3):
+        honest = make_instance(p, n, k, seed, seed, bool(seed % 2))
+        assert quantum_find_s(honest).recovered == honest.secret
+        rows = complement(honest.secret).basis[:2]  # two cosets other than S, and not each other
+        inst = _MergingInstance(p, n, k, honest.secret, honest.label_seed, honest.obfuscate, rows)
+        with pytest.raises(PromiseViolationError, match="distinct labels"):
+            quantum_find_s(inst)
 
 
 def _adversarial_lines():
