@@ -10,9 +10,11 @@ RREF (``_rref``); ``Subgroup.coset_reps`` reduces many vectors at once; the simu
 runs ``add`` and ``sub`` on int64 arrays.  ``VectorP``, a validated tuple of
 residues, is the text boundary: parsing, printing, traces and ``Subgroup.contains``.
 
-``_rref_bases`` yields every rank-k RREF basis, grouped by pivot pattern, and coset
-reduction (``_reducer``) is set up once per pattern, so brute-force counts and
-witness searches test bases with no ``Subgroup`` per basis.
+``_rref_bases`` yields, per pivot pattern, each RREF row's candidates, and the
+pattern's bases are their product.  Coset reduction is set up once per pattern:
+witness searches test basis after basis (``_reducer``), and brute-force counts
+reduce every basis at once in one int64 array (``_residues``), with no
+``Subgroup`` per basis.
 
 Subgroups are kept in reduced row echelon form (RREF) over F_p, which makes
 equality of subgroups a plain ``==`` on their bases and gives every
@@ -387,24 +389,32 @@ def orthogonal(h: Subgroup) -> Subgroup:
     return _span(p, n, map(lay.pack, gens))
 
 
-def _rref_bases(p: int, n: int, k: int, cap: int) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[int, ...]]]]:
-    """(pivots, every rank-k RREF basis of Z_p^n with those pivots) per pivot pattern, packed
-    rows.  The free entries of different rows are independent, so each row's candidates are
-    built once per pattern and the bases are their product (row-major, last entry fastest)."""
+def _check_rank(p: int, n: int, k: int) -> None:
     _check_space(p, n)
     if not (0 <= k <= n):
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
+
+
+def _rref_bases(p: int, n: int, k: int, cap: int) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+    """(pivots, rows) per pivot pattern of the rank-k RREF bases of Z_p^n, pivot combinations in
+    lexicographic order: rows[i] holds row i's packed candidates, 1 at pivots[i] and any entries
+    at the free columns right of it.  The free entries of different rows are independent, so the
+    pattern's bases are ``itertools.product(*rows)``.  A row's candidates are built by doubling
+    over its free columns, left to right, so the last free entry runs fastest."""
+    _check_rank(p, n, k)
     if p**n > cap:
         raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {cap}")
     shifts = lanes(p, n).shifts
+    steps = [[v << shift for v in range(p)] for shift in shifts]  # steps[c]: column c's p entries, packed
     for pivots in itertools.combinations(range(n), k):
-        candidates = []
+        rows = []
         for pivot in pivots:
-            free = [shifts[c] for c in range(pivot + 1, n) if c not in pivots]
-            lead = 1 << shifts[pivot]
-            values = itertools.product(range(p), repeat=len(free))
-            candidates.append([lead + sum(map(lshift, v, free)) for v in values])
-        yield pivots, itertools.product(*candidates)
+            row = [1 << shifts[pivot]]
+            for col in range(pivot + 1, n):
+                if col not in pivots:
+                    row = [r + step for r in row for step in steps[col]]
+            rows.append(row)
+        yield pivots, rows
 
 
 def _reducer(lay: Lanes, pivots: Sequence[int], x: int) -> Callable[[Sequence[int]], int]:
@@ -422,11 +432,28 @@ def _reducer(lay: Lanes, pivots: Sequence[int], x: int) -> Callable[[Sequence[in
     return residue
 
 
+def _residues(lay: Lanes, pivots: Sequence[int], rows: Sequence[Sequence[int]], x: int) -> np.ndarray:
+    """``_reducer(lay, pivots, x)`` of every basis in ``itertools.product(*rows)``, as an int64
+    array with one axis per row: c_i times row i's candidates, broadcast along axis i, is taken
+    off x for each c_i != 0.  The rows' packed vectors must lie below 2^61, so that lane sums
+    fit int64.  verify-bounds passes x = e_{n-1}, whose only possible nonzero coefficient is at a
+    last pivot n - 1 (row e_{n-1} alone), so there each array is all 1 or all 0; the general x,
+    with c_i != 1 taking the ``scale`` path, is what the tests check against ``_reducer``."""
+    mask, shape = (1 << lay.width) - 1, [len(row) for row in rows]
+    r = np.full(shape, x, np.int64)
+    for i, pivot in enumerate(pivots):
+        if c := x >> lay.shifts[pivot] & mask:
+            row = np.array(rows[i], np.int64).reshape([-1 if j == i else 1 for j in range(len(rows))])
+            r = lay.sub(r, row if c == 1 else lay.scale(c, row))
+    return r
+
+
 def enumerate_subgroups(p: int, n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Subgroup]:
     """Every rank-k subgroup of Z_p^n exactly once: RREF bases generated directly, pivot columns
     first, then every assignment of the free entries (``_rref_bases``).  Uniqueness of the RREF
     makes the stream duplicate-free."""
-    return (Subgroup._unchecked(p, n, basis) for _, bases in _rref_bases(p, n, k, cap) for basis in bases)
+    patterns = _rref_bases(p, n, k, cap)
+    return (Subgroup._unchecked(p, n, basis) for _, rows in patterns for basis in itertools.product(*rows))
 
 
 def _randbelow(rng: random.Random, p: int) -> Callable[[], int]:
@@ -457,7 +484,5 @@ def random_subgroup(p: int, n: int, k: int, seed: int) -> Subgroup:
     Rejection-samples k linearly independent vectors; every rank-k subgroup
     has the same number of ordered bases, so the draw is uniform.
     """
-    _check_space(p, n)
-    if not (0 <= k <= n):
-        raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
+    _check_rank(p, n, k)
     return _span(p, n, map(lanes(p, n).pack, _independent_rows(random.Random(seed), p, n, k)))

@@ -7,12 +7,13 @@ treated as an internal error (it would mean the formula was mistyped).
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _reducer, _rref_bases, lanes
+from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _check_rank, _reducer, _rref_bases, lanes
 from .errors import ParameterError
 
 
@@ -48,14 +49,19 @@ def evading_subgroup(p: int, n: int, d_set: Iterable[VectorP], k: int, d: int) -
 
     The first in ``enumerate_subgroups`` order at its default cap, scanned with one
     ``_reducer`` per element and pivot pattern; None only when no subgroup qualifies.
+    None at once when d <= 0, since no subgroup meets a set in fewer than 0 points:
+    p, n, k and the set are checked, and nothing is enumerated, so the cap does not apply.
     When |D| < d(p^n-1)/(p^k-1) a witness always exists by double counting.
     """
     packed = [v.pack(p, n) for v in d_set]  # once, not once per subgroup
     if 0 in packed:
         raise ParameterError("the scanned set must not contain 0^n")
-    for pivots, bases in _rref_bases(p, n, k, DEFAULT_ENUMERATION_CAP):
+    _check_rank(p, n, k)
+    if d <= 0:
+        return None
+    for pivots, rows in _rref_bases(p, n, k, DEFAULT_ENUMERATION_CAP):
         reducers = [_reducer(lanes(p, n), pivots, x) for x in packed]
-        for basis in bases:
+        for basis in itertools.product(*rows):
             if [r(basis) for r in reducers].count(0) < d:
                 return Subgroup._unchecked(p, n, basis)
     return None

@@ -19,7 +19,9 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .algebra import _check_digits, _check_space, _reducer, _rref_bases, is_prime, lanes
+import numpy as np
+
+from .algebra import _check_digits, _check_space, _residues, _rref_bases, is_prime, lanes
 from .bounds import bound_report
 from .errors import GspError, ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import HiddenInstance, QueryLog, make_instance, read_instance, write_instance
@@ -28,6 +30,12 @@ from .solvers import SolverResult, _birthday_budget, _check_split, birthday_solv
 
 _SOLVER_ORDER = ("det", "brute", "birthday", "quantum")
 _CSV_HEADER = ("p", "n", "k", "d", "solver", "seed", "queries", "recovered_ok", "bound", "wall_ms")
+
+# verify-bounds enumerates a cell only when t1 <= _ENUM_MAX_T1.  For 1 <= k < n, t1 >=
+# (p^n - 1)/(p - 1) > p^(n-1), so p^(n-1) < 20000: n <= 15 lanes of 1 bit at p = 2, n <= 10
+# of 3 bits at p = 3, and so on up to n = 2 lanes of at most 16 bits, so a packed row has at
+# most 32 bits and ``_residues``' int64 lane sums cannot overflow.
+_ENUM_MAX_T1 = 20000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -258,11 +266,14 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     for p, n, k in cells:
         rep = bound_report(p, n, k)
         identity_ok = rep.t1 * (p**k - 1) == rep.t2 * (p**n - 1)
-        if p**n <= args.enum_cap and rep.t1 <= 20000:
-            # each basis reduces 1, packed e_{n-1}, the unit vector in the bottom lane for every p
-            residues = [r for pivots, bases in _rref_bases(p, n, k, args.enum_cap)
-                        for r in map(_reducer(lanes(p, n), pivots, 1), bases)]
-            enum_ok = len(residues) == rep.t1 and residues.count(0) == rep.t2
+        if p**n <= args.enum_cap and rep.t1 <= _ENUM_MAX_T1:
+            # each basis reduces 1, packed e_{n-1}, the unit vector in the bottom lane for every p;
+            # one array per pivot pattern holds every basis's residue
+            lay, size, zeros = lanes(p, n), 0, 0
+            for pivots, rows in _rref_bases(p, n, k, args.enum_cap):
+                residues = _residues(lay, pivots, rows, 1)
+                size, zeros = size + residues.size, zeros + residues.size - np.count_nonzero(residues)
+            enum_ok = size == rep.t1 and zeros == rep.t2
             verdict = "pass" if (identity_ok and enum_ok) else "FAIL"
         else:
             verdict = "pass(identity-only)" if identity_ok else "FAIL"

@@ -101,6 +101,27 @@ def reference_reduce(h, coords):
     return tuple(a % p for a in residue)
 
 
+def reference_rref_bases(p, n, k):
+    """Every rank-k RREF basis of Z_p^n as (pivots, rows as digit tuples), in the documented
+    order: pivot combinations in lexicographic order, then the rows' free entries with row 0
+    slowest and, within a row, the last free entry fastest; the reference for ``_rref_bases``."""
+    out = []
+    for pivots in itertools.combinations(range(n), k):
+        candidates = []
+        for pivot in pivots:
+            free = [c for c in range(pivot + 1, n) if c not in pivots]
+            row_candidates = []
+            for values in itertools.product(range(p), repeat=len(free)):
+                row = [0] * n
+                row[pivot] = 1
+                for c, v in zip(free, values):
+                    row[c] = v
+                row_candidates.append(tuple(row))
+            candidates.append(row_candidates)
+        out += [(pivots, basis) for basis in itertools.product(*candidates)]
+    return out
+
+
 def reference_evading(p, n, d_set, k, d):
     """The first rank-k subgroup in ``enumerate_subgroups`` order that holds fewer than d
     elements of d_set by ``reference_reduce``, or None; the reference for ``evading_subgroup``."""

@@ -19,10 +19,10 @@ from gsp import (
     random_subgroup,
     trivial_subgroup,
 )
-from gsp.algebra import DEFAULT_ENUMERATION_CAP, _reducer, _rref_bases, lanes
+from gsp.algebra import DEFAULT_ENUMERATION_CAP, _reducer, _residues, _rref_bases, lanes
 from conftest import (
-    add, all_vectors, dot, elements, full_subgroup, index, intersect, pack, reduce, reference_reduce, rows,
-    scale, span, sub, subgroup_sum, unit, vec, zero
+    add, all_vectors, dot, elements, full_subgroup, index, intersect, pack, reduce, reference_reduce,
+    reference_rref_bases, rows, scale, span, sub, subgroup_sum, unit, vec, zero
 )
 
 
@@ -332,32 +332,42 @@ class TestEnumeration:
         assert len(set(subs)) == 35
 
     def test_rref_bases_are_the_enumeration(self):
-        for p, n in [(2, 4), (3, 3), (5, 2)]:
+        # one list of candidate rows per pivot, whose product, pattern by pattern, is the
+        # reference's order and ``enumerate_subgroups``' stream
+        for p, n in [(2, 4), (3, 3), (5, 2), (2, 6)]:
+            lay = lanes(p, n)
             for k in range(n + 1):
-                patterns = _rref_bases(p, n, k, DEFAULT_ENUMERATION_CAP)
-                flat = [(pivots, basis) for pivots, bases in patterns for basis in bases]
+                patterns = list(_rref_bases(p, n, k, DEFAULT_ENUMERATION_CAP))
+                assert all(len(rows) == len(pivots) for pivots, rows in patterns)
+                flat = [(pivots, basis) for pivots, rows in patterns for basis in itertools.product(*rows)]
+                assert [(pivots, tuple(map(lay.unpack, basis))) for pivots, basis in flat] == \
+                    reference_rref_bases(p, n, k)
                 subs = list(enumerate_subgroups(p, n, k))
                 assert [basis for _, basis in flat] == [h.basis for h in subs]
                 assert [pivots for pivots, _ in flat] == [h.pivots() for h in subs]
 
     def test_reducer_matches_coset_reduce_on_every_basis(self):
         # random x, plus the all-(p-1) vector, whose pivot coefficients are p - 1 (c != 1 for
-        # p > 2, the scale path) and, at p = 2, 1 at every pivot; a member and 0 are reduced to 0
+        # p > 2, the scale path) and, at p = 2, 1 at every pivot; a member and 0 are reduced to 0.
+        # ``_residues`` holds the same residue at each basis's index of the pattern's array
         rng = random.Random(3)
-        for p, n in [(2, 5), (3, 4), (5, 3), (7, 3)]:
+        for p, n in [(2, 5), (3, 4), (5, 3), (7, 3), (3, 5), (257, 2)]:
             lay = lanes(p, n)
             for k in range(n + 1):
-                for pivots, bases in _rref_bases(p, n, k, DEFAULT_ENUMERATION_CAP):
+                for pivots, rows in _rref_bases(p, n, k, DEFAULT_ENUMERATION_CAP):
                     xs = [rng.randrange(p**n) for _ in range(6)] + [p**n - 1, 0]
                     xs = [VectorP.from_index(p, n, i) for i in xs]
                     reducers = [_reducer(lay, pivots, pack(x)) for x in xs]
-                    for basis in bases:
+                    arrays = [_residues(lay, pivots, rows, pack(x)) for x in xs]
+                    assert all(a.shape == tuple(map(len, rows)) and a.dtype == np.int64 for a in arrays)
+                    for at, basis in zip(np.ndindex(arrays[0].shape), itertools.product(*rows)):
                         h = Subgroup._unchecked(p, n, basis)
                         member = pack(sum_of_rows(h, rng))
-                        for x, residue in zip(xs, reducers):
+                        for x, residue, array in zip(xs, reducers, arrays):
                             expect = pack(VectorP(p, reference_reduce(h, x.coords)))
-                            assert residue(basis) == h.coset_reduce(pack(x)) == expect
+                            assert array[at] == residue(basis) == h.coset_reduce(pack(x)) == expect
                         assert _reducer(lay, pivots, member)(basis) == 0
+                        assert _residues(lay, pivots, rows, member)[at] == 0
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):

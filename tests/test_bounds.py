@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import time
 
 import pytest
 
@@ -89,6 +90,19 @@ class TestEvadingSubgroup:
     def test_zero_rejected(self):
         with pytest.raises(ParameterError):
             evading_subgroup(2, 4, [VectorP(2, (0, 0, 0, 0))], k=1, d=1)
+
+    def test_nonpositive_d_answers_at_once(self):
+        # no subgroup meets a set in fewer than 0 points, so nothing is scanned: at (2, 12, 6)
+        # a scan would visit 2.3e11 subgroups
+        start = time.perf_counter()
+        assert evading_subgroup(2, 12, [], 6, 0) is None
+        assert evading_subgroup(3, 4, [VectorP(3, (0, 1, 2, 0))], 2, -1) is None
+        assert time.perf_counter() - start < 0.5
+        # bad input is still refused first: p, n, k, and the elements of D
+        for args in ((4, 3, [], 1), (2, -1, [], 1), (2, 3, [], 4), (2, 3, [], -1),
+                     (2, 3, [VectorP(2, (0, 0, 0))], 1), (2, 3, [VectorP(2, (0, 1))], 1)):
+            with pytest.raises((ParameterError, DimensionMismatchError)):
+                evading_subgroup(*args, d=0)
 
     def test_element_of_another_space_rejected(self):
         # the set is packed once before the scan; an element of another n or p

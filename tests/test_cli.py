@@ -365,12 +365,16 @@ class TestBench:
 
 class TestVerifyBounds:
     def test_table(self, capsys):
-        code, out, _ = run(capsys, "verify-bounds", "--p", "2,3", "--n", "2..4")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("p n k t1 t2")
-        assert all(line.endswith("pass") for line in lines[1:])
-        assert any(line.startswith("2 4 2 35 7 ") for line in lines)
+        # every cell enumerated (" pass", not " pass(identity-only)") at p = 2, 3 and 5
+        cells = []
+        for primes, dims in (("2,3", "2..4"), ("5", "2..4"), ("2,3", "5")):
+            code, out, _ = run(capsys, "verify-bounds", "--p", primes, "--n", dims)
+            assert code == 0
+            lines = out.strip().splitlines()
+            assert lines[0].startswith("p n k t1 t2")
+            assert all(line.endswith(" pass") for line in lines[1:])
+            cells += lines[1:]
+        assert any(line.startswith("2 4 2 35 7 ") for line in cells)
 
     def test_enum_cap_reaches_the_enumerator(self, capsys):
         # p^n = 1062961 is above the enumerator's default cap of 2^20
