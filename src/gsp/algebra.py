@@ -11,10 +11,9 @@ runs ``add`` and ``sub`` on int64 arrays.  ``VectorP``, a validated tuple of
 residues, is the text boundary: parsing, printing, traces and ``Subgroup.contains``.
 
 ``_rref_bases`` yields, per pivot pattern, each RREF row's candidates, and the
-pattern's bases are their product.  Coset reduction is set up once per pattern:
-witness searches test basis after basis (``_reducer``), and brute-force counts
-reduce every basis at once in one int64 array (``_residues``), with no
-``Subgroup`` per basis.
+pattern's bases are their product.  Coset reduction (``_reducer``) is set up once
+per pattern, so witness searches test basis after basis with no ``Subgroup`` per
+basis, and verify-bounds counts a pattern's bases from its rows' lengths.
 
 Subgroups are kept in reduced row echelon form (RREF) over F_p, which makes
 equality of subgroups a plain ``==`` on their bases and gives every
@@ -430,22 +429,6 @@ def _reducer(lay: Lanes, pivots: Sequence[int], x: int) -> Callable[[Sequence[in
             r = sub(r, basis[i] if c == 1 else scale(c, basis[i]))
         return r
     return residue
-
-
-def _residues(lay: Lanes, pivots: Sequence[int], rows: Sequence[Sequence[int]], x: int) -> np.ndarray:
-    """``_reducer(lay, pivots, x)`` of every basis in ``itertools.product(*rows)``, as an int64
-    array with one axis per row: c_i times row i's candidates, broadcast along axis i, is taken
-    off x for each c_i != 0.  The rows' packed vectors must lie below 2^61, so that lane sums
-    fit int64.  verify-bounds passes x = e_{n-1}, whose only possible nonzero coefficient is at a
-    last pivot n - 1 (row e_{n-1} alone), so there each array is all 1 or all 0; the general x,
-    with c_i != 1 taking the ``scale`` path, is what the tests check against ``_reducer``."""
-    mask, shape = (1 << lay.width) - 1, [len(row) for row in rows]
-    r = np.full(shape, x, np.int64)
-    for i, pivot in enumerate(pivots):
-        if c := x >> lay.shifts[pivot] & mask:
-            row = np.array(rows[i], np.int64).reshape([-1 if j == i else 1 for j in range(len(rows))])
-            r = lay.sub(r, row if c == 1 else lay.scale(c, row))
-    return r
 
 
 def enumerate_subgroups(p: int, n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Subgroup]:

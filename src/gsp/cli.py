@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
-from .algebra import _check_digits, _check_space, _residues, _rref_bases, is_prime, lanes
+from .algebra import _check_digits, _check_space, _reducer, _rref_bases, is_prime, lanes
 from .bounds import bound_report
 from .errors import GspError, ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import HiddenInstance, QueryLog, make_instance, read_instance, write_instance
@@ -32,9 +31,7 @@ _SOLVER_ORDER = ("det", "brute", "birthday", "quantum")
 _CSV_HEADER = ("p", "n", "k", "d", "solver", "seed", "queries", "recovered_ok", "bound", "wall_ms")
 
 # verify-bounds enumerates a cell only when t1 <= _ENUM_MAX_T1.  For 1 <= k < n, t1 >=
-# (p^n - 1)/(p - 1) > p^(n-1), so p^(n-1) < 20000: n <= 15 lanes of 1 bit at p = 2, n <= 10
-# of 3 bits at p = 3, and so on up to n = 2 lanes of at most 16 bits, so a packed row has at
-# most 32 bits and ``_residues``' int64 lane sums cannot overflow.
+# (p^n - 1)/(p - 1) > p^(n-1), so the cells it enumerates have p^(n-1) < 20000.
 _ENUM_MAX_T1 = 20000
 
 
@@ -267,12 +264,15 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
         rep = bound_report(p, n, k)
         identity_ok = rep.t1 * (p**k - 1) == rep.t2 * (p**n - 1)
         if p**n <= args.enum_cap and rep.t1 <= _ENUM_MAX_T1:
-            # each basis reduces 1, packed e_{n-1}, the unit vector in the bottom lane for every p;
-            # one array per pivot pattern holds every basis's residue
+            # x = 1 is packed e_{n-1}, the unit vector in the bottom lane for every p.  It is 0 at
+            # every pivot but n-1, and the RREF row at pivot n-1 is e_{n-1} itself, so every basis
+            # of a pattern leaves the same residue, and the first basis's counts for all of them
             lay, size, zeros = lanes(p, n), 0, 0
             for pivots, rows in _rref_bases(p, n, k, args.enum_cap):
-                residues = _residues(lay, pivots, rows, 1)
-                size, zeros = size + residues.size, zeros + residues.size - np.count_nonzero(residues)
+                bases = math.prod(map(len, rows))
+                size += bases
+                if _reducer(lay, pivots, 1)([row[0] for row in rows]) == 0:
+                    zeros += bases
             enum_ok = size == rep.t1 and zeros == rep.t2
             verdict = "pass" if (identity_ok and enum_ok) else "FAIL"
         else:

@@ -70,10 +70,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Subgroup, canonicalize, lanes, orthogonal
+from .algebra import canonicalize, lanes, orthogonal
 from .errors import ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import HiddenInstance
-from .solvers import SolverResult
+from .solvers import SolverResult, _check_labels
 
 PRUNE_EPS = 1e-12
 NORM_EPS = 1e-9
@@ -139,10 +139,10 @@ class QCounter:
     """Oracle calls of the circuit.
 
     ``apply_oracle`` counts its one call.  ``quantum_find_s`` reads its
-    label branch and checks its answer off the label table, with no counted
-    call, and each round of ``exact_amplify`` counts the circuit's calls in
-    full: the one in its A, plus the two that its one amplification
-    iteration's A^-1 and A would make.
+    label branch off the label table and checks its answer against it with
+    ``solvers._check_labels``, with no counted call, and each round of
+    ``exact_amplify`` counts the circuit's calls in full: the one in its A,
+    plus the two that its one amplification iteration's A^-1 and A would make.
     """
 
     oracle_calls: int = 0
@@ -336,21 +336,6 @@ def _label_branch(inst: HiddenInstance, table: np.ndarray) -> SparseState:
     return SparseState._unchecked(p, (p**n, p**n), keys, np.full(len(mains), p ** (-k / 2), dtype=complex))
 
 
-def _check_answer(answer: Subgroup, k: int, table: np.ndarray, labels: np.ndarray) -> None:
-    """Raise ``PromiseViolationError`` unless the labels of ``table``, whose distinct values are
-    ``labels``, hide ``answer``: rank k, ``table[x + s] == table[x]`` for every x and basis row s,
-    and p^(n-k) distinct labels."""
-    p, n = answer.p, answer.n
-    if answer.rank != k:
-        raise PromiseViolationError(f"answer has rank {answer.rank}, promised k={k}")
-    lay, everything = lanes(p, n), _to_packed(p, n, np.arange(len(table), dtype=np.int64))
-    for row in answer.basis:
-        if not np.array_equal(table[_to_index(p, n, lay.add(everything, row))], table):
-            raise PromiseViolationError(f"the labels are not constant on the cosets of {answer}")
-    if len(labels) != p ** (n - k):
-        raise PromiseViolationError(f"{len(labels)} distinct labels, promised p^(n-k) = {p ** (n - k)}")
-
-
 def _all_branches(branch: SparseState, labels: np.ndarray, reps: np.ndarray, rows: tuple[int, ...]) -> SparseState:
     """The full state sum_t psi_t (x) |f(t)> / sqrt(p^(n-k)) from ``branch``, psi_0 at the label of f(0).
 
@@ -380,8 +365,9 @@ def quantum_find_s(
     The result's queries are the oracle calls this solve added to ``counter``; its bound is the
     module docstring's 3(n-k).  The branch and the answer check read the label table, which
     belongs to the simulator: they make no ``evaluate`` call past the table's one per element and
-    add no call to ``counter``, so queries stay 3(n-k).  The answer must have rank k, and the
-    table must be constant on its cosets with p^(n-k) distinct labels, else
+    add no call to ``counter``, so queries stay 3(n-k).  The answer goes through the classical
+    solvers' ``_check_labels`` with every packed element of Z_p^n and the table: it must have rank
+    k, and two elements must share a label exactly when they share a coset of it, else
     ``PromiseViolationError``; so does a branch of other than p^k elements.  With
     ``return_final_state``, the full final state is rebuilt from the branch's."""
     p, n, k = inst.p, inst.n, inst.k
@@ -399,11 +385,12 @@ def quantum_find_s(
         y, state = exact_amplify(inst, shrunk, counter)
         found.append(y)
     recovered = orthogonal(canonicalize(p, n, found))
-    labels, reps = np.unique(table, return_index=True)
-    _check_answer(recovered, k, table, labels)
+    everything = _to_packed(p, n, np.arange(p**n, dtype=np.int64))
+    _check_labels(recovered, k, everything.tolist(), table.tolist())
     result = SolverResult(recovered, counter.oracle_calls - calls_before, 3 * (n - k), None)
     if not return_final_state:
         return result
+    labels, reps = np.unique(table, return_index=True)
     return result, _all_branches(state, labels, reps, canonicalize(p, n, found[:-1]).basis)
 
 

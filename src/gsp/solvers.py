@@ -61,7 +61,8 @@ before returning it: the answer must have rank k, and two cached elements
 must share a label exactly when they share a coset of it, or it raises
 ``PromiseViolationError`` instead of returning a wrong subgroup.
 ``birthday_solve`` calls it only at rank k or above; a lower rank is its
-failure value.  ``find_group``'s invariants, which need the secret, are
+failure value.  ``gsp.qsim.quantum_find_s`` runs the same check over all of
+Z_p^n and its label table.  ``find_group``'s invariants, which need the secret, are
 checked by the tests, not here.
 """
 
@@ -72,7 +73,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, islice
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .algebra import (
     DEFAULT_ENUMERATION_CAP, Lanes, Subgroup, VectorP, _randbelow, _span, complement, lanes, trivial_subgroup
@@ -133,16 +134,17 @@ def _lex_smallest_outside(lay: Lanes, pivots: Iterable[int]) -> int:
     return 1 << lay.shifts[max(free)]
 
 
-def _check_labels(log: QueryLog, answer: Subgroup) -> None:
-    """Raise unless ``answer`` has rank k and cached elements share a label
-    exactly when they share a coset of it.
+def _check_labels(answer: Subgroup, k: int, xs: Iterable[int], labels: Collection[int]) -> None:
+    """Raise unless ``answer`` has rank k and the packed elements ``xs`` share a
+    label (``labels``, in the same order) exactly when they share a coset of it.
 
-    The representatives of the whole cache come from one ``answer.coset_reps``
-    call and key the three sets as packed ints.
+    The classical solvers pass their whole cache and the quantum solver all of
+    Z_p^n and its label table.  The representatives come from one
+    ``answer.coset_reps`` call and key the three sets as packed ints.
     """
-    if answer.rank != log.instance.k:
-        raise PromiseViolationError(f"answer has rank {answer.rank}, promised k={log.instance.k}")
-    reps, labels = answer.coset_reps(log.cache), log.cache.values()
+    if answer.rank != k:
+        raise PromiseViolationError(f"answer has rank {answer.rank}, promised k={k}")
+    reps = answer.coset_reps(xs)
     if not len(set(zip(reps, labels))) == len(set(reps)) == len(set(labels)):
         raise PromiseViolationError(f"the labels seen are not constant exactly on cosets of {answer}")
 
@@ -267,7 +269,7 @@ def find_s(log: QueryLog, d: int) -> SolverResult:
         gens.append(found)
 
     recovered = _span(p, n, gens)
-    _check_labels(log, recovered)
+    _check_labels(recovered, k, log.cache, log.cache.values())
     return SolverResult(recovered, log.count, bound, d, log)
 
 
@@ -280,7 +282,7 @@ def brute_force_solve(log: QueryLog) -> SolverResult:
     zero_label = log.query(0)
     members = [x for x, label in log.cache.items() if label == zero_label]
     recovered = _span(p, n, members)
-    _check_labels(log, recovered)
+    _check_labels(recovered, inst.k, log.cache, log.cache.values())
     return SolverResult(recovered, log.count, p**n, None, log)
 
 
@@ -313,5 +315,5 @@ def birthday_solve(
             diffs.append(lay.sub(x, seen))
     recovered = _span(p, n, diffs)
     if recovered.rank >= k:
-        _check_labels(log, recovered)
+        _check_labels(recovered, k, log.cache, log.cache.values())
     return SolverResult(recovered, log.count, samples, None, log)

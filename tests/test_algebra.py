@@ -19,7 +19,7 @@ from gsp import (
     random_subgroup,
     trivial_subgroup,
 )
-from gsp.algebra import DEFAULT_ENUMERATION_CAP, _reducer, _residues, _rref_bases, lanes
+from gsp.algebra import DEFAULT_ENUMERATION_CAP, _reducer, _rref_bases, lanes
 from conftest import (
     add, all_vectors, dot, elements, full_subgroup, index, intersect, pack, reduce, reference_reduce,
     reference_rref_bases, rows, scale, span, sub, subgroup_sum, unit, vec, zero
@@ -349,7 +349,8 @@ class TestEnumeration:
     def test_reducer_matches_coset_reduce_on_every_basis(self):
         # random x, plus the all-(p-1) vector, whose pivot coefficients are p - 1 (c != 1 for
         # p > 2, the scale path) and, at p = 2, 1 at every pivot; a member and 0 are reduced to 0.
-        # ``_residues`` holds the same residue at each basis's index of the pattern's array
+        # x = 1, packed e_{n-1}, leaves one residue on every basis of a pattern, 0 exactly when
+        # n - 1 is a pivot: verify-bounds counts each pattern from its first basis on that
         rng = random.Random(3)
         for p, n in [(2, 5), (3, 4), (5, 3), (7, 3), (3, 5), (257, 2)]:
             lay = lanes(p, n)
@@ -358,16 +359,18 @@ class TestEnumeration:
                     xs = [rng.randrange(p**n) for _ in range(6)] + [p**n - 1, 0]
                     xs = [VectorP.from_index(p, n, i) for i in xs]
                     reducers = [_reducer(lay, pivots, pack(x)) for x in xs]
-                    arrays = [_residues(lay, pivots, rows, pack(x)) for x in xs]
-                    assert all(a.shape == tuple(map(len, rows)) and a.dtype == np.int64 for a in arrays)
-                    for at, basis in zip(np.ndindex(arrays[0].shape), itertools.product(*rows)):
+                    last_unit = _reducer(lay, pivots, 1)
+                    last_unit_residues = set()
+                    for basis in itertools.product(*rows):
                         h = Subgroup._unchecked(p, n, basis)
                         member = pack(sum_of_rows(h, rng))
-                        for x, residue, array in zip(xs, reducers, arrays):
+                        for x, residue in zip(xs, reducers):
                             expect = pack(VectorP(p, reference_reduce(h, x.coords)))
-                            assert array[at] == residue(basis) == h.coset_reduce(pack(x)) == expect
+                            assert residue(basis) == h.coset_reduce(pack(x)) == expect
                         assert _reducer(lay, pivots, member)(basis) == 0
-                        assert _residues(lay, pivots, rows, member)[at] == 0
+                        assert last_unit(basis) == h.coset_reduce(1)
+                        last_unit_residues.add(last_unit(basis))
+                    assert last_unit_residues == {0 if n - 1 in pivots else 1}
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):

@@ -376,6 +376,29 @@ class TestVerifyBounds:
             cells += lines[1:]
         assert any(line.startswith("2 4 2 35 7 ") for line in cells)
 
+    @pytest.mark.parametrize("broken", ["unreduced", "last_pattern_dropped"])
+    def test_enumeration_can_fail(self, capsys, monkeypatch, broken):
+        # a reduction that leaves x as it is misses every T2 count, and a lost pivot pattern
+        # every T1 count: each enumerated row prints FAIL and the exit code is 1, while the
+        # identity-only rows (p^n = 32 above --enum-cap 16) print as before
+        argv = ("verify-bounds", "--p", "2", "--n", "3..5", "--enum-cap", "16")
+        code, honest, _ = run(capsys, *argv)
+        assert code == 0
+        if broken == "unreduced":
+            monkeypatch.setattr(cli, "_reducer", lambda lay, pivots, x: lambda basis: x)
+        else:
+            rref_bases = cli._rref_bases
+            monkeypatch.setattr(cli, "_rref_bases", lambda *args: list(rref_bases(*args))[:-1])
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        honest, out = honest.splitlines(), out.splitlines()
+        assert out[0] == honest[0] and len(out) == len(honest) == 1 + 2 + 3 + 4
+        for before, after in zip(honest[1:], out[1:]):
+            if before.split()[1] == "5":
+                assert after == before and after.endswith(" pass(identity-only)")
+            else:
+                assert after == before.removesuffix(" pass") + " FAIL"
+
     def test_enum_cap_reaches_the_enumerator(self, capsys):
         # p^n = 1062961 is above the enumerator's default cap of 2^20
         code, out, err = run(capsys, "verify-bounds", "--p", "1031", "--n", "2", "--k", "1",

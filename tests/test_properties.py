@@ -427,7 +427,7 @@ def test_label_check_matches_reference(case):
     # the labels inconsistent with the answer
     log, answer = case
     try:
-        solvers._check_labels(log, answer)
+        solvers._check_labels(answer, log.instance.k, log.cache, log.cache.values())
         raised = False
     except PromiseViolationError:
         raised = True
@@ -455,9 +455,9 @@ def test_label_check_at_the_limits(p):
         log.query(pack(x))
         log.query(pack(add(x, member)))  # shares x's label, and a coset of the secret only
     assert any(p - 1 in lanes(p, n).unpack(label) for label in log.cache.values())
-    solvers._check_labels(log, secret)
+    solvers._check_labels(secret, k, log.cache, log.cache.values())
     with pytest.raises(PromiseViolationError, match="not constant exactly on cosets"):
-        solvers._check_labels(log, wrong)
+        solvers._check_labels(wrong, k, log.cache, log.cache.values())
 
 
 @pytest.mark.parametrize("p, count", [(2, 3000), (257, 5000)])
@@ -479,9 +479,9 @@ def test_label_check_sees_the_end_of_a_long_cache(p, count):
     reps = wrong.coset_reps(log.cache)
     assert reps == [wrong.coset_reduce(x) for x in log.cache]
     assert len(set(reps)) == log.count == len(set(log.cache.values())) + 1
-    solvers._check_labels(log, secret)
+    solvers._check_labels(secret, k, log.cache, log.cache.values())
     with pytest.raises(PromiseViolationError, match="not constant exactly on cosets"):
-        solvers._check_labels(log, wrong)
+        solvers._check_labels(wrong, k, log.cache, log.cache.values())
 
 
 def _rejection_rows(rng, p, n, count):

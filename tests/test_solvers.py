@@ -355,13 +355,14 @@ class _MergingInstance(HiddenInstance):
 @pytest.mark.parametrize("p,n,k", [(2, 4, 2), (2, 6, 1), (3, 4, 2), (5, 3, 1)])
 def test_quantum_solver_refuses_merged_cosets(p, n, k):
     # the coset of 0 keeps its own label, so the label branch and every round are
-    # those of the honest instance; only the count of distinct labels is off
+    # those of the honest instance; only the answer check, over all of Z_p^n and
+    # the label table, sees one label on two cosets
     for seed in range(3):
         honest = make_instance(p, n, k, seed, seed, bool(seed % 2))
         assert quantum_find_s(honest).recovered == honest.secret
         rows = complement(honest.secret).basis[:2]  # two cosets other than S, and not each other
         inst = _MergingInstance(p, n, k, honest.secret, honest.label_seed, honest.obfuscate, rows)
-        with pytest.raises(PromiseViolationError, match="distinct labels"):
+        with pytest.raises(PromiseViolationError, match="not constant exactly on cosets"):
             quantum_find_s(inst)
 
 
