@@ -167,7 +167,7 @@ class Lanes:
         _check_space(p, n)
         g = (p - 1).bit_length()
         w = g + (p > 2)
-        self.n, self.width, ones, top = n, w, sum(1 << (w * i) for i in range(n)), 1 << (w * n)
+        self.p, self.n, self.width, ones, top = p, n, w, sum(1 << (w * i) for i in range(n)), 1 << (w * n)
         big_k, big_g, big_p, mask = ((1 << g) - p) * ones, ((1 << w) - (1 << g)) * ones, p * ones, (1 << w) - 1
         self.g, self.big_k, self.big_g = g, big_k, big_g
         self.shifts = shifts = tuple(w * (n - 1 - i) for i in range(n))
@@ -226,6 +226,25 @@ class Lanes:
 
         self.add, self.sub, self.scale, self.insert, self.reduced = add, sub, scale, insert, reduced
         self.valid, self.pack, self.unpack = valid, pack, unpack
+
+    def from_index(self, idx: int | np.ndarray) -> int | np.ndarray:
+        """Base-p indices, ints or int64 arrays, as packed vectors one digit at a time (coordinate 0 on top)."""
+        if self.p == 2:  # a packed vector is its own index
+            return idx
+        packed = 0 * idx
+        for shift in reversed(self.shifts):  # the last coordinate is the bottom lane
+            packed |= idx % self.p << shift
+            idx = idx // self.p
+        return packed
+
+    def to_index(self, packed: int | np.ndarray) -> int | np.ndarray:
+        """The base-p indices of packed vectors: ``from_index`` inverted, one lane at a time."""
+        if self.p == 2:
+            return packed
+        idx = 0 * packed
+        for shift in self.shifts:
+            idx = idx * self.p + (packed >> shift & (1 << self.width) - 1)
+        return idx
 
     def digits(self, xs: Sequence[int]) -> np.ndarray:
         """The (len(xs), n) int64 coordinates of packed vectors: each lane shifted and masked out of

@@ -20,8 +20,8 @@ instance, and ``_label_map`` turns them into byte tables by doubling lists of ke
 ``evaluate`` reads a packed x byte by byte: table j maps byte j of x to L times the part of x
 in that byte, packed, and a label is the packed s plus one lookup and one lane-wise add mod p
 per byte (``Lanes.add`` inlined; XOR at p = 2).  Only valid packed vectors (``Lanes.valid``)
-have labels; any other int raises.  ``all_labels`` applies the same L to all of Z_p^n, as one
-int64 array product per 2^16 elements, and ``QueryLog.query_all`` fills a query cache from it.
+have labels; any other int raises.  ``all_labels`` applies the same tables to all of Z_p^n at
+once, one int64 gather per table, and ``QueryLog.query_all`` fills a query cache from it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import getitem, xor
-from typing import Iterator
 
 import numpy as np
 
@@ -39,20 +38,11 @@ from .errors import DimensionMismatchError, ParameterError, ResourceCapError
 
 _INSTANCE_HEADER = "gsp-instance v1"
 
-#: Elements of Z_p^n per chunk of ``_space``, to bound brute force's arrays.
-_SPACE_ROWS = 1 << 16
-
-
-def _space(p: int, n: int) -> Iterator[tuple[np.ndarray, list[int]]]:
-    """(coordinates, packed vectors) of Z_p^n in index order per ``_SPACE_ROWS`` elements, for p^n
-    up to the enumeration cap, where n*w <= 60: a packed vector is coordinates @ int64 unit lanes."""
+def _space(p: int, n: int) -> np.ndarray:
+    """Every packed vector of Z_p^n in index order, one int64 array, for p^n up to the enumeration cap."""
     if p**n > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(f"p^n = {p**n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    unit_lanes = np.left_shift(1, lanes(p, n).shifts, dtype=np.int64)
-    for start in range(0, p**n, _SPACE_ROWS):
-        digits = np.arange(start, min(start + _SPACE_ROWS, p**n), dtype=np.int64)[:, None] // weights % p
-        yield digits, (digits @ unit_lanes).tolist()
+    return lanes(p, n).from_index(np.arange(p**n, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -122,17 +112,20 @@ class HiddenInstance:
                 weight = add(weight, weight)
         return [dict(zip(*kv)) for kv in zip(keys, labels)], lay.pack(shift), nbytes, lay.big_k, lay.big_g, lay.g
 
-    def all_labels(self) -> tuple[list[int], list[int]]:
-        """Every packed x of Z_p^n in index order, and this class's label of each: L's digits come
-        from its packed columns in one ``Lanes.digits`` call, then one product digits @ Lᵀ + s mod p
-        per ``_space`` chunk, whose sums stay below n*p^2 < 2^38."""
-        p, n, (cols, shift) = self.p, self.n, self._affine
-        keys, labels, lay = [], [], lanes(p, n)
-        matrix, unit_lanes = lay.digits(cols), np.left_shift(1, lay.shifts, dtype=np.int64)
-        for digits, xs in _space(p, n):
-            keys += xs
-            labels += ((digits @ matrix + shift) % p @ unit_lanes).tolist()
-        return keys, labels
+    def all_labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every packed x of Z_p^n in index order, and its label, as int64 arrays: ``evaluate``'s rule
+        with one gather per byte table over the bytes xs >> 8j & 255 of all xs at once.  A subclass
+        that overrides ``evaluate`` is asked for each element instead, in index order, and its labels,
+        which need not fit int64, come as an object array."""
+        xs, lay = _space(self.p, self.n), lanes(self.p, self.n)
+        if type(self).evaluate is not HiddenInstance.evaluate:
+            return xs, np.fromiter(map(self.evaluate, xs.tolist()), object, len(xs))
+        tables, labels = self._label_map[0], np.full_like(xs, self._label_map[1])
+        for j, table in enumerate(tables):
+            gather = np.zeros(256, np.int64)
+            gather[list(table)] = list(table.values())
+            labels = lay.add(labels, gather[xs >> 8 * j & 255])
+        return xs, labels
 
     def evaluate(self, x: int) -> int:
         """The label f(x) = L x + s of a packed x, packed; constant exactly on cosets of the secret.
@@ -187,16 +180,11 @@ class QueryLog:
         return label
 
     def query_all(self) -> None:
-        """Ask every element of Z_p^n in index order; cached elements keep their place and label.
-        The labels come from ``all_labels`` unless a subclass overrides ``evaluate``."""
-        inst = self.instance
-        if type(inst).evaluate is not HiddenInstance.evaluate:
-            for _, xs in _space(inst.p, inst.n):
-                for x in xs:
-                    self.query(x)
-            return
+        """Ask every element of Z_p^n in index order, with its label from ``all_labels``; cached
+        elements keep their place and label.  A subclass that overrides ``evaluate`` is asked for the
+        cached elements too, but neither the cache nor the count changes for them."""
         setdefault = self.cache.setdefault
-        for x, label in zip(*inst.all_labels()):
+        for x, label in zip(*(array.tolist() for array in self.instance.all_labels())):
             setdefault(x, label)
 
 

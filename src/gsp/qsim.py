@@ -8,7 +8,7 @@ amplification, in that order.  A state is two flat arrays: int64
 mixed-radix basis keys (main register most significant) and their
 complex128 amplitudes.  Every gate is a unitary on one register (the Fourier
 transforms) or a key permutation (the oracle, the shrink step) by ``Lanes``
-sums on int64 arrays of packed vectors; ``_to_packed`` and ``_to_index``
+sums on int64 arrays of packed vectors; ``Lanes.from_index`` and ``to_index``
 convert a state's basis values to packed vectors and back, digit by digit
 (both are the identity at p = 2).  The aux rotation is a product factor, and
 the amplification's reflections only change signs and amplitudes on fixed
@@ -72,7 +72,7 @@ import numpy as np
 
 from .algebra import canonicalize, lanes, orthogonal
 from .errors import ParameterError, PromiseViolationError, ResourceCapError
-from .oracle import HiddenInstance
+from .oracle import HiddenInstance, _space
 from .solvers import SolverResult, _check_labels
 
 PRUNE_EPS = 1e-12
@@ -180,27 +180,6 @@ def _permute(state: SparseState, reg: int, values: np.ndarray) -> SparseState:
     return SparseState._unchecked(state.p, state.dims, keys, state.amps)
 
 
-def _digits(p: int, n: int, idx: np.ndarray) -> np.ndarray:
-    """The (..., n) base-p digits of int64 basis values of Z_p^n, most significant first."""
-    return idx[..., None] // p ** np.arange(n - 1, -1, -1, dtype=np.int64) % p
-
-
-def _to_packed(p: int, n: int, idx: np.ndarray) -> np.ndarray:
-    """The packed vectors of int64 basis values: digit i goes to lane i.  At p = 2 a vector is its own index."""
-    if p == 2:
-        return idx
-    return _digits(p, n, idx) @ np.left_shift(1, lanes(p, n).shifts, dtype=np.int64)
-
-
-def _to_index(p: int, n: int, packed: np.ndarray) -> np.ndarray:
-    """The basis values of int64 packed vectors of Z_p^n: ``_to_packed`` inverted, lane by lane."""
-    if p == 2:
-        return packed
-    lay = lanes(p, n)
-    lane = packed[..., None] >> np.array(lay.shifts, dtype=np.int64) & (1 << lay.width) - 1
-    return lane @ p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-
 @lru_cache(maxsize=None)
 def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
     """The p-point transform omega^(+-g*h)/sqrt(p), applied to each digit of a register."""
@@ -211,12 +190,17 @@ def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)  # one solve's table; a larger cache would keep every instance alive
-def _label_index_table(inst: HiddenInstance) -> np.ndarray:
-    """Every element's packed label, one ``evaluate`` call per element in index order."""
-    everything = _to_packed(inst.p, inst.n, np.arange(inst.p**inst.n, dtype=np.int64))
-    table = np.array([inst.evaluate(x) for x in everything.tolist()], dtype=np.int64)
+def _label_index_table(inst: HiddenInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Every packed element in index order and its packed label, one ``evaluate`` call per element;
+    ``PromiseViolationError`` unless every label is a packed vector of Z_p^n, checked all at once."""
+    lay = lanes(inst.p, inst.n)
+    everything = _space(inst.p, inst.n)
+    table = np.fromiter(map(inst.evaluate, everything.tolist()), np.int64, len(everything))
+    if ((table | table + lay.big_k) & lay.big_g | table >> inst.n * lay.width).any():  # as ``Lanes.valid``
+        raise PromiseViolationError("a label is not a packed vector of Z_p^n")
+    everything.setflags(write=False)
     table.setflags(write=False)
-    return table
+    return everything, table
 
 
 def fourier(state: SparseState, reg: int, inverse: bool = False) -> SparseState:
@@ -231,9 +215,9 @@ def apply_oracle(state: SparseState, inst: HiddenInstance, counter: QCounter) ->
     p, n = inst.p, inst.n
     if state.p != p or state.dims[:2] != (p**n, p**n):
         raise ParameterError(f"state dims {state.dims} do not fit p={p} n={n}")
-    labels = _label_index_table(inst)[state.digit(MAIN)]
+    lay, labels = lanes(p, n), _label_index_table(inst)[1][state.digit(MAIN)]
     counter.oracle_calls += 1
-    return _permute(state, LABEL, _to_index(p, n, lanes(p, n).add(_to_packed(p, n, state.digit(LABEL)), labels)))
+    return _permute(state, LABEL, lay.to_index(lay.add(lay.from_index(state.digit(LABEL)), labels)))
 
 
 def simon_subroutine(inst: HiddenInstance, counter: QCounter) -> SparseState:
@@ -267,13 +251,13 @@ def shrink_subgroup(state: SparseState, y: int) -> SparseState:
     if line.rank == 0:
         raise ParameterError("cannot shrink by the zero vector")
     (row,), (j,) = line.basis, line.pivots()
-    main = _to_packed(p, n, state.digit(MAIN))
+    main = lay.from_index(state.digit(MAIN))
     coefficient = main >> lay.shifts[j] & (1 << lay.width) - 1  # j-th coordinate, off its lane
     row_multiples = np.array([lay.scale(c, row) for c in range(p)], dtype=np.int64)
     tail = state.stride(LABEL)
     keys = state.keys // tail * (tail * p) + coefficient * tail + state.keys % tail
     widened = SparseState._unchecked(p, state.dims[: LABEL + 1] + (p,) + state.dims[LABEL + 1 :], keys, state.amps)
-    shifted = _permute(widened, MAIN, _to_index(p, n, lay.sub(main, row_multiples[coefficient])))
+    shifted = _permute(widened, MAIN, lay.to_index(lay.sub(main, row_multiples[coefficient])))
     return fourier(shifted, LABEL + 1, inverse=True)
 
 
@@ -321,7 +305,7 @@ def exact_amplify(inst: HiddenInstance, shrunk: SparseState, counter: QCounter) 
         raise ArithmeticError(f"bad-outcome amplitude {bad:.3e} after amplification")
 
     mains = state.digit(MAIN)
-    return int(_to_packed(p, n, mains[mains != 0].min(keepdims=True))[0]), state
+    return lanes(p, n).from_index(int(mains[mains != 0].min())), state
 
 
 def _label_branch(inst: HiddenInstance, table: np.ndarray) -> SparseState:
@@ -332,7 +316,7 @@ def _label_branch(inst: HiddenInstance, table: np.ndarray) -> SparseState:
     mains = np.flatnonzero(table == table[0])
     if len(mains) != p**k:
         raise PromiseViolationError(f"{len(mains)} elements share the label of 0, promised p^k = {p**k}")
-    keys = mains * p**n + _to_index(p, n, table[:1])
+    keys = mains * p**n + lanes(p, n).to_index(int(table[0]))
     return SparseState._unchecked(p, (p**n, p**n), keys, np.full(len(mains), p ** (-k / 2), dtype=complex))
 
 
@@ -344,9 +328,9 @@ def _all_branches(branch: SparseState, labels: np.ndarray, reps: np.ndarray, row
     latest flag first): the branch of f(t) is psi_0 times omega^(t.h) before the shrinks, and
     each shrink by r_i puts t.r_i in its flag."""
     p, n = branch.p, round(math.log(branch.dims[MAIN], branch.p))
-    lay, t = lanes(p, n), _digits(p, n, reps)
-    phase = t @ _digits(p, n, branch.digit(MAIN)).T % p
-    keys = branch.keys + (_to_index(p, n, labels)[:, None] - branch.digit(LABEL)) * branch.stride(LABEL)
+    lay, t = lanes(p, n), np.stack(np.unravel_index(reps, (p,) * n), axis=-1)  # base-p digits, top first
+    phase = t @ np.stack(np.unravel_index(branch.digit(MAIN), (p,) * n)) % p
+    keys = branch.keys + (lay.to_index(labels)[:, None] - branch.digit(LABEL)) * branch.stride(LABEL)
     for reg, row in enumerate(rows, LABEL + 1):
         flag, shift = branch.digit(reg), t @ np.array(lay.unpack(row), dtype=np.int64)
         keys += ((flag + shift[:, None]) % p - flag) * branch.stride(reg)
@@ -366,7 +350,7 @@ def quantum_find_s(
     module docstring's 3(n-k).  The branch and the answer check read the label table, which
     belongs to the simulator: they make no ``evaluate`` call past the table's one per element and
     add no call to ``counter``, so queries stay 3(n-k).  The answer goes through the classical
-    solvers' ``_check_labels`` with every packed element of Z_p^n and the table: it must have rank
+    solvers' ``_check_labels`` with the table's packed elements of Z_p^n and labels: it must have rank
     k, and two elements must share a label exactly when they share a coset of it, else
     ``PromiseViolationError``; so does a branch of other than p^k elements.  With
     ``return_final_state``, the full final state is rebuilt from the branch's."""
@@ -375,7 +359,7 @@ def quantum_find_s(
         raise ResourceCapError(f"p^n = {p**n} exceeds simulation cap {DEFAULT_SIM_CAP}")
     counter = counter if counter is not None else QCounter()
     calls_before = counter.oracle_calls
-    table = _label_index_table(inst)
+    everything, table = _label_index_table(inst)
     shrunk = fourier(_label_branch(inst, table), MAIN)
     found: list[int] = []
     for _ in range(n - k):
@@ -385,7 +369,6 @@ def quantum_find_s(
         y, state = exact_amplify(inst, shrunk, counter)
         found.append(y)
     recovered = orthogonal(canonicalize(p, n, found))
-    everything = _to_packed(p, n, np.arange(p**n, dtype=np.int64))
     _check_labels(recovered, k, everything.tolist(), table.tolist())
     result = SolverResult(recovered, counter.oracle_calls - calls_before, 3 * (n - k), None)
     if not return_final_state:

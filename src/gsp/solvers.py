@@ -53,8 +53,8 @@ them as coordinate tuples; they become ``VectorP``s only in ``SolverResult.trace
 
 ``brute_force_solve`` is the correctness oracle (queries everything) and
 ``birthday_solve`` the randomized collision baseline.  Brute force asks all
-of Z_p^n through ``QueryLog.query_all``, which compiles the labels to one
-int64 array product unless a subclass overrides ``evaluate``.  Each of the three
+of Z_p^n through ``QueryLog.query_all``, which reads ``evaluate``'s byte tables
+with one int64 gather per table unless a subclass overrides ``evaluate``.  Each of the three
 refuses before its first query when its query bound exceeds
 ``DEFAULT_ENUMERATION_CAP``, and checks its answer with ``_check_labels``
 before returning it: the answer must have rank k, and two cached elements

@@ -135,6 +135,36 @@ def test_lane_digits_at_the_word_boundary(p, n):
     assert out.tolist() == [list(lay.unpack(x)) for x in xs]
 
 
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 3), (7, 3), (257, 2)])
+def test_lane_index_maps_match_the_tuple_reference(p, n):
+    # from_index packs index i as VectorP.from_index does; for p > 2 to_index inverts it
+    lay, idx = lanes(p, n), np.arange(p**n, dtype=np.int64)
+    packed = lay.from_index(idx)
+    assert packed.tolist() == [lay.pack(VectorP.from_index(p, n, i).coords) for i in range(p**n)]
+    assert lay.to_index(packed).tolist() == idx.tolist()
+
+
+@pytest.mark.parametrize("p,n", [(3, 20), (257, 6), (65521, 3)])
+def test_lane_index_maps_near_the_word(p, n):
+    # n*w of 51 to 60 bits; sampled indices up to p^n - 1, both ends included, as an int64 array
+    # and one int at a time
+    lay, rng = lanes(p, n), random.Random(p * n)
+    assert 51 <= n * lay.width <= 60
+    idx = [0, 1, p - 1, p, p**n - 2, p**n - 1] + [rng.randrange(p**n) for _ in range(200)]
+    packed = lay.from_index(np.array(idx, dtype=np.int64))
+    assert packed.tolist() == [lay.pack(VectorP.from_index(p, n, i).coords) for i in idx]
+    assert packed.tolist() == list(map(lay.from_index, idx))
+    assert lay.to_index(packed).tolist() == idx == list(map(lay.to_index, packed.tolist()))
+
+
+def test_lane_index_maps_are_the_identity_at_p_2():
+    # at p = 2 a lane is one bit, so a packed vector is its own index
+    for n in (1, 6, 20, 62):
+        lay, idx = lanes(2, n), np.array([0, 1, 2 ** n - 1], dtype=np.int64)
+        assert lay.from_index(idx) is idx and lay.to_index(idx) is idx
+        assert lay.from_index(2**n - 1) == lay.to_index(2**n - 1) == 2**n - 1
+
+
 class TestCanonicalize:
     def test_worked_example(self):
         h = span(2, 4, [vec(2, "0011"), vec(2, "0110")])

@@ -85,7 +85,8 @@ def test_one_affine_map_feeds_both_label_paths(obfuscate):
         for x in all_vectors(p, n)
     ]
     assert [label_of(inst, x) for x in all_vectors(p, n)] == expect
-    assert inst.all_labels() == ([pack(x) for x in all_vectors(p, n)], [pack(y) for y in expect])
+    keys, labels = inst.all_labels()
+    assert (keys.tolist(), labels.tolist()) == ([pack(x) for x in all_vectors(p, n)], [pack(y) for y in expect])
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 5), (5, 4), (257, 3)])

@@ -390,9 +390,21 @@ def test_all_labels_match_evaluate(data):
     k = data.draw(st.integers(1, n - 1))
     seeds = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 2**32))
     inst = make_instance(p, n, k, *seeds, obfuscate=data.draw(st.booleans()))
-    keys, labels = inst.all_labels()
+    keys, labels = (array.tolist() for array in inst.all_labels())
     assert keys == [pack(x) for x in all_vectors(p, n)]
     assert labels == [inst.evaluate(x) for x in keys]
+
+
+@pytest.mark.parametrize("obfuscate", [False, True])
+@pytest.mark.parametrize("p,n,k", [(2, 9, 3), (2, 12, 5), (2, 16, 7), (3, 8, 3), (257, 2, 1)])
+def test_all_labels_gather_across_bytes(p, n, k, obfuscate):
+    # spaces of two to four byte tables, where lanes of p > 2 straddle bytes: each byte of x
+    # must be read through its own table, which CHECK_SPACES' single table at p = 2 cannot show
+    inst = make_instance(p, n, k, p + n, k, obfuscate)
+    keys, labels = (array.tolist() for array in inst.all_labels())
+    assert len(inst._label_map[0]) >= 2
+    assert keys == [lanes(p, n).pack(c) for c in itertools.product(range(p), repeat=n)]
+    assert labels == list(map(inst.evaluate, keys))
 
 
 @st.composite

@@ -6,6 +6,7 @@ import gc
 import math
 import random
 import weakref
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from gsp import (
     zero_state,
 )
 import gsp.qsim as qsim
+from gsp.algebra import lanes
 from gsp.qsim import LABEL, MAIN, _permute, _unitary
 from conftest import (
     add, all_vectors, dot, elements, index, label_of, marginal, pack, rows, scale, span, sub, support, unpack, vec
@@ -459,7 +461,7 @@ class TestLabelBranch:
         for k in range(1, n):
             for obfuscate in (False, True):
                 inst = make_instance(p, n, k, k, 3 * k, obfuscate)
-                table = qsim._label_index_table(inst)
+                table = qsim._label_index_table(inst)[1]
                 out = apply_oracle(fourier(zero_state(p, (p**n, p**n)), MAIN, inverse=True), inst, QCounter())
                 zero_label = index(label_of(inst, vec(p, "0" * n)))
                 mask = out.digit(LABEL) == zero_label
@@ -491,6 +493,38 @@ class TestLabelBranch:
         table = np.zeros(16, dtype=np.int64)
         with pytest.raises(PromiseViolationError, match="16 elements share the label of 0, promised p\\^k = 4"):
             qsim._label_branch(inst, table)
+
+
+@dataclass(frozen=True)
+class _OutOfSpaceInstance(HiddenInstance):
+    """An honest oracle whose every label has the bits of ``extra`` set as well."""
+
+    extra: int = 0
+
+    def evaluate(self, x):
+        return super().evaluate(x) | self.extra
+
+
+@pytest.mark.parametrize(
+    "p,n,k,extra",
+    [
+        (2, 6, 2, 1 << 6),  # a bit past the n lanes
+        (3, 4, 2, 1 << 12),  # a bit past the n lanes of w = 3 bits
+        (3, 4, 2, 3),  # a bottom lane equal to p
+        (3, 4, 2, 4),  # the bottom lane's carry bit
+    ],
+)
+def test_labels_outside_the_space_refused(p, n, k, extra):
+    # the label register holds Z_p^n only: the simulator refuses such a table before any gate,
+    # while the classical solvers accept labels from any set
+    honest = make_instance(p, n, k, 1, 2, True)
+    inst = _OutOfSpaceInstance(p, n, k, honest.secret, honest.label_seed, honest.obfuscate, extra)
+    with pytest.raises(PromiseViolationError, match="not a packed vector of Z_p\\^n"):
+        quantum_find_s(inst)
+    with pytest.raises(PromiseViolationError, match="not a packed vector of Z_p\\^n"):
+        simon_subroutine(inst, QCounter())
+    if extra >> n * lanes(p, n).width:  # still one label per coset
+        assert brute_force_solve(QueryLog(inst)).recovered == honest.secret
 
 
 class TestQuantumFindS:
