@@ -487,4 +487,6 @@ def random_subgroup(p: int, n: int, k: int, seed: int) -> Subgroup:
     has the same number of ordered bases, so the draw is uniform.
     """
     _check_rank(p, n, k)
+    if seed < 0:  # random.Random(-s) seeds like Random(s)
+        raise ParameterError(f"subgroup seed must be non-negative, got {seed}")
     return _span(p, n, map(lanes(p, n).pack, _independent_rows(random.Random(seed), p, n, k)))

@@ -92,7 +92,7 @@ class SparseState:
 
     ``dims`` are the register dimensions, each a power of ``p``, most
     significant first; a key is unique within a state.  The constructor
-    checks p, dims, the keys' shape, range and uniqueness and the amplitudes'
+    checks p, dims, the keys' dtype, shape, range and uniqueness and the amplitudes'
     length; gate outputs, valid by construction, are built by ``_unchecked``.
     """
 
@@ -109,6 +109,8 @@ class SparseState:
                 raise ParameterError(f"register dimension {dim} is not a positive power of p={self.p}")
         if self.keys.ndim != 1:
             raise ParameterError(f"keys must be one-dimensional, got shape {self.keys.shape}")
+        if not np.issubdtype(self.keys.dtype, np.signedinteger):  # uint64 arithmetic with int64 gives floats
+            raise ParameterError(f"keys must be signed integers, got dtype {self.keys.dtype}")
         if self.amps.shape != self.keys.shape:
             raise ParameterError(f"{len(self.keys)} keys but amplitudes of shape {self.amps.shape}")
         if len(self.keys) and not (0 <= int(self.keys.min()) and int(self.keys.max()) < math.prod(self.dims)):
@@ -195,9 +197,12 @@ def _label_index_table(inst: HiddenInstance) -> tuple[np.ndarray, np.ndarray]:
     ``PromiseViolationError`` unless every label is a packed vector of Z_p^n, checked all at once."""
     lay = lanes(inst.p, inst.n)
     everything = _space(inst.p, inst.n)
-    table = np.fromiter(map(inst.evaluate, everything.tolist()), np.int64, len(everything))
-    if ((table | table + lay.big_k) & lay.big_g | table >> inst.n * lay.width).any():  # as ``Lanes.valid``
-        raise PromiseViolationError("a label is not a packed vector of Z_p^n")
+    try:
+        table = np.fromiter(map(inst.evaluate, everything.tolist()), np.int64, len(everything))
+    except OverflowError:  # a label past int64
+        table = None
+    if table is None or ((table | table + lay.big_k) & lay.big_g | table >> inst.n * lay.width).any():
+        raise PromiseViolationError("a label is not a packed vector of Z_p^n")  # as ``Lanes.valid``
     everything.setflags(write=False)
     table.setflags(write=False)
     return everything, table

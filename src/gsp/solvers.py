@@ -41,10 +41,9 @@ Implementation notes that matter for the query counts:
   S2 + A + B, the unit vector at the last column that is not a pivot of
   one packed echelon of S2 + A + B (``Lanes.insert``), grown with each
   accepted u and each collision difference, so traces are reproducible.
-* Span queries are checked for collisions as they are issued and stop at
-  the first hit; the remaining elements of an abandoned span are never
-  asked.  This only lowers counts relative to the query-everything-first
-  reading and leaves the returned invariants intact.
+  S2 grows in it as rows, each collision adding a new secret element by construction.
+* Span queries stop at the first collision; the rest of an abandoned span
+  is never asked.
 
 Vectors, labels and subgroup rows are packed ints (``gsp.algebra.lanes``,
 added by XOR at p = 2) from the oracle to the answer check, which reduces the
@@ -165,15 +164,6 @@ def _birthday_budget(p: int, n: int, k: int, multiplier: float) -> float:
     return budget
 
 
-def _grow_partial_secret(partial: Subgroup, element: int, k: int) -> Subgroup:
-    grown = _span(partial.p, partial.n, partial.basis + (element,))
-    if grown.rank <= partial.rank:
-        raise PromiseViolationError("collision difference was already known")
-    if grown.rank > k:
-        raise PromiseViolationError(f"collected {grown.rank} independent secret elements, but rank(S) = {k}")
-    return grown
-
-
 def find_group(
     log: QueryLog,
     a_grp: Subgroup,
@@ -185,8 +175,8 @@ def find_group(
 
     ``a_label_of`` maps the label of every element of span(A), 0^n
     included, to that element, both packed; the caller has queried all of
-    them.  Returns (B, B's map of the same kind, S2) with S1 <= S2 <= S; S2
-    collects every secret element betrayed by collisions along the way.
+    them.  Returns (B, B's map of the same kind, S2) with S1 <= S2 <= S; every collision
+    adds an independent secret element to S2, and one past rank k raises ``PromiseViolationError``.
     Labels already in the log's cache cost no query, so d = 0 makes none.
     """
     inst = log.instance
@@ -200,34 +190,38 @@ def find_group(
     for row in s1.basis + a_grp.basis:
         insert(echelon, row)
     b_label_of = {log.query(0): 0}
-    b_units, s_cur = [], s1
+    b_units, s_rows = [], list(s1.basis)
     while len(b_units) < d:
         # the least u outside S2+A+B; a collision with span(B) grows S2
         u = _lex_smallest_outside(lay, echelon)
         hit = b_label_of.get(log.query(u))
         if hit is not None:
-            s_cur = _grow_partial_secret(s_cur, diff := sub(hit, u), k)
-            insert(echelon, diff)
-            continue
-        # query u, then the rest of span(B ∪ u); a collision with A grows S2
-        # and abandons the span
-        multiples = list(accumulate([u] * (p - 1), add))  # c*u for c = 1..p-1
-        span = sorted(add(b, m) for b in b_label_of.values() for m in multiples)
-        span.remove(u)
-        span.insert(0, u)
-        labels = []  # each asked once: an accepted span's labels go into B's map
-        for b in span:
-            labels.append(label := log.query(b))
-            if label in a_label_of:
-                s_cur = _grow_partial_secret(s_cur, diff := sub(a_label_of[label], b), k)
-                insert(echelon, diff)
-                break
+            diff = sub(hit, u)
         else:
-            insert(echelon, u)
-            b_units.append(u)
-            b_label_of.update(zip(labels, span))
+            # query u, then the rest of span(B ∪ u); a collision with A grows S2 and abandons the span
+            multiples = list(accumulate([u] * (p - 1), add))  # c*u for c = 1..p-1
+            span = sorted(add(b, m) for b in b_label_of.values() for m in multiples)
+            span.remove(u)
+            span.insert(0, u)
+            labels = []  # each asked once: an accepted span's labels go into B's map
+            for b in span:
+                labels.append(label := log.query(b))
+                if label in a_label_of:
+                    diff = sub(a_label_of[label], b)
+                    break
+            else:
+                insert(echelon, u)
+                b_units.append(u)
+                b_label_of.update(zip(labels, span))
+                continue
+        # diff = x - (b + c*u) with x, b in span(A+B), c != 0 and u outside S2+A+B, so diff lies outside
+        # S2+A+B too: every collision adds an independent secret element, and S2's row count is its rank
+        insert(echelon, diff)
+        s_rows.append(diff)
+        if len(s_rows) > k:
+            raise PromiseViolationError(f"collected {len(s_rows)} independent secret elements, but rank(S) = {k}")
 
-    return _span(p, n, b_units), b_label_of, s_cur
+    return _span(p, n, b_units), b_label_of, _span(p, n, s_rows)
 
 
 def find_s(log: QueryLog, d: int) -> SolverResult:
@@ -255,18 +249,16 @@ def find_s(log: QueryLog, d: int) -> SolverResult:
     w = complement(_span(p, n, s2.basis + a_grp.basis + b_grp.basis))
     gens = list(s2.basis)
     for w_i in w.basis:
-        found = None
         for a in sorted(add(elem, w_i) for elem in a_label_of.values()):
             b = b_label_of.get(log.query(a))
             if b is not None:
-                found = sub(a, b)
+                gens.append(sub(a, b))
                 break
-        if found is None:
+        else:
             raise PromiseViolationError(
                 f"coset {VectorP._unchecked(p, lay.unpack(w_i))} + A holds no collision against B; "
                 "no subgroup explains this"
             )
-        gens.append(found)
 
     recovered = _span(p, n, gens)
     _check_labels(recovered, k, log.cache, log.cache.values())

@@ -420,6 +420,11 @@ class TestRandomSubgroup:
     def test_rank0(self):
         assert random_subgroup(3, 4, 0, seed=1).rank == 0
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-3) seeds like Random(3), so -3 would name seed 3's subgroup
+        with pytest.raises(ParameterError, match="subgroup seed must be non-negative, got -3"):
+            random_subgroup(2, 6, 2, -3)
+
     def test_rank_past_n_rejected(self):
         with pytest.raises(ParameterError, match="need 0 <= k <= n, got k=5, n=4"):
             random_subgroup(3, 4, 5, seed=1)

@@ -142,9 +142,20 @@ class TestSolve:
         assert all(len(line.split()) == 2 for line in lines)
 
     def test_negative_seed_shows_label_seed_range(self, capsys):
-        # --label-seed defaults to --seed, so the message names the range and the value it got
+        # a negative --seed is refused as the subgroup seed, before --label-seed takes its default;
+        # a negative --label-seed gets a message that names the range and the value it got
         code, out, err = run(capsys, "solve", "--p", "2", "--n", "4", "--k", "2", "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: subgroup seed must be non-negative, got -1\n")
+        code, out, err = run(capsys, "solve", "--p", "2", "--n", "4", "--k", "2", "--label-seed", "-1")
         assert (code, out, err) == (1, "", "error: label_seed must lie in [0, 2^64), got -1\n")
+
+    def test_negative_subgroup_seed_refused(self, capsys):
+        # random.Random(-3) seeds like Random(3): seed -3 must not solve seed 3's instance
+        argv = ("solve", "--p", "2", "--n", "6", "--k", "2", "--label-seed", "0", "--seed")
+        code, out, _ = run(capsys, *argv, "3")
+        assert code == 0 and "recovered" in out
+        code, out, err = run(capsys, *argv, "-3")
+        assert (code, out, err) == (1, "", "error: subgroup seed must be non-negative, got -3\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "--in", "/nonexistent/i.txt")

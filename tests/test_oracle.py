@@ -71,6 +71,8 @@ def test_parameter_errors():
         HiddenInstance(2, 4, 2, random_subgroup(2, 4, 1, 0))  # rank != k
     with pytest.raises(DimensionMismatchError):
         HiddenInstance(2, 5, 2, random_subgroup(2, 4, 2, 0))
+    with pytest.raises(ParameterError, match="subgroup seed must be non-negative, got -3"):
+        make_instance(2, 6, 2, -3, 0)  # not seed 3's secret
 
 
 @pytest.mark.parametrize("obfuscate", [False, True])

@@ -200,10 +200,13 @@ class TestFourier:
         (1, [1], [1], "p must be at least 2, got 1"),
         (0, [1], [1], "p must be at least 2, got 0"),
         (2, [1, 1], [0.6, 0.8], "keys must not repeat"),  # fourier would sum them and report a norm drift
-    ], ids=["key-out-of-range", "length-mismatch", "2d-keys", "p-1", "p-0", "repeated-key"])
+        (2, np.array([0.5, 1.0]), [0.6, 0.8], "keys must be signed integers, got dtype float64"),  # fourier: an IndexError
+        (2, np.array([1, 2], np.uint64), [0.6, 0.8], "keys must be signed integers, got dtype uint64"),  # fourier: float64 keys
+    ], ids=["key-out-of-range", "length-mismatch", "2d-keys", "p-1", "p-0", "repeated-key", "float-keys", "uint-keys"])
     def test_malformed_state_rejected(self, p, keys, amps, message):
+        keys = keys if isinstance(keys, np.ndarray) else np.array(keys, dtype=np.int64)
         with pytest.raises(ParameterError, match=message):
-            SparseState(p, (4,), np.array(keys, dtype=np.int64), np.array(amps, dtype=complex))
+            SparseState(p, (4,), keys, np.array(amps, dtype=complex))
 
 
 class TestKernels:
@@ -512,6 +515,7 @@ class _OutOfSpaceInstance(HiddenInstance):
         (3, 4, 2, 1 << 12),  # a bit past the n lanes of w = 3 bits
         (3, 4, 2, 3),  # a bottom lane equal to p
         (3, 4, 2, 4),  # the bottom lane's carry bit
+        (3, 4, 2, 1 << 70),  # a label past int64
     ],
 )
 def test_labels_outside_the_space_refused(p, n, k, extra):

@@ -135,6 +135,23 @@ class TestFindGroup:
         assert all(x in log.cache for x in b.elements())
         assert b_label_of == {log.cache[x]: x for x in b.elements()}
 
+    @pytest.mark.parametrize("s1_rank", [0, 1])
+    @pytest.mark.parametrize("p,n,k", [(2, 5, 2), (3, 4, 1), (5, 4, 2)])
+    def test_rank_guard_raises_at_collision_k_plus_one(self, p, n, k, s1_rank):
+        # one label for every element: each pick u collides with 0 at one query, and the
+        # collision that takes S2 past rank k raises before any further query
+        class OneLabel(HiddenInstance):
+            def evaluate(self, x):
+                return 0
+
+        log = QueryLog(OneLabel(p, n, k, random_subgroup(p, n, k, 0), 0, False))
+        triv = trivial_subgroup(p, n)
+        s1 = canonicalize(p, n, [1 << lanes(p, n).shifts[0]] * s1_rank)  # e_0, outside every pick
+        message = rf"collected {k + 1} independent secret elements, but rank\(S\) = {k}"
+        with pytest.raises(PromiseViolationError, match=message):
+            find_group(log, triv, _zero_label_of(log), s1, n - k)
+        assert log.count == 1 + (k + 1 - s1_rank)  # 0^n, then one query per collision
+
     @pytest.mark.parametrize("p,n,k", [(2, 5, 2), (3, 4, 1), (2, 6, 3), (5, 3, 1)])
     def test_trivial_a_query_count_formula(self, p, n, k):
         # with A trivial the instrumented count is exactly p^d - 1 + (rank gain),
