@@ -38,7 +38,6 @@ from .oracle import (
     write_instance,
 )
 from .qsim import (
-    DEFAULT_SIM_CAP,
     QCounter,
     SparseState,
     apply_oracle,

@@ -450,11 +450,11 @@ def _reducer(lay: Lanes, pivots: Sequence[int], x: int) -> Callable[[Sequence[in
     return residue
 
 
-def enumerate_subgroups(p: int, n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Subgroup]:
+def enumerate_subgroups(p: int, n: int, k: int) -> Iterator[Subgroup]:
     """Every rank-k subgroup of Z_p^n exactly once: RREF bases generated directly, pivot columns
     first, then every assignment of the free entries (``_rref_bases``).  Uniqueness of the RREF
-    makes the stream duplicate-free."""
-    patterns = _rref_bases(p, n, k, cap)
+    makes the stream duplicate-free.  p^n past ``DEFAULT_ENUMERATION_CAP`` raises ``ResourceCapError``."""
+    patterns = _rref_bases(p, n, k, DEFAULT_ENUMERATION_CAP)
     return (Subgroup._unchecked(p, n, basis) for _, rows in patterns for basis in itertools.product(*rows))
 
 

@@ -60,6 +60,9 @@ that is zero at every earlier pivot, so its RREF row goes in front of the
 earlier rows.  Only the label table, the answer check against it, the one
 row of psi_0's Fourier transform and, where asked for, the rebuilt full state
 are larger than the branch; a round's arrays hold at most p^(n-k) keys.
+A key fits int64: the label table keeps p^n within the enumeration cap 2^20,
+so the main and label registers, at most n-k-1 flags and the aux qudit
+span at most p^(3n-k) <= 2^60 basis states.
 """
 
 from __future__ import annotations
@@ -71,16 +74,13 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import canonicalize, lanes, orthogonal
-from .errors import ParameterError, PromiseViolationError, ResourceCapError
+from .errors import ParameterError, PromiseViolationError
 from .oracle import HiddenInstance, _space
 from .solvers import SolverResult, _check_labels
 
 PRUNE_EPS = 1e-12
 NORM_EPS = 1e-9
 BAD_AMPLITUDE_EPS = 1e-9
-
-#: Largest p**n the simulator accepts by default.
-DEFAULT_SIM_CAP = 1 << 16
 
 #: Fixed register positions; flags follow the label, the aux qudit is last.
 MAIN, LABEL = 0, 1
@@ -194,14 +194,11 @@ def _fourier_matrix(p: int, inverse: bool) -> np.ndarray:
 @lru_cache(maxsize=1)  # one solve's table; a larger cache would keep every instance alive
 def _label_index_table(inst: HiddenInstance) -> tuple[np.ndarray, np.ndarray]:
     """Every packed element in index order and its packed label, one ``evaluate`` call per element;
-    ``PromiseViolationError`` unless every label is a packed vector of Z_p^n, checked all at once."""
-    lay = lanes(inst.p, inst.n)
-    everything = _space(inst.p, inst.n)
-    try:
-        table = np.fromiter(map(inst.evaluate, everything.tolist()), np.int64, len(everything))
-    except OverflowError:  # a label past int64
-        table = None
-    if table is None or ((table | table + lay.big_k) & lay.big_g | table >> inst.n * lay.width).any():
+    ``PromiseViolationError`` unless every label is a packed vector of Z_p^n, checked all at once:
+    a float, ``None`` or an int past int64 among the labels gives the table a dtype other than int64."""
+    lay, everything = lanes(inst.p, inst.n), _space(inst.p, inst.n)
+    table = np.array(list(map(inst.evaluate, everything.tolist())))
+    if table.dtype != np.int64 or ((table | table + lay.big_k) & lay.big_g | table >> inst.n * lay.width).any():
         raise PromiseViolationError("a label is not a packed vector of Z_p^n")  # as ``Lanes.valid``
     everything.setflags(write=False)
     table.setflags(write=False)
@@ -349,7 +346,8 @@ def quantum_find_s(
     return_final_state: bool = False,
 ):
     """Recover the secret exactly with n-k amplified rounds on the Simon state's label branch of
-    f(0), shrunk by each round's element, for p^n up to ``DEFAULT_SIM_CAP``.
+    f(0), shrunk by each round's element, for p^n up to ``DEFAULT_ENUMERATION_CAP``: past it the
+    label table raises ``ResourceCapError``, before any gate or counted call.
 
     The result's queries are the oracle calls this solve added to ``counter``; its bound is the
     module docstring's 3(n-k).  The branch and the answer check read the label table, which
@@ -360,8 +358,6 @@ def quantum_find_s(
     ``PromiseViolationError``; so does a branch of other than p^k elements.  With
     ``return_final_state``, the full final state is rebuilt from the branch's."""
     p, n, k = inst.p, inst.n, inst.k
-    if p**n > DEFAULT_SIM_CAP:
-        raise ResourceCapError(f"p^n = {p**n} exceeds simulation cap {DEFAULT_SIM_CAP}")
     counter = counter if counter is not None else QCounter()
     calls_before = counter.oracle_calls
     everything, table = _label_index_table(inst)

@@ -405,8 +405,6 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             list(enumerate_subgroups(2, 21, 1))
-        with pytest.raises(ResourceCapError):
-            list(enumerate_subgroups(2, 12, 1, cap=2**10))
 
     def test_rank_past_n_rejected(self):
         with pytest.raises(ParameterError, match="need 0 <= k <= n, got k=4, n=3"):

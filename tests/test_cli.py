@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gsp.cli as cli
+import gsp.qsim as qsim
 from gsp import PromiseViolationError, write_instance
 
 
@@ -199,11 +200,20 @@ class TestQsolve:
                            "--seed", "7", "--check")
         assert code == 0 and "check PASS" in out
 
+    def test_full_state_rebuilt_only_for_dump(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the full final state was rebuilt")
+
+        monkeypatch.setattr(qsim, "_all_branches", refuse)
+        code, out, _ = run(capsys, "qsolve", "--p", "2", "--n", "4", "--k", "2",
+                           "--seed", "7", "--check")
+        assert code == 0 and "check PASS" in out
+
     def test_resource_cap_exit_code(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
-        run(capsys, "gen", "--p", "2", "--n", "17", "--k", "2", "--out", str(path))
+        run(capsys, "gen", "--p", "2", "--n", "21", "--k", "2", "--out", str(path))
         code, _, err = run(capsys, "qsolve", "--in", str(path))
-        assert code == 3 and "resource cap" in err
+        assert code == 3 and err == "resource cap: p^n = 2097152 exceeds enumeration cap 1048576\n"
 
 
 class TestBruteAndBirthday:
@@ -364,7 +374,7 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["recovered_ok"] == "True"
 
-    @pytest.mark.parametrize("solver,n,k", [("quantum", 17, 2), ("det", 60, 1)])
+    @pytest.mark.parametrize("solver,n,k", [("quantum", 21, 2), ("det", 60, 1)])
     def test_over_cap_cell_skipped_with_warning(self, capsys, tmp_path, solver, n, k):
         out = tmp_path / "cap.csv"
         code, _, err = run(capsys, "bench", "--p", "2", "--n", str(n), "--k", str(k),

@@ -508,6 +508,14 @@ class _OutOfSpaceInstance(HiddenInstance):
         return super().evaluate(x) | self.extra
 
 
+@dataclass(frozen=True)
+class _FloatLabelInstance(HiddenInstance):
+    """An honest oracle whose every label is a float, its packed vector plus a half."""
+
+    def evaluate(self, x):
+        return super().evaluate(x) + 0.5
+
+
 @pytest.mark.parametrize(
     "p,n,k,extra",
     [
@@ -516,18 +524,20 @@ class _OutOfSpaceInstance(HiddenInstance):
         (3, 4, 2, 3),  # a bottom lane equal to p
         (3, 4, 2, 4),  # the bottom lane's carry bit
         (3, 4, 2, 1 << 70),  # a label past int64
+        (3, 4, 2, None),  # a float label, which an int64 conversion would truncate to a valid one
     ],
 )
 def test_labels_outside_the_space_refused(p, n, k, extra):
     # the label register holds Z_p^n only: the simulator refuses such a table before any gate,
     # while the classical solvers accept labels from any set
     honest = make_instance(p, n, k, 1, 2, True)
-    inst = _OutOfSpaceInstance(p, n, k, honest.secret, honest.label_seed, honest.obfuscate, extra)
+    fields = (p, n, k, honest.secret, honest.label_seed, honest.obfuscate)
+    inst = _FloatLabelInstance(*fields) if extra is None else _OutOfSpaceInstance(*fields, extra)
     with pytest.raises(PromiseViolationError, match="not a packed vector of Z_p\\^n"):
         quantum_find_s(inst)
     with pytest.raises(PromiseViolationError, match="not a packed vector of Z_p\\^n"):
         simon_subroutine(inst, QCounter())
-    if extra >> n * lanes(p, n).width:  # still one label per coset
+    if extra is None or extra >> n * lanes(p, n).width:  # still one label per coset
         assert brute_force_solve(QueryLog(inst)).recovered == honest.secret
 
 
@@ -626,10 +636,22 @@ class TestQuantumFindS:
             basis = new
 
     def test_cap(self):
-        assert qsim.DEFAULT_SIM_CAP == 1 << 16
-        for p, n, k in ((2, 17, 2), (3, 11, 2), (257, 2, 1)):
-            with pytest.raises(ResourceCapError, match="exceeds simulation cap 65536"):
-                quantum_find_s(make_instance(p, n, k, 0))
+        # the label table's enumeration cap is the simulator's only refusal, made before any call
+        for p, n, k in ((2, 21, 2), (3, 13, 2), (1031, 2, 1)):
+            counter = QCounter()
+            with pytest.raises(ResourceCapError, match="exceeds enumeration cap 1048576"):
+                quantum_find_s(make_instance(p, n, k, 0), counter)
+            assert counter.oracle_calls == 0
+
+    @pytest.mark.parametrize("obfuscate", [False, True])
+    def test_past_the_former_simulation_cap(self, obfuscate):
+        # p^n = 2^18, past the former 2^16 simulation cap and within the enumeration cap
+        n, k = 18, 2
+        inst = make_instance(2, n, k, 3, 4, obfuscate)
+        counter = QCounter()
+        res = quantum_find_s(inst, counter)
+        assert res.recovered == inst.secret
+        assert res.queries == counter.oracle_calls == 3 * (n - k)
 
     @pytest.mark.parametrize("p,n,k", [(2, 4, 2), (3, 3, 1)])
     def test_shared_counter_reports_each_solve(self, p, n, k):
