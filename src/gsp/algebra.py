@@ -11,8 +11,8 @@ runs ``add`` and ``sub`` on int64 arrays.  ``VectorP``, a validated tuple of
 residues, is the text boundary: parsing, printing, traces and ``Subgroup.contains``.
 
 ``_rref_bases`` yields, per pivot pattern, each RREF row's candidates, and the
-pattern's bases are their product.  Coset reduction (``_reducer``) is set up once
-per pattern, so witness searches test basis after basis with no ``Subgroup`` per
+pattern's bases are their product.  ``Lanes.residue`` reduces by any RREF rows, so
+witness searches test basis after basis with no set-up and no ``Subgroup`` per
 basis, and verify-bounds counts a pattern's bases from its rows' lengths.
 
 Subgroups are kept in reduced row echelon form (RREF) over F_p, which makes
@@ -63,7 +63,7 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _new, _set = object.__new__, object.__setattr__
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -81,6 +81,8 @@ def _check_digits(p: int) -> None:
 
 
 def _check_space(p: int, n: int) -> None:
+    if not isinstance(p, int) or not isinstance(n, int):  # a numpy p or n would be cached in lanes' shifts
+        raise ParameterError(f"p and n must be Python ints, got {type(p).__name__} and {type(n).__name__}")
     if not (2 <= p < MAX_PRIME) or not is_prime(p):
         raise ParameterError(f"p must be a prime in [2, {MAX_PRIME}), got {p}")
     if not (0 <= n <= MAX_DIM):
@@ -202,16 +204,21 @@ class Lanes:
                 x = sub(x, row if c == 1 else scale(c, row))
             return False
 
+        def residue(pivots: Iterable[int], rows: Iterable[int], x: int) -> int:
+            """x minus, per RREF row, x's coordinate at the row's pivot times the row: x's coset
+            representative modulo the rows' span, 0 exactly when x is in it.  A row is 1 at its
+            own pivot and 0 at the others, so the coordinates are read off x itself."""
+            r = x
+            for pivot, row in zip(pivots, rows):
+                if c := x >> shifts[pivot] & mask:
+                    r = sub(r, row if c == 1 else scale(c, row))
+            return r
+
         def reduced(echelon: dict[int, int]) -> list[int]:
             """The echelon's span as RREF rows, pivots ascending: back-substitution, last pivot first."""
             done: dict[int, int] = {}
             for pivot in sorted(echelon, reverse=True):
-                row = echelon[pivot]
-                for later, other in done.items():
-                    c = (row >> shifts[later]) & mask
-                    if c:
-                        row = sub(row, other if c == 1 else scale(c, other))
-                done[pivot] = row
+                done[pivot] = residue(done, done.values(), echelon[pivot])
             return sorted(done.values(), reverse=True)
 
         def valid(x: int) -> bool:
@@ -225,7 +232,7 @@ class Lanes:
             return tuple(map(mask.__and__, map(x.__rshift__, shifts)))
 
         self.add, self.sub, self.scale, self.insert, self.reduced = add, sub, scale, insert, reduced
-        self.valid, self.pack, self.unpack = valid, pack, unpack
+        self.residue, self.valid, self.pack, self.unpack = residue, valid, pack, unpack
 
     def from_index(self, idx: int | np.ndarray) -> int | np.ndarray:
         """Base-p indices, ints or int64 arrays, as packed vectors one digit at a time (coordinate 0 on top)."""
@@ -259,8 +266,8 @@ class Lanes:
         return bits @ (1 << np.arange(w - 1, -1, -1, dtype=np.int64))
 
 
-#: The lane layout of Z_p^n, built once per (p, n).
-lanes = lru_cache(maxsize=None)(Lanes)
+#: The lane layout of Z_p^n, built once per (p, n); typed, so an equal key of another type cannot share it.
+lanes = lru_cache(maxsize=None, typed=True)(Lanes)
 
 
 def _rref(p: int, n: int, rows: Iterable[int]) -> list[int]:
@@ -318,11 +325,11 @@ class Subgroup:
 
     def coset_reduce(self, x: int) -> int:
         """Canonical representative of the coset x + self: the unique member whose coordinates at
-        every pivot column are zero (``_reducer``).  x must pass ``Lanes.valid``, else
+        every pivot column are zero (``Lanes.residue``).  x must pass ``Lanes.valid``, else
         ``ParameterError``.  ``coset_reps`` takes the same sum off many vectors at once."""
         if not (lay := lanes(self.p, self.n)).valid(x):
             raise ParameterError(f"{x!r} is not a packed vector of Z_{self.p}^{self.n}")
-        return _reducer(lay, self.pivots(), x)(self.basis)
+        return lay.residue(self.pivots(), self.basis, x)
 
     def coset_reps(self, xs: Iterable[int]) -> list[int]:
         """``[self.coset_reduce(x) for x in xs]``.  At p = 2 a packed vector is its own index, below
@@ -433,21 +440,6 @@ def _rref_bases(p: int, n: int, k: int, cap: int) -> Iterator[tuple[tuple[int, .
                     row = [r + step for r in row for step in steps[col]]
             rows.append(row)
         yield pivots, rows
-
-
-def _reducer(lay: Lanes, pivots: Sequence[int], x: int) -> Callable[[Sequence[int]], int]:
-    """basis -> x - sum_i c_i * row_i, for any packed RREF basis with these pivots: the coset
-    representative of a valid packed x, 0 exactly when x is in the span.  Each RREF row is 1 at
-    its own pivot and 0 at the other pivots, so c_i, x's coordinate at pivot i, is the same for
-    every basis of the pattern: it is read once, and terms with c_i = 0 are dropped."""
-    mask, sub, scale = (1 << lay.width) - 1, lay.sub, lay.scale
-    terms = [(i, c) for i, pivot in enumerate(pivots) if (c := x >> lay.shifts[pivot] & mask)]
-    def residue(basis: Sequence[int]) -> int:
-        r = x
-        for i, c in terms:
-            r = sub(r, basis[i] if c == 1 else scale(c, basis[i]))
-        return r
-    return residue
 
 
 def enumerate_subgroups(p: int, n: int, k: int) -> Iterator[Subgroup]:

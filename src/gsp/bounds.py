@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _check_rank, _reducer, _rref_bases, lanes
+from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _check_rank, _rref_bases, is_prime, lanes
 from .errors import ParameterError
 
 
@@ -28,7 +28,9 @@ def _exact_product_quotient(factors: Iterable[tuple[int, int]]) -> int:
 
 
 def t1_count(p: int, n: int, k: int) -> int:
-    """Number of distinct rank-k subgroups of Z_p^n (a Gaussian binomial)."""
+    """Number of distinct rank-k subgroups of Z_p^n (a Gaussian binomial), for a prime p."""
+    if not is_prime(p):
+        raise ParameterError(f"p must be a prime, got {p}")
     if not (0 <= k <= n):
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
     return _exact_product_quotient(
@@ -47,8 +49,8 @@ def t2_count(p: int, n: int, k: int) -> int:
 def evading_subgroup(p: int, n: int, d_set: Iterable[VectorP], k: int, d: int) -> Optional[Subgroup]:
     """Some rank-k subgroup meeting the given set in fewer than d points.
 
-    The first in ``enumerate_subgroups`` order at its default cap, scanned with one
-    ``_reducer`` per element and pivot pattern; None only when no subgroup qualifies.
+    The first in ``enumerate_subgroups`` order at its default cap, each basis reducing every
+    element with ``Lanes.residue``; None only when no subgroup qualifies.
     None at once when d <= 0, since no subgroup meets a set in fewer than 0 points:
     p, n, k and the set are checked, and nothing is enumerated, so the cap does not apply.
     When |D| < d(p^n-1)/(p^k-1) a witness always exists by double counting.
@@ -59,10 +61,10 @@ def evading_subgroup(p: int, n: int, d_set: Iterable[VectorP], k: int, d: int) -
     _check_rank(p, n, k)
     if d <= 0:
         return None
+    residue = lanes(p, n).residue
     for pivots, rows in _rref_bases(p, n, k, DEFAULT_ENUMERATION_CAP):
-        reducers = [_reducer(lanes(p, n), pivots, x) for x in packed]
         for basis in itertools.product(*rows):
-            if [r(basis) for r in reducers].count(0) < d:
+            if [residue(pivots, basis, x) for x in packed].count(0) < d:
                 return Subgroup._unchecked(p, n, basis)
     return None
 

@@ -20,7 +20,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .algebra import _check_digits, _check_space, _reducer, _rref_bases, is_prime, lanes
+from .algebra import _check_digits, _check_space, _rref_bases, is_prime, lanes
 from .bounds import bound_report
 from .errors import GspError, ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import HiddenInstance, QueryLog, make_instance, read_instance, write_instance
@@ -272,7 +272,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
             for pivots, rows in _rref_bases(p, n, k, args.enum_cap):
                 bases = math.prod(map(len, rows))
                 size += bases
-                if _reducer(lay, pivots, 1)([row[0] for row in rows]) == 0:
+                if lay.residue(pivots, [row[0] for row in rows], 1) == 0:
                     zeros += bases
             enum_ok = size == rep.t1 and zeros == rep.t2
             verdict = "pass" if (identity_ok and enum_ok) else "FAIL"

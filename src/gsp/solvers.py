@@ -288,8 +288,10 @@ def birthday_solve(
     never a wrong answer.  A span of rank above k, or a rank-k span that
     does not explain every label seen, raises ``PromiseViolationError``.
     A budget above ``DEFAULT_ENUMERATION_CAP`` samples raises
-    ``ResourceCapError``.
+    ``ResourceCapError``, and a negative seed ``ParameterError``.
     """
+    if seed < 0:  # random.Random(-s) seeds like Random(s)
+        raise ParameterError(f"sample seed must be non-negative, got {seed}")
     inst = log.instance
     p, n, k = inst.p, inst.n, inst.k
     budget = _birthday_budget(p, n, k, budget_multiplier)

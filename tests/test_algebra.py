@@ -15,11 +15,12 @@ from gsp import (
     canonicalize,
     complement,
     enumerate_subgroups,
+    make_instance,
     orthogonal,
     random_subgroup,
     trivial_subgroup,
 )
-from gsp.algebra import DEFAULT_ENUMERATION_CAP, _reducer, _rref_bases, lanes
+from gsp.algebra import DEFAULT_ENUMERATION_CAP, _rref_bases, lanes
 from conftest import (
     add, all_vectors, dot, elements, full_subgroup, index, intersect, pack, reduce, reference_reduce,
     reference_rref_bases, rows, scale, span, sub, subgroup_sum, unit, vec, zero
@@ -163,6 +164,19 @@ def test_lane_index_maps_are_the_identity_at_p_2():
         lay, idx = lanes(2, n), np.array([0, 1, 2 ** n - 1], dtype=np.int64)
         assert lay.from_index(idx) is idx and lay.to_index(idx) is idx
         assert lay.from_index(2**n - 1) == lay.to_index(2**n - 1) == 2**n - 1
+
+
+def test_numpy_or_float_p_and_n_are_refused_before_lanes_caches_them():
+    # lanes' cache is typed and _check_space refuses a p or n that is not an int, so a numpy n
+    # neither answers later plain-int calls with int64 shifts nor depends on call order
+    with pytest.raises(ParameterError, match="Python ints"):
+        lanes(3, np.int64(29))
+    with pytest.raises(ParameterError, match="Python ints"):
+        lanes(np.int64(3), 29)
+    assert lanes(3, 29).pack([1] + [0] * 28) == 1 << 84
+    assert make_instance(3, 29, 5, 0, 0, True).secret.rank == 5
+    with pytest.raises(ParameterError, match="Python ints"):
+        VectorP(2.5, (1, 0))
 
 
 class TestCanonicalize:
@@ -388,18 +402,17 @@ class TestEnumeration:
                 for pivots, rows in _rref_bases(p, n, k, DEFAULT_ENUMERATION_CAP):
                     xs = [rng.randrange(p**n) for _ in range(6)] + [p**n - 1, 0]
                     xs = [VectorP.from_index(p, n, i) for i in xs]
-                    reducers = [_reducer(lay, pivots, pack(x)) for x in xs]
-                    last_unit = _reducer(lay, pivots, 1)
                     last_unit_residues = set()
                     for basis in itertools.product(*rows):
                         h = Subgroup._unchecked(p, n, basis)
                         member = pack(sum_of_rows(h, rng))
-                        for x, residue in zip(xs, reducers):
+                        for x in xs:
                             expect = pack(VectorP(p, reference_reduce(h, x.coords)))
-                            assert residue(basis) == h.coset_reduce(pack(x)) == expect
-                        assert _reducer(lay, pivots, member)(basis) == 0
-                        assert last_unit(basis) == h.coset_reduce(1)
-                        last_unit_residues.add(last_unit(basis))
+                            assert lay.residue(pivots, basis, pack(x)) == h.coset_reduce(pack(x)) == expect
+                        assert lay.residue(pivots, basis, member) == 0
+                        last_unit = lay.residue(pivots, basis, 1)
+                        assert last_unit == h.coset_reduce(1)
+                        last_unit_residues.add(last_unit)
                     assert last_unit_residues == {0 if n - 1 in pivots else 1}
 
     def test_cap(self):

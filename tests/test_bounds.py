@@ -57,6 +57,13 @@ class TestCounts:
         with pytest.raises(ParameterError, match="need 1 <= k <= n, got k=0, n=4"):
             t2_count(2, 4, 0)
 
+    @pytest.mark.parametrize("p", [1, 4, -3, 0])
+    def test_non_prime_p_rejected(self, p):
+        # no ZeroDivisionError at p = 1, no Z_4^3 count, no negative bound
+        for call in (t1_count, t2_count, bound_report):
+            with pytest.raises(ParameterError, match=f"p must be a prime, got {p}"):
+                call(p, 3, 1)
+
     def test_against_literal_formula(self):
         for p in PRIMES:
             for n in range(0, 13):

@@ -226,6 +226,11 @@ class TestBruteAndBirthday:
                            "--sample-seed", "3")
         assert code == 0 and ("success" in out or "failure" in out)
 
+    def test_birthday_negative_sample_seed(self, capsys):
+        code, out, err = run(capsys, "birthday", "--p", "2", "--n", "4", "--k", "2", "--sample-seed", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: sample seed must be non-negative, got -1\n"
+
 
 class TestBench:
     def test_rows_and_determinism(self, capsys, tmp_path):
@@ -406,7 +411,8 @@ class TestVerifyBounds:
         code, honest, _ = run(capsys, *argv)
         assert code == 0
         if broken == "unreduced":
-            monkeypatch.setattr(cli, "_reducer", lambda lay, pivots, x: lambda basis: x)
+            for n in range(3, 6):  # the layouts the CLI reads from the lanes cache
+                monkeypatch.setattr(cli.lanes(2, n), "residue", lambda pivots, rows, x: x)
         else:
             rref_bases = cli._rref_bases
             monkeypatch.setattr(cli, "_rref_bases", lambda *args: list(rref_bases(*args))[:-1])

@@ -559,6 +559,13 @@ class TestBirthday:
                 birthday_solve(log, seed=0, budget_multiplier=multiplier)
             assert log.count == 0
 
+    def test_negative_seed_refused(self, ref_instance):
+        # random.Random(-s) seeds like Random(s), so -5 would repeat seed 5's samples
+        log = QueryLog(ref_instance)
+        with pytest.raises(ParameterError, match="sample seed must be non-negative, got -5"):
+            birthday_solve(log, seed=-5)
+        assert log.count == 0
+
     def test_budget_over_enumeration_cap(self, ref_instance):
         # a finite budget past the cap would sample until killed; it is refused before any query
         for multiplier in (1e300, 2.0**20):
