@@ -46,8 +46,6 @@ from .qsim import (
     fourier,
     quantum_find_s,
     shrink_subgroup,
-    simon_subroutine,
-    zero_state,
 )
 from .solvers import (
     SolverResult,

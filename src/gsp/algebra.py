@@ -6,7 +6,7 @@ lane-wise sums and differences mod p take a few whole-int operations (SWAR, SIMD
 within a register); at p = 2 lanes are one bit, so they are one XOR, and a packed
 vector is its own index.  The same layout keeps an incremental row echelon
 (``Lanes.insert``), which answers rank questions and, back-substituted, gives every
-RREF (``_rref``); ``Subgroup.coset_reps`` reduces many vectors at once; the simulator
+RREF (``_span``); ``Subgroup.coset_reps`` reduces many vectors at once; the simulator
 runs ``add`` and ``sub`` on int64 arrays.  ``VectorP``, a validated tuple of
 residues, is the text boundary: parsing, printing, traces and ``Subgroup.contains``.
 
@@ -65,7 +65,7 @@ _new, _set = object.__new__, object.__setattr__
 
 @lru_cache(maxsize=None, typed=True)
 def is_prime(p: int) -> bool:
-    if p < 2:
+    if not isinstance(p, int) or p < 2:
         return False
     d = 2
     while d * d <= p:
@@ -73,6 +73,13 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _check_ints(**values: object) -> None:
+    """Refuse any value that is not an int; a bool is not one."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParameterError(f"{name} must be an int, got {value!r}")
 
 
 def _check_digits(p: int) -> None:
@@ -270,14 +277,6 @@ class Lanes:
 lanes = lru_cache(maxsize=None, typed=True)(Lanes)
 
 
-def _rref(p: int, n: int, rows: Iterable[int]) -> list[int]:
-    """RREF over F_p of packed rows with lanes in [0, p); zero rows dropped, pivots ascending."""
-    lay, echelon = lanes(p, n), {}
-    for row in rows:
-        lay.insert(echelon, row)
-    return lay.reduced(echelon)
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup of Z_p^n held as its unique RREF basis, packed rows in ``lanes(p, n)``.
@@ -385,8 +384,12 @@ def trivial_subgroup(p: int, n: int) -> Subgroup:
 
 
 def _span(p: int, n: int, rows: Iterable[int]) -> Subgroup:
-    """The subgroup generated by packed rows, lanes in [0, p), over a valid (p, n)."""
-    return Subgroup._unchecked(p, n, tuple(_rref(p, n, rows)))
+    """The subgroup generated by packed rows, lanes in [0, p), over a valid (p, n): their
+    echelon by ``Lanes.insert``, back-substituted to RREF by ``Lanes.reduced``."""
+    lay, echelon = lanes(p, n), {}
+    for row in rows:
+        lay.insert(echelon, row)
+    return Subgroup._unchecked(p, n, tuple(lay.reduced(echelon)))
 
 
 def canonicalize(p: int, n: int, rows: Iterable[int]) -> Subgroup:
@@ -479,6 +482,7 @@ def random_subgroup(p: int, n: int, k: int, seed: int) -> Subgroup:
     has the same number of ordered bases, so the draw is uniform.
     """
     _check_rank(p, n, k)
+    _check_ints(seed=seed)
     if seed < 0:  # random.Random(-s) seeds like Random(s)
         raise ParameterError(f"subgroup seed must be non-negative, got {seed}")
     return _span(p, n, map(lanes(p, n).pack, _independent_rows(random.Random(seed), p, n, k)))

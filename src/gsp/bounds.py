@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _check_rank, _rref_bases, is_prime, lanes
+from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _check_ints, _check_rank, _rref_bases, is_prime, lanes
 from .errors import ParameterError
 
 
@@ -29,6 +29,7 @@ def _exact_product_quotient(factors: Iterable[tuple[int, int]]) -> int:
 
 def t1_count(p: int, n: int, k: int) -> int:
     """Number of distinct rank-k subgroups of Z_p^n (a Gaussian binomial), for a prime p."""
+    _check_ints(p=p, n=n, k=k)
     if not is_prime(p):
         raise ParameterError(f"p must be a prime, got {p}")
     if not (0 <= k <= n):
@@ -69,13 +70,22 @@ def evading_subgroup(p: int, n: int, d_set: Iterable[VectorP], k: int, d: int) -
     return None
 
 
+def _check_split(n: int, k: int, d: int) -> None:
+    _check_ints(d=d)
+    if not (0 <= d <= n - k):
+        raise ParameterError(f"need 0 <= d <= n-k, got d={d}")
+
+
 def det_query_bound(p: int, n: int, k: int, d: int) -> int:
-    """Worst-case query count of the deterministic solver at split d."""
+    """Worst-case query count of the deterministic solver at split d, for d in [0, n-k]."""
+    _check_split(n, k, d)
     return p ** (n - k - d) + (k + 1) * p**d
 
 
 def optimal_d(p: int, n: int, k: int) -> int:
-    """The d minimizing det_query_bound (smallest d on ties)."""
+    """The d minimizing det_query_bound (smallest d on ties), for k in [1, n)."""
+    if not (1 <= k < n):
+        raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
     return min(range(n - k + 1), key=lambda d: det_query_bound(p, n, k, d))
 
 

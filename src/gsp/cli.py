@@ -21,11 +21,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .algebra import _check_digits, _check_space, _rref_bases, is_prime, lanes
-from .bounds import bound_report
+from .bounds import _check_split, bound_report
 from .errors import GspError, ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import HiddenInstance, QueryLog, make_instance, read_instance, write_instance
 from .qsim import dump_state_text, quantum_find_s
-from .solvers import SolverResult, _birthday_budget, _check_split, birthday_solve, brute_force_solve, choose_d, find_s
+from .solvers import SolverResult, _birthday_budget, birthday_solve, brute_force_solve, choose_d, find_s
 
 _SOLVER_ORDER = ("det", "brute", "birthday", "quantum")
 _CSV_HEADER = ("p", "n", "k", "d", "solver", "seed", "queries", "recovered_ok", "bound", "wall_ms")

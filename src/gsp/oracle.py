@@ -33,7 +33,9 @@ from operator import getitem, xor
 
 import numpy as np
 
-from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, _independent_rows, _randbelow, lanes, random_subgroup
+from .algebra import (
+    DEFAULT_ENUMERATION_CAP, Subgroup, _check_ints, _independent_rows, _randbelow, lanes, random_subgroup
+)
 from .errors import DimensionMismatchError, ParameterError, ResourceCapError
 
 _INSTANCE_HEADER = "gsp-instance v1"
@@ -63,6 +65,7 @@ class HiddenInstance:
             raise DimensionMismatchError("secret does not live over (p, n)")
         if self.secret.rank != self.k:
             raise ParameterError(f"secret has rank {self.secret.rank}, expected k={self.k}")
+        _check_ints(label_seed=self.label_seed)  # as a float or bool, no file of it would read back
         if not (0 <= self.label_seed < 1 << 64):
             raise ParameterError(f"label_seed must lie in [0, 2^64), got {self.label_seed}")
 

@@ -150,10 +150,6 @@ class QCounter:
     oracle_calls: int = 0
 
 
-def zero_state(p: int, dims: tuple[int, ...]) -> SparseState:
-    return SparseState(p, tuple(dims), np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
-
-
 def _assert_normalized(state: SparseState) -> None:
     drift = abs(state.norm_sq() - 1.0)
     if drift > NORM_EPS:
@@ -222,19 +218,6 @@ def apply_oracle(state: SparseState, inst: HiddenInstance, counter: QCounter) ->
     return _permute(state, LABEL, lay.to_index(lay.add(lay.from_index(state.digit(LABEL)), labels)))
 
 
-def simon_subroutine(inst: HiddenInstance, counter: QCounter) -> SparseState:
-    """Fourier, oracle, Fourier: a superposition over the orthogonal subgroup.
-
-    Starting from |0^n>|0>, the returned state is
-    (1/sqrt|T0|) sum_t |phi_t S_perp>|f(t)> over a transversal T0 of the
-    secret, with the first register supported exactly on S_perp.
-    """
-    dim = inst.p**inst.n
-    state = fourier(zero_state(inst.p, (dim, dim)), MAIN, inverse=True)
-    state = apply_oracle(state, inst, counter)
-    return fourier(state, MAIN)
-
-
 def shrink_subgroup(state: SparseState, y: int) -> SparseState:
     """Insert a flag qudit at register ``LABEL + 1`` and collapse the main-register
     support group H to {h in H : h_j = 0}, j the leading column of y.
@@ -266,8 +249,8 @@ def shrink_subgroup(state: SparseState, y: int) -> SparseState:
 def exact_amplify(inst: HiddenInstance, shrunk: SparseState, counter: QCounter) -> tuple[int, SparseState]:
     """One solver round: a certain fresh element of S_perp, packed, and the round's final state.
 
-    ``shrunk`` is ``simon_subroutine(inst, ...)``, or its renormalised label
-    branch of f(0) as ``quantum_find_s`` runs it, after ``shrink_subgroup``
+    ``shrunk`` is the Simon state (Fourier, oracle, Fourier from |0>|0>), or
+    its renormalised label branch of f(0) as ``quantum_find_s`` runs it, after ``shrink_subgroup``
     by each of the m elements found so far, the state the round's A starts
     from; m is its number of flag registers.  Every label branch has the same
     good mass, so the class factors are the same on each, and a branch gives

@@ -75,9 +75,10 @@ from itertools import accumulate, islice
 from typing import Collection, Iterable
 
 from .algebra import (
-    DEFAULT_ENUMERATION_CAP, Lanes, Subgroup, VectorP, _randbelow, _span, complement, lanes, trivial_subgroup
+    DEFAULT_ENUMERATION_CAP, Lanes, Subgroup, VectorP, _check_ints, _randbelow, _span, complement, lanes,
+    trivial_subgroup,
 )
-from .bounds import det_query_bound
+from .bounds import _check_split, det_query_bound
 from .errors import ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import QueryLog
 
@@ -146,11 +147,6 @@ def _check_labels(answer: Subgroup, k: int, xs: Iterable[int], labels: Collectio
     reps = answer.coset_reps(xs)
     if not len(set(zip(reps, labels))) == len(set(reps)) == len(set(labels)):
         raise PromiseViolationError(f"the labels seen are not constant exactly on cosets of {answer}")
-
-
-def _check_split(n: int, k: int, d: int) -> None:
-    if not (0 <= d <= n - k):
-        raise ParameterError(f"need 0 <= d <= n-k, got d={d}")
 
 
 def _birthday_budget(p: int, n: int, k: int, multiplier: float) -> float:
@@ -235,8 +231,7 @@ def find_s(log: QueryLog, d: int) -> SolverResult:
     """
     inst = log.instance
     p, n, k = inst.p, inst.n, inst.k
-    _check_split(n, k, d)
-    bound = det_query_bound(p, n, k, d)
+    bound = det_query_bound(p, n, k, d)  # refuses a d outside [0, n-k]
     if bound > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(f"query bound {bound} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
     triv = trivial_subgroup(p, n)
@@ -290,6 +285,7 @@ def birthday_solve(
     A budget above ``DEFAULT_ENUMERATION_CAP`` samples raises
     ``ResourceCapError``, and a negative seed ``ParameterError``.
     """
+    _check_ints(seed=seed)
     if seed < 0:  # random.Random(-s) seeds like Random(s)
         raise ParameterError(f"sample seed must be non-negative, got {seed}")
     inst = log.instance

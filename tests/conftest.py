@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from gsp import (
-    DimensionMismatchError, HiddenInstance, VectorP, canonicalize, enumerate_subgroups, orthogonal, solvers
+    DimensionMismatchError, HiddenInstance, SparseState, VectorP, apply_oracle, canonicalize, enumerate_subgroups,
+    fourier, orthogonal, solvers,
 )
 from gsp.algebra import lanes
+from gsp.qsim import MAIN
 from gsp.solvers import find_group
 
 
@@ -146,7 +148,7 @@ def cache_pairs(log):
 
 def rref(p, n, rows):
     """Reduced row echelon form over F_p of rows of ints, as tuples: zero rows
-    dropped, pivots ascending; the reference for ``gsp.algebra._rref``."""
+    dropped, pivots ascending; the reference for the packed echelon behind ``gsp.algebra._span``."""
     mat = [list(r) for r in rows]
     pivot_row = 0
     for col in range(n):
@@ -191,6 +193,25 @@ def consistent(answer, trace):
     ``answer``; the per-element reference for ``solvers._check_labels``."""
     pairs = {(answer.coset_reduce(pack(x)), label) for x, label in trace}
     return len(pairs) == len({rep for rep, _ in pairs}) == len({label for _, label in pairs})
+
+
+# The full Simon state, prepared gate by gate: the reference for ``quantum_find_s``'s label branch.
+
+def zero_state(p, dims):
+    return SparseState(p, tuple(dims), np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
+
+
+def simon_subroutine(inst, counter):
+    """Fourier, oracle, Fourier: a superposition over the orthogonal subgroup.
+
+    Starting from |0^n>|0>, the returned state is
+    (1/sqrt|T0|) sum_t |phi_t S_perp>|f(t)> over a transversal T0 of the
+    secret, with the first register supported exactly on S_perp.
+    """
+    dim = inst.p**inst.n
+    state = fourier(zero_state(inst.p, (dim, dim)), MAIN, inverse=True)
+    state = apply_oracle(state, inst, counter)
+    return fourier(state, MAIN)
 
 
 def support(state, reg):

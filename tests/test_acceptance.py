@@ -24,12 +24,11 @@ from gsp import (
     orthogonal,
     quantum_find_s,
     random_subgroup,
-    simon_subroutine,
     t1_count,
     t2_count,
 )
 from gsp.bounds import det_query_bound
-from conftest import add, all_vectors, elements, intersect, marginal, sub, support
+from conftest import add, all_vectors, elements, intersect, marginal, simon_subroutine, sub, support
 
 GRID = [
     (p, n, k)

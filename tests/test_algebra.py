@@ -20,6 +20,7 @@ from gsp import (
     random_subgroup,
     trivial_subgroup,
 )
+import gsp.algebra
 from gsp.algebra import DEFAULT_ENUMERATION_CAP, _rref_bases, lanes
 from conftest import (
     add, all_vectors, dot, elements, full_subgroup, index, intersect, pack, reduce, reference_reduce,
@@ -180,6 +181,10 @@ def test_numpy_or_float_p_and_n_are_refused_before_lanes_caches_them():
 
 
 class TestCanonicalize:
+    def test_one_rref_path(self):
+        # _span keeps the echelon and its back-substitution; there is no separate _rref
+        assert not hasattr(gsp.algebra, "_rref")
+
     def test_worked_example(self):
         h = span(2, 4, [vec(2, "0011"), vec(2, "0110")])
         assert [r.digits() for r in rows(h)] == ["0101", "0011"]
@@ -435,6 +440,12 @@ class TestRandomSubgroup:
         # random.Random(-3) seeds like Random(3), so -3 would name seed 3's subgroup
         with pytest.raises(ParameterError, match="subgroup seed must be non-negative, got -3"):
             random_subgroup(2, 6, 2, -3)
+
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_seed_that_is_no_int_rejected(self, seed):
+        # random.Random seeds a float by its hash and a bool as 0 or 1
+        with pytest.raises(ParameterError, match="seed must be an int"):
+            random_subgroup(2, 4, 2, seed)
 
     def test_rank_past_n_rejected(self):
         with pytest.raises(ParameterError, match="need 0 <= k <= n, got k=5, n=4"):

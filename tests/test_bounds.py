@@ -5,6 +5,7 @@ import random
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from gsp import (
@@ -14,6 +15,7 @@ from gsp import (
     bound_report,
     enumerate_subgroups,
     evading_subgroup,
+    is_prime,
     t1_count,
     t2_count,
 )
@@ -155,6 +157,33 @@ class TestEvadingSubgroup:
                     for size in (0, 1, len(nonzero) // 2, len(nonzero) - 1, len(nonzero)):
                         d_set = rng.sample(nonzero, size)
                         assert evading_subgroup(p, n, d_set, k, d) == reference_evading(p, n, d_set, k, d)
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("p", [7.5, 7.0, np.int64(7)])
+    def test_a_non_int_is_no_prime(self, p):
+        assert not is_prime(p)
+
+    @pytest.mark.parametrize("args", [(2.0, 3, 1), (np.int64(3), 3, 1), (2, 3.0, 1), (2, 3, True)])
+    def test_counts_refuse_non_ints(self, args):
+        for call in (t1_count, bound_report):
+            with pytest.raises(ParameterError, match="must be an int"):
+                call(*args)
+
+    @pytest.mark.parametrize("k", [0, 3, 4])
+    def test_optimal_d_refuses_k_outside_1_to_n(self, k):
+        with pytest.raises(ParameterError, match=f"need 1 <= k < n, got k={k}, n=3"):
+            optimal_d(2, 3, k)
+
+    @pytest.mark.parametrize("d", [-1, 3, 5])
+    def test_det_query_bound_refuses_d_outside_0_to_n_minus_k(self, d):
+        # past n-k the formula gives a fraction, and before 0 a bound for no solver run
+        with pytest.raises(ParameterError, match=f"need 0 <= d <= n-k, got d={d}"):
+            det_query_bound(2, 3, 1, d)
+
+    def test_det_query_bound_refuses_a_non_int_d(self):
+        with pytest.raises(ParameterError, match="d must be an int"):
+            det_query_bound(2, 3, 1, 1.0)
 
 
 class TestBoundReport:

@@ -164,13 +164,13 @@ class TestSolve:
 
     def test_non_integer_field(self, capsys, fixture_file, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text(open(fixture_file).read().replace("p=2\n", "p=abc\n", 1))
+        path.write_text(Path(fixture_file).read_text().replace("p=2\n", "p=abc\n", 1))
         code, _, err = run(capsys, "solve", "--in", str(path))
         assert code == 1 and err.startswith("error:") and "abc" in err
 
     def test_non_ascii_file(self, capsys, fixture_file, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_bytes(open(fixture_file, "rb").read() + "# caf\u00e9\n".encode("utf-8"))
+        path.write_bytes(Path(fixture_file).read_bytes() + "# caf\u00e9\n".encode("utf-8"))
         code, _, err = run(capsys, "solve", "--in", str(path))
         assert code == 1 and err.startswith("error:") and "not ASCII" in err
 

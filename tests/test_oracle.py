@@ -172,3 +172,9 @@ class TestInstanceFile:
         bad = instance_to_text(make_instance(2, 4, 2, 0)).replace("obfuscate=0", "obfuscate=2")
         with pytest.raises(ParameterError):
             instance_from_text(bad)
+
+    @pytest.mark.parametrize("label_seed", [1.5, 2.0, True])
+    def test_label_seed_that_is_no_int_refused(self, label_seed):
+        # it would be written as label_seed=1.5 or label_seed=True, which read_instance refuses
+        with pytest.raises(ParameterError, match="label_seed must be an int"):
+            make_instance(2, 4, 2, 0, label_seed, True)

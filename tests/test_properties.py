@@ -24,7 +24,7 @@ from gsp import (
     random_subgroup,
     solvers,
 )
-from gsp.algebra import _REPS_CHUNK, _independent_rows, _randbelow, _rref, lanes
+from gsp.algebra import _REPS_CHUNK, _independent_rows, _randbelow, _span, lanes
 from gsp.bounds import det_query_bound
 from conftest import (
     add,
@@ -149,7 +149,7 @@ def row_lists(draw):
 @given(row_lists(), st.data())
 def test_packed_echelon_matches_reference_rref(case, data):
     # Lanes.insert reports a row independent exactly when the reference rank
-    # grows, and _rref (insert, then reduced) is the reference RREF, packed
+    # grows, and _span's basis (insert, then reduced) is the reference RREF, packed
     p, n, rows = case
     lay, echelon = lanes(p, n), {}
     for m, row in enumerate(rows):
@@ -158,7 +158,7 @@ def test_packed_echelon_matches_reference_rref(case, data):
         # each row 1 at its pivot and 0 left of it
         assert all(lay.unpack(r)[: j + 1] == (0,) * j + (1,) for j, r in echelon.items())
     assert sorted(echelon) == [row.index(1) for row in rref(p, n, rows)]  # the pivots
-    assert [lay.unpack(row) for row in _rref(p, n, map(lay.pack, rows))] == rref(p, n, rows)
+    assert [lay.unpack(row) for row in _span(p, n, map(lay.pack, rows)).basis] == rref(p, n, rows)
     c = data.draw(st.integers(0, 2 * p - 1))  # at p = 2, even c doubles to 0 by XOR
     for row in rows:
         assert lay.unpack(lay.scale(c, lay.pack(row))) == tuple(c * a % p for a in row)

@@ -32,14 +32,14 @@ from gsp import (
     orthogonal,
     quantum_find_s,
     shrink_subgroup,
-    simon_subroutine,
-    zero_state,
 )
+import gsp
 import gsp.qsim as qsim
 from gsp.algebra import lanes
 from gsp.qsim import LABEL, MAIN, _permute, _unitary
 from conftest import (
-    add, all_vectors, dot, elements, index, label_of, marginal, pack, rows, scale, span, sub, support, unpack, vec
+    add, all_vectors, dot, elements, index, label_of, marginal, pack, rows, scale, simon_subroutine, span, sub, support,
+    unpack, vec, zero_state,
 )
 from test_acceptance import QGRID, QGRID_LARGE
 
@@ -299,6 +299,11 @@ class TestGatesAgainstTupleReference:
 
 
 class TestSimonSubroutine:
+    def test_reference_is_not_in_the_package(self):
+        # quantum_find_s prepares the Simon state one way, as its label branch; the full state is the tests'
+        for name in ("simon_subroutine", "zero_state"):
+            assert not hasattr(gsp, name) and not hasattr(qsim, name)
+
     def test_support_is_orthogonal_subgroup(self, ref_instance, ref_secret):
         c = QCounter()
         psi = simon_subroutine(ref_instance, c)

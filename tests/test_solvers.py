@@ -191,6 +191,14 @@ class TestFindGroup:
 
 
 class TestFindS:
+    @pytest.mark.parametrize("d", [1.0, True])
+    def test_split_that_is_no_int_refused(self, ref_instance, d):
+        # refused before any query; the result would report a float bound and d_used
+        log = QueryLog(ref_instance)
+        with pytest.raises(ParameterError, match="d must be an int"):
+            find_s(log, d)
+        assert log.count == 0
+
     @pytest.mark.usefixtures("find_group_checked")
     def test_reference_fixture(self, ref_instance, ref_secret):
         assert choose_d(2, 4, 2) == 0
@@ -564,6 +572,13 @@ class TestBirthday:
         log = QueryLog(ref_instance)
         with pytest.raises(ParameterError, match="sample seed must be non-negative, got -5"):
             birthday_solve(log, seed=-5)
+        assert log.count == 0
+
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_seed_that_is_no_int_refused(self, ref_instance, seed):
+        log = QueryLog(ref_instance)
+        with pytest.raises(ParameterError, match="seed must be an int"):
+            birthday_solve(log, seed)
         assert log.count == 0
 
     def test_budget_over_enumeration_cap(self, ref_instance):
