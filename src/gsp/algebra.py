@@ -419,8 +419,18 @@ def orthogonal(h: Subgroup) -> Subgroup:
 
 def _check_rank(p: int, n: int, k: int) -> None:
     _check_space(p, n)
+    _check_ints(k=k)
     if not (0 <= k <= n):
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
+
+
+def _check_problem(p: int, n: int, k: int) -> None:
+    """Refuse unless p is a prime and 1 <= k < n, all ints: a problem's (p, n, k), n not capped at ``MAX_DIM``."""
+    _check_ints(p=p, n=n, k=k)
+    if not is_prime(p):
+        raise ParameterError(f"p must be a prime, got {p}")
+    if not (1 <= k < n):
+        raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
 
 
 def _rref_bases(p: int, n: int, k: int, cap: int) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:

@@ -13,7 +13,9 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebra import DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _check_ints, _check_rank, _rref_bases, is_prime, lanes
+from .algebra import (
+    DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _check_ints, _check_problem, _check_rank, _rref_bases, is_prime, lanes,
+)
 from .errors import ParameterError
 
 
@@ -83,9 +85,8 @@ def det_query_bound(p: int, n: int, k: int, d: int) -> int:
 
 
 def optimal_d(p: int, n: int, k: int) -> int:
-    """The d minimizing det_query_bound (smallest d on ties), for k in [1, n)."""
-    if not (1 <= k < n):
-        raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+    """The d minimizing det_query_bound (smallest d on ties), for a prime p and k in [1, n)."""
+    _check_problem(p, n, k)
     return min(range(n - k + 1), key=lambda d: det_query_bound(p, n, k, d))
 
 
@@ -104,8 +105,7 @@ class BoundReport:
 
 
 def bound_report(p: int, n: int, k: int) -> BoundReport:
-    if not (1 <= k < n):
-        raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+    _check_problem(p, n, k)
     if k * p ** (n - k) > sys.float_info.max:
         raise ParameterError(f"p^(n-k) = {p}^{n - k} is too large for the float lower bounds")
     # t2 <= t1 and upper_det fits a float; the limit getter came in 3.10.7, and 0 means no limit

@@ -34,7 +34,8 @@ from operator import getitem, xor
 import numpy as np
 
 from .algebra import (
-    DEFAULT_ENUMERATION_CAP, Subgroup, _check_ints, _independent_rows, _randbelow, lanes, random_subgroup
+    DEFAULT_ENUMERATION_CAP, Subgroup, _check_ints, _check_problem, _independent_rows, _randbelow, lanes,
+    random_subgroup,
 )
 from .errors import DimensionMismatchError, ParameterError, ResourceCapError
 
@@ -59,8 +60,7 @@ class HiddenInstance:
     obfuscate: bool = False
 
     def __post_init__(self) -> None:
-        if not (1 <= self.k < self.n):
-            raise ParameterError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
+        _check_problem(self.p, self.n, self.k)
         if self.secret.p != self.p or self.secret.n != self.n:
             raise DimensionMismatchError("secret does not live over (p, n)")
         if self.secret.rank != self.k:
@@ -68,6 +68,8 @@ class HiddenInstance:
         _check_ints(label_seed=self.label_seed)  # as a float or bool, no file of it would read back
         if not (0 <= self.label_seed < 1 << 64):
             raise ParameterError(f"label_seed must lie in [0, 2^64), got {self.label_seed}")
+        if not isinstance(self.obfuscate, int) or self.obfuscate not in (0, 1):  # its file holds 0 or 1
+            raise ParameterError(f"obfuscate must be a bool, 0 or 1, got {self.obfuscate!r}")
 
     @cached_property
     def _bijection(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -154,8 +156,7 @@ def make_instance(
     obfuscate: bool = False,
 ) -> HiddenInstance:
     """Instance with a seeded random secret; deterministic in all seeds."""
-    if not (1 <= k < n):
-        raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+    _check_problem(p, n, k)  # before the draw, which would take k = 0 or n
     secret = random_subgroup(p, n, k, subgroup_seed)
     return HiddenInstance(p, n, k, secret, label_seed, obfuscate)
 
@@ -220,14 +221,12 @@ def instance_from_text(text: str) -> HiddenInstance:
         k = int(fields["k"])
         secret = Subgroup.from_text(fields["secret"])
         label_seed = int(fields["label_seed"])
-        obfuscate = fields["obfuscate"].strip()
+        obfuscate = int(fields["obfuscate"])  # HiddenInstance refuses all but 0 and 1
     except KeyError as exc:
         raise ParameterError(f"instance file missing field {exc}") from exc
     except ValueError as exc:  # int() of a non-integer field
         raise ParameterError(f"bad instance field: {exc}") from exc
-    if obfuscate not in ("0", "1"):
-        raise ParameterError(f"obfuscate must be 0 or 1, got {obfuscate!r}")
-    return HiddenInstance(p, n, k, secret, label_seed, obfuscate == "1")
+    return HiddenInstance(p, n, k, secret, label_seed, obfuscate)
 
 
 def write_instance(inst: HiddenInstance, path: str) -> None:

@@ -35,13 +35,14 @@ Implementation notes that matter for the query counts:
 * Each group travels as a label map (the label of every element of its
   span, 0^n included, to that element): ``find_group`` takes A's map and
   returns B's, and ``find_s`` hands the first call's map to the second
-  call and to the coset harvest, so no span is built twice.
+  call and to the coset harvest, so no span is built twice.  Both calls
+  grow one packed echelon of S2 + A + B (``Lanes.insert``) and S2's rows
+  in place; the harvest reads its cosets off the echelon's free columns.
 * ``find_group`` grows B one generator at a time in a single loop.  Its
   fresh element u is the lexicographically smallest vector outside
-  S2 + A + B, the unit vector at the last column that is not a pivot of
-  one packed echelon of S2 + A + B (``Lanes.insert``), grown with each
-  accepted u and each collision difference, so traces are reproducible.
-  S2 grows in it as rows, each collision adding a new secret element by construction.
+  S2 + A + B, the unit vector at the echelon's last free column, so traces
+  are reproducible.  Each collision adds an independent secret element by
+  construction, so S2's rank is its row count.
 * Span queries stop at the first collision; the rest of an abandoned span
   is never asked.
 
@@ -75,8 +76,7 @@ from itertools import accumulate, islice
 from typing import Collection, Iterable
 
 from .algebra import (
-    DEFAULT_ENUMERATION_CAP, Lanes, Subgroup, VectorP, _check_ints, _randbelow, _span, complement, lanes,
-    trivial_subgroup,
+    DEFAULT_ENUMERATION_CAP, Lanes, Subgroup, VectorP, _check_ints, _check_problem, _randbelow, _span, lanes
 )
 from .bounds import _check_split, det_query_bound
 from .errors import ParameterError, PromiseViolationError, ResourceCapError
@@ -110,10 +110,9 @@ def choose_d(p: int, n: int, k: int) -> int:
     """Default split parameter: floor((n-k-log_p k)/2) when n >= k + log_p k, else 0.
 
     Evaluated in integer arithmetic: the branch condition is p^(n-k) >= k and
-    the floor is the largest d with p^(n-k-2d) >= k.
+    the floor is the largest d with p^(n-k-2d) >= k.  p must be a prime and 1 <= k < n.
     """
-    if not (1 <= k < n):
-        raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+    _check_problem(p, n, k)
     if p ** (n - k) < k:
         return 0
     d = (n - k) // 2
@@ -162,18 +161,19 @@ def _birthday_budget(p: int, n: int, k: int, multiplier: float) -> float:
 
 def find_group(
     log: QueryLog,
-    a_grp: Subgroup,
+    echelon: dict[int, int],
+    s_rows: list[int],
     a_label_of: dict[int, int],
-    s1: Subgroup,
     d: int,
-) -> tuple[Subgroup, dict[int, int], Subgroup]:
-    """Find B of rank d with A ∩ B = {0} and (A+B) ∩ S = {0}, querying span(B).
+) -> dict[int, int]:
+    """Find B of rank d with A ∩ B = {0} and (A+B) ∩ S = {0}, querying span(B); return B's label map.
 
-    ``a_label_of`` maps the label of every element of span(A), 0^n
-    included, to that element, both packed; the caller has queried all of
-    them.  Returns (B, B's map of the same kind, S2) with S1 <= S2 <= S; every collision
-    adds an independent secret element to S2, and one past rank k raises ``PromiseViolationError``.
-    Labels already in the log's cache cost no query, so d = 0 makes none.
+    ``a_label_of`` maps the label of every element of span(A), 0^n included, to that element, both
+    packed; the caller has queried them all.  ``echelon`` (``Lanes.insert``) spans S1 + A and ``s_rows``
+    holds S1's independent rows.  Both grow in place: ``echelon`` takes B's generators, and both take
+    each collision difference, a new independent secret element, so they end at S2 + A + B and S2, with
+    S1 <= S2 <= S.  A row past rank k raises ``PromiseViolationError``.  Cached labels cost no query, so
+    d = 0 makes none.
     """
     inst = log.instance
     p, n, k = inst.p, inst.n, inst.k
@@ -181,13 +181,9 @@ def find_group(
     lay = lanes(p, n)
     add, sub, insert = lay.add, lay.sub, lay.insert
 
-    # the echelon of S2+A+B; each map is one-to-one since span(A) ∩ S = span(B) ∩ S = {0}
-    echelon: dict[int, int] = {}
-    for row in s1.basis + a_grp.basis:
-        insert(echelon, row)
-    b_label_of = {log.query(0): 0}
-    b_units, s_rows = [], list(s1.basis)
-    while len(b_units) < d:
+    # each map is one-to-one since span(A) ∩ S = span(B) ∩ S = {0}
+    b_label_of, rank = {log.query(0): 0}, 0
+    while rank < d:
         # the least u outside S2+A+B; a collision with span(B) grows S2
         u = _lex_smallest_outside(lay, echelon)
         hit = b_label_of.get(log.query(u))
@@ -207,7 +203,7 @@ def find_group(
                     break
             else:
                 insert(echelon, u)
-                b_units.append(u)
+                rank += 1
                 b_label_of.update(zip(labels, span))
                 continue
         # diff = x - (b + c*u) with x, b in span(A+B), c != 0 and u outside S2+A+B, so diff lies outside
@@ -217,7 +213,7 @@ def find_group(
         if len(s_rows) > k:
             raise PromiseViolationError(f"collected {len(s_rows)} independent secret elements, but rank(S) = {k}")
 
-    return _span(p, n, b_units), b_label_of, _span(p, n, s_rows)
+    return b_label_of
 
 
 def find_s(log: QueryLog, d: int) -> SolverResult:
@@ -234,28 +230,26 @@ def find_s(log: QueryLog, d: int) -> SolverResult:
     bound = det_query_bound(p, n, k, d)  # refuses a d outside [0, n-k]
     if bound > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(f"query bound {bound} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    triv = trivial_subgroup(p, n)
     lay = lanes(p, n)
     add, sub = lay.add, lay.sub
+    echelon, s_rows = {}, []  # S2 + A + B and S2, grown by both calls; the harvest completes S
+    b_label_of = find_group(log, echelon, s_rows, {log.query(0): 0}, n - k - d)
+    a_label_of = find_group(log, echelon, s_rows, b_label_of, d)
 
-    b_grp, b_label_of, s1 = find_group(log, triv, {log.query(0): 0}, triv, n - k - d)
-    a_grp, a_label_of, s2 = find_group(log, b_grp, b_label_of, s1, d)
-
-    w = complement(_span(p, n, s2.basis + a_grp.basis + b_grp.basis))
-    gens = list(s2.basis)
-    for w_i in w.basis:
-        for a in sorted(add(elem, w_i) for elem in a_label_of.values()):
+    # one coset of A per unit vector off the pivots of S2 + A + B, columns ascending
+    for w in [1 << lay.shifts[j] for j in range(n) if j not in echelon]:
+        for a in sorted(add(elem, w) for elem in a_label_of.values()):
             b = b_label_of.get(log.query(a))
             if b is not None:
-                gens.append(sub(a, b))
+                s_rows.append(sub(a, b))
                 break
         else:
             raise PromiseViolationError(
-                f"coset {VectorP._unchecked(p, lay.unpack(w_i))} + A holds no collision against B; "
+                f"coset {VectorP._unchecked(p, lay.unpack(w))} + A holds no collision against B; "
                 "no subgroup explains this"
             )
 
-    recovered = _span(p, n, gens)
+    recovered = _span(p, n, s_rows)
     _check_labels(recovered, k, log.cache, log.cache.values())
     return SolverResult(recovered, log.count, bound, d, log)
 

@@ -225,30 +225,38 @@ def marginal(state, reg):
     return dict(zip(values.tolist(), np.bincount(which, weights=np.abs(state.amps) ** 2).tolist()))
 
 
-def check_find_group(log, a_grp, s1, d, result):
-    """Fail unless ``find_group``'s ``result`` meets its invariants against the
-    instance's secret; explicit checks, so ``python -O`` keeps them."""
-    b_grp, b_label_of, s2 = result
-    secret = log.instance.secret
+def check_find_group(log, before, s1_rows, a_label_of, d, echelon, s_rows, b_label_of):
+    """Fail unless a ``find_group`` call meets its invariants against the instance's
+    secret: ``before`` and ``s1_rows`` are copies of the echelon and S rows it was
+    given, ``echelon`` and ``s_rows`` what it left of them, and ``b_label_of`` what
+    it returned.  A and B are read off their label maps; explicit checks, so
+    ``python -O`` keeps them."""
+    p, n, secret = log.instance.p, log.instance.n, log.instance.secret
+    a_grp, b_grp = canonicalize(p, n, a_label_of.values()), canonicalize(p, n, b_label_of.values())
+    s1, s2 = canonicalize(p, n, s1_rows), canonicalize(p, n, s_rows)
     checks = {
         "B has rank d": b_grp.rank == d,
         "A ∩ B = {0}": intersect(a_grp, b_grp).rank == 0,
         "(A+B) ∩ S = {0}": intersect(subgroup_sum(a_grp, b_grp), secret).rank == 0,
         "S2 <= S": not any(map(secret.coset_reduce, s2.basis)),
-        "S1 <= S2": not any(map(s2.coset_reduce, s1.basis)),
+        "S1 <= S2, S1's rows first": not any(map(s2.coset_reduce, s1.basis)) and s_rows[: len(s1_rows)] == s1_rows,
         "B's map holds span(B)": {b: f for f, b in b_label_of.items()}
         == {b: log.cache.get(b) for b in b_grp.elements()},
+        "the echelon spans S1+A, then S2+A+B": canonicalize(p, n, before.values()) == subgroup_sum(s1, a_grp)
+        and canonicalize(p, n, echelon.values()) == subgroup_sum(subgroup_sum(s2, a_grp), b_grp),
+        "S2's rows are independent": len(s_rows) == s2.rank,
     }
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
         pytest.fail(f"find_group invariants failed: {', '.join(failed)}")
 
 
-def checked_find_group(log, a_grp, a_label_of, s1, d):
-    """``find_group``, then ``check_find_group`` on what it returns."""
-    result = find_group(log, a_grp, a_label_of, s1, d)
-    check_find_group(log, a_grp, s1, d, result)
-    return result
+def checked_find_group(log, echelon, s_rows, a_label_of, d):
+    """``find_group``, then ``check_find_group`` on what it returns and grows."""
+    before, s1_rows = dict(echelon), list(s_rows)
+    b_label_of = find_group(log, echelon, s_rows, a_label_of, d)
+    check_find_group(log, before, s1_rows, a_label_of, d, echelon, s_rows, b_label_of)
+    return b_label_of
 
 
 @pytest.fixture

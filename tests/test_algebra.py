@@ -451,6 +451,14 @@ class TestRandomSubgroup:
         with pytest.raises(ParameterError, match="need 0 <= k <= n, got k=5, n=4"):
             random_subgroup(3, 4, 5, seed=1)
 
+    @pytest.mark.parametrize("k", [1.0, True])
+    def test_rank_that_is_no_int_rejected(self, k):
+        # True drew a rank-1 subgroup; 1.0 failed in range() with a TypeError
+        with pytest.raises(ParameterError, match="k must be an int"):
+            random_subgroup(2, 4, k, 0)
+        with pytest.raises(ParameterError, match="k must be an int"):
+            list(enumerate_subgroups(2, 3, k))
+
     def test_coverage_and_uniformity(self):
         import scipy.stats
 

@@ -175,6 +175,19 @@ class TestArgumentChecks:
         with pytest.raises(ParameterError, match=f"need 1 <= k < n, got k={k}, n=3"):
             optimal_d(2, 3, k)
 
+    @pytest.mark.parametrize("args,message", [
+        ((2, 5, 2.0), "k must be an int"),  # was a TypeError from range()
+        ((2, 5.0, 2), "n must be an int"),
+        ((4, 5, 2), "p must be a prime, got 4"),
+    ])
+    def test_optimal_d_refuses_what_find_s_refuses(self, args, message):
+        with pytest.raises(ParameterError, match=message):
+            optimal_d(*args)
+
+    def test_evading_subgroup_refuses_a_rank_that_is_no_int(self):
+        with pytest.raises(ParameterError, match="k must be an int"):
+            evading_subgroup(2, 3, [], 1.0, 1)
+
     @pytest.mark.parametrize("d", [-1, 3, 5])
     def test_det_query_bound_refuses_d_outside_0_to_n_minus_k(self, d):
         # past n-k the formula gives a fraction, and before 0 a bound for no solver run

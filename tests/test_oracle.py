@@ -178,3 +178,23 @@ class TestInstanceFile:
         # it would be written as label_seed=1.5 or label_seed=True, which read_instance refuses
         with pytest.raises(ParameterError, match="label_seed must be an int"):
             make_instance(2, 4, 2, 0, label_seed, True)
+
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_k_that_is_no_int_refused(self, k):
+        # it would be written as k=2.0 or k=True, which read_instance refuses
+        with pytest.raises(ParameterError, match="k must be an int"):
+            make_instance(2, 4, k, 0)
+        with pytest.raises(ParameterError, match="k must be an int"):
+            HiddenInstance(2, 4, k, random_subgroup(2, 4, 2, 0))
+
+    @pytest.mark.parametrize("obfuscate", ["0", 2, 1.0, None])
+    def test_obfuscate_other_than_a_bool_or_0_1_refused(self, obfuscate):
+        # "0" obfuscated, and 2 was written as obfuscate=1, a different instance
+        with pytest.raises(ParameterError, match="obfuscate must be a bool, 0 or 1"):
+            HiddenInstance(2, 4, 2, random_subgroup(2, 4, 2, 0), 0, obfuscate)
+
+    @pytest.mark.parametrize("obfuscate", [0, 1, False, True])
+    def test_obfuscate_0_1_reads_back(self, obfuscate):
+        inst = HiddenInstance(2, 4, 2, random_subgroup(2, 4, 2, 0), 3, obfuscate)
+        again = instance_from_text(instance_to_text(inst))
+        assert again == inst and again.obfuscate == bool(obfuscate)

@@ -27,9 +27,9 @@ from gsp import (
     make_instance,
     quantum_find_s,
     random_subgroup,
-    trivial_subgroup,
 )
-from gsp.algebra import lanes
+from gsp import solvers
+from gsp.algebra import _span, lanes
 from gsp.bounds import det_query_bound
 from gsp.solvers import _lex_smallest_outside
 from conftest import (
@@ -92,6 +92,16 @@ class TestChooseD:
         with pytest.raises(ParameterError):
             choose_d(2, 4, 4)
 
+    @pytest.mark.parametrize("args,message", [
+        ((2, 5, 2.0), "k must be an int"),  # gave d = 1.0, which find_s refuses
+        ((2, 5.0, 2), "n must be an int"),
+        ((2, 5, True), "k must be an int"),
+        ((4, 5, 2), "p must be a prime, got 4"),  # gave d = 1 for a space with no instance
+    ])
+    def test_refuses_what_find_s_refuses(self, args, message):
+        with pytest.raises(ParameterError, match=message):
+            choose_d(*args)
+
 
 class TestLexSmallestOutside:
     @staticmethod
@@ -122,14 +132,14 @@ class TestFindGroup:
     def test_d_zero_no_queries(self, ref_instance):
         log = QueryLog(ref_instance)
         zero_label_of = _zero_label_of(log)
-        s1 = trivial_subgroup(2, 4)
-        b, b_label_of, s2 = find_group(log, trivial_subgroup(2, 4), zero_label_of, s1, 0)
-        assert b.rank == 0 and b_label_of == zero_label_of and s2 == s1 and log.count == 1
+        echelon, s_rows = {}, []
+        b_label_of = find_group(log, echelon, s_rows, zero_label_of, 0)
+        assert b_label_of == zero_label_of and echelon == {} and s_rows == [] and log.count == 1
 
     def test_full_corank_build(self, ref_instance, ref_secret):
         log = QueryLog(ref_instance)
-        triv = trivial_subgroup(2, 4)
-        b, b_label_of, s2 = checked_find_group(log, triv, _zero_label_of(log), triv, 2)
+        b_label_of = checked_find_group(log, {}, [], _zero_label_of(log), 2)
+        b = canonicalize(2, 4, b_label_of.values())
         assert b.rank == 2
         assert intersect(b, ref_secret).rank == 0
         assert all(x in log.cache for x in b.elements())
@@ -145,11 +155,11 @@ class TestFindGroup:
                 return 0
 
         log = QueryLog(OneLabel(p, n, k, random_subgroup(p, n, k, 0), 0, False))
-        triv = trivial_subgroup(p, n)
-        s1 = canonicalize(p, n, [1 << lanes(p, n).shifts[0]] * s1_rank)  # e_0, outside every pick
+        s_rows = [1 << lanes(p, n).shifts[0]] * s1_rank  # e_0, outside every pick
+        echelon = {0: row for row in s_rows}
         message = rf"collected {k + 1} independent secret elements, but rank\(S\) = {k}"
         with pytest.raises(PromiseViolationError, match=message):
-            find_group(log, triv, _zero_label_of(log), s1, n - k)
+            find_group(log, echelon, s_rows, _zero_label_of(log), n - k)
         assert log.count == 1 + (k + 1 - s1_rank)  # 0^n, then one query per collision
 
     @pytest.mark.parametrize("p,n,k", [(2, 5, 2), (3, 4, 1), (2, 6, 3), (5, 3, 1)])
@@ -161,10 +171,9 @@ class TestFindGroup:
             for d in range(n - k + 1):
                 log = QueryLog(inst)
                 zero_label_of = _zero_label_of(log)
-                base = log.count
-                triv = trivial_subgroup(p, n)
-                b, _, s2 = checked_find_group(log, triv, zero_label_of, triv, d)
-                assert log.count - base == p**d - 1 + s2.rank
+                base, s_rows = log.count, []
+                checked_find_group(log, {}, s_rows, zero_label_of, d)
+                assert log.count - base == p**d - 1 + len(s_rows)
 
     def test_nontrivial_a_per_call_bound(self):
         # with A nontrivial, each harvested secret element may force a span
@@ -176,13 +185,13 @@ class TestFindGroup:
                 inst = make_instance(p, n, k, subgroup_seed=seed, label_seed=seed)
                 d_a = 1
                 log = QueryLog(inst)
-                triv = trivial_subgroup(p, n)
-                a_grp, a_label_of, s1 = checked_find_group(log, triv, _zero_label_of(log), triv, d_a)
-                base = log.count
+                echelon, s_rows = {}, []
+                a_label_of = checked_find_group(log, echelon, s_rows, _zero_label_of(log), d_a)
+                base, s1_rank = log.count, len(s_rows)
                 d = n - k - d_a
-                b, _, s2 = checked_find_group(log, a_grp, a_label_of, s1, d)
+                checked_find_group(log, echelon, s_rows, a_label_of, d)
                 used = log.count - base
-                gain = s2.rank - s1.rank
+                gain = len(s_rows) - s1_rank
                 assert used <= p**d - 1 + gain * (p**d - p ** (d - 1))
                 if used > p**d - 1 + gain:
                     flat_would_fail += 1
@@ -248,6 +257,15 @@ class TestFindS:
         assert log.count == 3**4 > res.queries
         assert res.trace == before
         assert cache_pairs(log)[: res.queries] == list(before)
+
+    def test_answer_is_the_only_span(self, monkeypatch):
+        # both find_group calls and the harvest grow one echelon in place, so no
+        # intermediate group is reduced to RREF
+        spans = []
+        monkeypatch.setattr(solvers, "_span", lambda p, n, rows: spans.append(rows) or _span(p, n, rows))
+        inst = make_instance(2, 16, 4, 0, 0, True)
+        res = find_s(QueryLog(inst), choose_d(2, 16, 4))
+        assert res.recovered == inst.secret and res.queries == 209 and len(spans) == 1
 
     def test_d_out_of_range(self, ref_instance):
         with pytest.raises(ParameterError):
