@@ -58,6 +58,8 @@ _REPS_CHUNK = 1 << 12
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
+_SHIFTED = [bytes(byte >> d for byte in range(256)) for d in range(8)]  # every byte >> d, for ``_draws``
+
 # The unchecked constructors set fields as a frozen dataclass does; writing
 # to the instance ``__dict__`` instead would cost 64 bytes more per object.
 _new, _set = object.__new__, object.__setattr__
@@ -88,7 +90,7 @@ def _check_digits(p: int) -> None:
 
 
 def _check_space(p: int, n: int) -> None:
-    if not isinstance(p, int) or not isinstance(n, int):  # a numpy p or n would be cached in lanes' shifts
+    if type(p) is not int or type(n) is not int:  # a numpy p or n would be cached in lanes' shifts, a bool n in texts
         raise ParameterError(f"p and n must be Python ints, got {type(p).__name__} and {type(n).__name__}")
     if not (2 <= p < MAX_PRIME) or not is_prime(p):
         raise ParameterError(f"p must be a prime in [2, {MAX_PRIME}), got {p}")
@@ -424,11 +426,15 @@ def _check_rank(p: int, n: int, k: int) -> None:
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
 
 
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ParameterError(f"p must be a prime, got {p}")
+
+
 def _check_problem(p: int, n: int, k: int) -> None:
     """Refuse unless p is a prime and 1 <= k < n, all ints: a problem's (p, n, k), n not capped at ``MAX_DIM``."""
     _check_ints(p=p, n=n, k=k)
-    if not is_prime(p):
-        raise ParameterError(f"p must be a prime, got {p}")
+    _check_prime(p)
     if not (1 <= k < n):
         raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
 
@@ -464,8 +470,8 @@ def enumerate_subgroups(p: int, n: int, k: int) -> Iterator[Subgroup]:
 
 
 def _randbelow(rng: random.Random, p: int) -> Callable[[], int]:
-    """A draw in [0, p) that consumes ``rng`` as ``rng.randrange(p)`` does on CPython 3.10-3.12:
-    ``getrandbits(p.bit_length())`` until the value is below p, without its argument checks."""
+    """A draw in [0, p) that consumes ``rng`` as ``rng.randrange(p)`` does on CPython 3.10-3.13: the
+    first ``getrandbits(p.bit_length())`` below p, each the top bits of one 32-bit word, unchecked."""
     getrandbits, bits = rng.getrandbits, p.bit_length()
     def draw() -> int:
         while (r := getrandbits(bits)) >= p:
@@ -474,14 +480,27 @@ def _randbelow(rng: random.Random, p: int) -> Callable[[], int]:
     return draw
 
 
+def _draws(rng: random.Random, p: int, count: int) -> Sequence[int]:
+    """``count`` draws of ``_randbelow(rng, p)``, and its end state: bytes for p < 256, else a list.  A round's
+    ``getrandbits(32 * m)`` is m words, the first drawn lowest (CPython 3.10-3.13), one try per missing draw."""
+    if p >= 256:
+        draw = _randbelow(rng, p)
+        return [draw() for _ in range(count)]
+    drop = 8 - p.bit_length()
+    table, rejected, out = _SHIFTED[drop], _SHIFTED[0][p << drop :], b""  # top bytes that draw p or more
+    while (need := count - len(out)) > 0:
+        out += rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4].translate(table, rejected)
+    return out
+
+
 def _independent_rows(rng: random.Random, p: int, n: int, count: int) -> list[tuple[int, ...]]:
     """``count`` linearly independent rows of Z_p^n, rejection-sampled from ``rng``:
     a draw is kept when ``Lanes.insert`` finds it outside the span of those kept."""
-    lay, echelon, rows, draw = lanes(p, n), {}, [], _randbelow(rng, p)
-    while len(rows) < count:
-        cand = tuple(draw() for _ in range(n))
-        if lay.insert(echelon, lay.pack(cand)):
-            rows.append(cand)
+    lay, echelon, rows = lanes(p, n), {}, []
+    while (need := count - len(rows)) > 0:
+        for cand in zip(*[iter(_draws(rng, p, need * n))] * n):  # one candidate per missing row
+            if lay.insert(echelon, lay.pack(cand)):
+                rows.append(cand)
     return rows
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .algebra import (
-    DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _check_ints, _check_problem, _check_rank, _rref_bases, is_prime, lanes,
+    DEFAULT_ENUMERATION_CAP, Subgroup, VectorP, _check_ints, _check_prime, _check_problem, _check_rank, _rref_bases, lanes,
 )
 from .errors import ParameterError
 
@@ -32,8 +32,7 @@ def _exact_product_quotient(factors: Iterable[tuple[int, int]]) -> int:
 def t1_count(p: int, n: int, k: int) -> int:
     """Number of distinct rank-k subgroups of Z_p^n (a Gaussian binomial), for a prime p."""
     _check_ints(p=p, n=n, k=k)
-    if not is_prime(p):
-        raise ParameterError(f"p must be a prime, got {p}")
+    _check_prime(p)
     if not (0 <= k <= n):
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
     return _exact_product_quotient(

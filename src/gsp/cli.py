@@ -20,7 +20,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .algebra import _check_digits, _check_space, _rref_bases, is_prime, lanes
+from .algebra import _check_digits, _check_prime, _check_space, _rref_bases, lanes
 from .bounds import _check_split, bound_report
 from .errors import GspError, ParameterError, PromiseViolationError, ResourceCapError
 from .oracle import HiddenInstance, QueryLog, make_instance, read_instance, write_instance
@@ -197,8 +197,7 @@ def _grid(args: argparse.Namespace) -> list[tuple[int, int, int]]:
     ps, ns = _parse_int_list(args.p), _parse_int_list(args.n)
     ks = None if args.k == "all" else _parse_int_list(args.k)
     for p in ps:
-        if not is_prime(p):
-            raise ParameterError(f"p must be prime, got {p}")
+        _check_prime(p)
     cells = [(p, n, k) for p in ps for n in ns for k in (range(1, n) if ks is None else ks) if 1 <= k < n]
     if not cells:
         raise ParameterError(f"no cell with 1 <= k < n in --p {args.p!r} --n {args.n!r} --k {args.k!r}")

@@ -16,12 +16,12 @@ secret's RREF basis (``Subgroup.coset_reduce``) is linear and the bijection is a
 identity with zero shift in plain mode), so L is the bijection's matrix times the reduction's,
 whose column j is the representative of e_j (e_j minus the secret's row with pivot j, if any).
 ``HiddenInstance._affine`` builds L's columns as packed ints in lane arithmetic, once per
-instance, and ``_label_map`` turns them into byte tables by doubling lists of keys and labels.
-``evaluate`` reads a packed x byte by byte: table j maps byte j of x to L times the part of x
-in that byte, packed, and a label is the packed s plus one lookup and one lane-wise add mod p
-per byte (``Lanes.add`` inlined; XOR at p = 2).  Only valid packed vectors (``Lanes.valid``)
-have labels; any other int raises.  ``all_labels`` applies the same tables to all of Z_p^n at
-once, one int64 gather per table, and ``QueryLog.query_all`` fills a query cache from it.
+instance, and ``_label_map`` turns them into byte tables by doubling lists of labels (at p = 2 a list
+indexed by the byte, for p > 2 a dict).  ``evaluate`` reads a packed x byte by byte: table j maps byte
+j of x to L times the part of x in that byte, packed, and a label is the packed s plus one lookup and
+one lane-wise add mod p per byte (``Lanes.add`` inlined; XOR at p = 2).  Only valid packed vectors
+(``Lanes.valid``) have labels; any other int raises.  ``all_labels`` applies the same tables to all of
+Z_p^n at once, one int64 gather per table, and ``QueryLog.query_all`` fills a query cache from it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from operator import getitem, xor
 import numpy as np
 
 from .algebra import (
-    DEFAULT_ENUMERATION_CAP, Subgroup, _check_ints, _check_problem, _independent_rows, _randbelow, lanes,
+    DEFAULT_ENUMERATION_CAP, Subgroup, _check_ints, _check_problem, _draws, _independent_rows, lanes,
     random_subgroup,
 )
 from .errors import DimensionMismatchError, ParameterError, ResourceCapError
@@ -75,8 +75,7 @@ class HiddenInstance:
     def _bijection(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Seeded invertible affine map (matrix, shift), with a seeded output permutation folded in."""
         rng = random.Random(self.label_seed)
-        rows, draw = _independent_rows(rng, self.p, self.n, self.n), _randbelow(rng, self.p)
-        shift = tuple(draw() for _ in range(self.n))
+        rows, shift = _independent_rows(rng, self.p, self.n, self.n), _draws(rng, self.p, self.n)
         perm = list(range(self.n))
         rng.shuffle(perm)
         return tuple(rows[i] for i in perm), tuple(shift[i] for i in perm)
@@ -90,7 +89,11 @@ class HiddenInstance:
         lay, secret = lanes(self.p, self.n), self.secret
         if self.obfuscate:
             rows, shift = self._bijection
-            cols = [lay.pack(c) for c in zip(*rows)]
+            if self.p == 2:  # column j of the 0/1 rows, read as a base-2 numeral, is its packed int
+                flat = b"".join(map(bytes, rows)).translate(bytes.maketrans(b"\0\1", b"01"))
+                cols = [int(flat[j :: self.n], 2) for j in range(self.n)]
+            else:
+                cols = [lay.pack(c) for c in zip(*rows)]
         else:
             cols, shift = [1 << at for at in lay.shifts], (0,) * self.n
         pivots, mask = secret.pivots(), (1 << lay.width) - 1
@@ -101,21 +104,26 @@ class HiddenInstance:
         return cols, shift
 
     @cached_property
-    def _label_map(self) -> tuple[list[dict[int, int]], int, int, int, int, int]:
+    def _label_map(self) -> tuple[list, int, int, int, int, int]:
         """(tables, packed s, byte length, K, G, g of ``Lanes.add``).  Table j maps byte j of
         ``x.to_bytes(byte length, "little")`` to L times the bits of x in that byte, packed.
-        Its keys and labels are lists doubled per value bit of the byte; carry bits and bits past
-        the n lanes have no entry, so a table holds at most 256 entries (⌈n/8⌉ tables at p = 2)."""
+        Its labels are a list doubled per value bit of the byte: at p = 2, bit q of x is bit q % 8
+        of byte q // 8, so the byte indexes it; for p > 2 a dict holds them under keys doubled
+        alike.  Carry bits and bits past the n lanes have no entry (⌈n/8⌉ tables at p = 2)."""
         lay, (cols, shift) = lanes(self.p, self.n), self._affine
         add, w, nbytes = lay.add, lay.width, (self.n * lay.width + 7) // 8
         keys, labels = [[0] for _ in range(nbytes)], [[0] for _ in range(nbytes)]
         for lane, weight in enumerate(reversed(cols)):  # the last coordinate is the bottom lane
+            if self.p == 2:  # the lane is one value bit, bit q = lane of x
+                labels[lane // 8] += [v ^ weight for v in labels[lane // 8]]
+                continue
             for q in range(lane * w, lane * w + lay.g):  # weight: L times bit q of x
                 bit, ks, vs = 1 << q % 8, keys[q // 8], labels[q // 8]
                 ks += [k | bit for k in ks]
-                vs += [v ^ weight for v in vs] if self.p == 2 else [add(v, weight) for v in vs]
+                vs += [add(v, weight) for v in vs]
                 weight = add(weight, weight)
-        return [dict(zip(*kv)) for kv in zip(keys, labels)], lay.pack(shift), nbytes, lay.big_k, lay.big_g, lay.g
+        tables = labels if self.p == 2 else [dict(zip(*kv)) for kv in zip(keys, labels)]
+        return tables, lay.pack(shift), nbytes, lay.big_k, lay.big_g, lay.g
 
     def all_labels(self) -> tuple[np.ndarray, np.ndarray]:
         """Every packed x of Z_p^n in index order, and its label, as int64 arrays: ``evaluate``'s rule
@@ -127,8 +135,9 @@ class HiddenInstance:
             return xs, np.fromiter(map(self.evaluate, xs.tolist()), object, len(xs))
         tables, labels = self._label_map[0], np.full_like(xs, self._label_map[1])
         for j, table in enumerate(tables):
-            gather = np.zeros(256, np.int64)
-            gather[list(table)] = list(table.values())
+            gather = np.array(table, np.int64) if self.p == 2 else np.zeros(256, np.int64)
+            if self.p > 2:
+                gather[list(table)] = list(table.values())
             labels = lay.add(labels, gather[xs >> 8 * j & 255])
         return xs, labels
 
@@ -137,8 +146,11 @@ class HiddenInstance:
         x must be a valid packed vector of Z_p^n: a set carry bit, a lane at or above p or a bit
         past the n lanes raises ``KeyError`` or ``OverflowError``, never a label."""
         (tables, label, nbytes, big_k, big_g, g), p = self._label_map, self.p
-        if p == 2:  # lanes of one bit add by XOR
-            return reduce(xor, map(getitem, tables, x.to_bytes(nbytes, "little")), label)
+        if p == 2:  # lanes of one bit add by XOR; a bit past the n lanes indexes past its table
+            try:
+                return reduce(xor, map(getitem, tables, x.to_bytes(nbytes, "little")), label)
+            except IndexError:
+                raise KeyError(x) from None
         if (x | x + big_k) & big_g:  # as in ``Lanes.valid``: a lane in [p, 2^g) has table entries
             raise KeyError(x)
         for table, byte in zip(tables, x.to_bytes(nbytes, "little")):

@@ -76,7 +76,7 @@ from itertools import accumulate, islice
 from typing import Collection, Iterable
 
 from .algebra import (
-    DEFAULT_ENUMERATION_CAP, Lanes, Subgroup, VectorP, _check_ints, _check_problem, _randbelow, _span, lanes
+    DEFAULT_ENUMERATION_CAP, Lanes, Subgroup, VectorP, _check_ints, _check_problem, _draws, _span, lanes
 )
 from .bounds import _check_split, det_query_bound
 from .errors import ParameterError, PromiseViolationError, ResourceCapError
@@ -288,15 +288,16 @@ def birthday_solve(
     samples = math.ceil(budget)
     if samples > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(f"sample budget {budget:.6g} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    draw, lay = _randbelow(random.Random(seed), p), lanes(p, n)
+    rng, lay = random.Random(seed), lanes(p, n)
     first_with_label: dict[int, int] = {}
     diffs = []
-    for _ in range(samples):
-        x = lay.pack([draw() for _ in range(n)])
-        label = log.query(x)
-        seen = first_with_label.setdefault(label, x)
-        if seen != x:
-            diffs.append(lay.sub(x, seen))
+    for start in range(0, samples, 4096):  # draws for 4096 samples at a time, to bound their memory
+        for coords in zip(*[iter(_draws(rng, p, min(4096, samples - start) * n))] * n):
+            x = lay.pack(coords)
+            label = log.query(x)
+            seen = first_with_label.setdefault(label, x)
+            if seen != x:
+                diffs.append(lay.sub(x, seen))
     recovered = _span(p, n, diffs)
     if recovered.rank >= k:
         _check_labels(recovered, k, log.cache, log.cache.values())

@@ -180,6 +180,15 @@ def test_numpy_or_float_p_and_n_are_refused_before_lanes_caches_them():
         VectorP(2.5, (1, 0))
 
 
+@pytest.mark.parametrize("p,n", [(2, True), (True, 2)])
+def test_bool_p_or_n_is_refused(p, n):
+    # a subgroup with n = True would print "n=True", which no file reads back
+    with pytest.raises(ParameterError, match="Python ints"):
+        random_subgroup(p, n, 1, 0)
+    with pytest.raises(ParameterError, match="Python ints"):
+        canonicalize(p, n, [1])
+
+
 class TestCanonicalize:
     def test_one_rref_path(self):
         # _span keeps the echelon and its back-substitution; there is no separate _rref

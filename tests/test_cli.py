@@ -356,6 +356,12 @@ class TestBench:
         assert not out.exists()
         assert solved == [] and pools == []
 
+    @pytest.mark.parametrize("command", ["solve", "bench", "verify-bounds"])
+    def test_one_wording_for_a_non_prime_p(self, capsys, tmp_path, command):
+        argv = ["--out", str(tmp_path / "b.csv")] if command == "bench" else []
+        code, stdout, err = run(capsys, command, "--p", "4", "--n", "5", "--k", "2", *argv)
+        assert (code, stdout, err) == (1, "", "error: p must be a prime, got 4\n")
+
     def test_verify_bounds_takes_any_prime(self, capsys):
         # bench refuses p past MAX_PRIME; verify-bounds, which shares the grid, does not
         code, out, _ = run(capsys, "verify-bounds", "--p", "65537", "--n", "2")

@@ -5,7 +5,7 @@ import random
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsp import (
@@ -24,7 +24,7 @@ from gsp import (
     random_subgroup,
     solvers,
 )
-from gsp.algebra import _REPS_CHUNK, _independent_rows, _randbelow, _span, lanes
+from gsp.algebra import _REPS_CHUNK, _draws, _independent_rows, _randbelow, _span, lanes
 from gsp.bounds import det_query_bound
 from conftest import (
     add,
@@ -376,7 +376,12 @@ def test_label_tables_hold_exactly_the_valid_bytes(p, n, obfuscate):
     assert len(tables) == -(-n * w // 8)
     for j, table in enumerate(tables):
         value_bits = sum(1 << i for i in range(8) if 8 * j + i < n * w and (8 * j + i) % w < g)
-        assert sorted(table) == [byte for byte in range(256) if not byte & ~value_bits]
+        valid = [byte for byte in range(256) if not byte & ~value_bits]
+        if p == 2:  # a list indexed by the byte: its indices are the valid bytes
+            assert type(table) is list and len(table) == 1 << bin(value_bits).count("1")
+            assert list(range(len(table))) == valid
+        else:
+            assert sorted(table) == valid
 
 
 CHECK_SPACES = [(p, n) for p in (2, 3, 5, 7) for n in range(2, 9) if p**n <= 729]
@@ -514,6 +519,18 @@ def test_randbelow_draws_as_randrange(p):
         draw = _randbelow(rng, p)
         assert [draw() for _ in range(50)] == [ref_rng.randrange(p) for _ in range(50)]
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 272, 5000])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251, 257, 65521])
+@settings(PROPERTY, max_examples=8)
+@given(seed=st.integers(0, 2**64 - 1))
+@example(seed=2**64 - 1)
+def test_draws_match_randrange(p, count, seed):
+    # one round of words per missing draw leaves the stream where count randrange calls leave it
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert list(_draws(rng, p, count)) == [ref_rng.randrange(p) for _ in range(count)]
+    assert rng.random() == ref_rng.random()
 
 
 @PROPERTY

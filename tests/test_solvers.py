@@ -607,6 +607,15 @@ class TestBirthday:
                 birthday_solve(log, seed=0, budget_multiplier=multiplier)
             assert log.count == 0
 
+    @pytest.mark.parametrize("p,n,multiplier", [(2, 16, 32.0), (3, 10, 40.0)])
+    def test_samples_as_randrange_across_draw_blocks(self, p, n, multiplier):
+        # past 4096 samples the draws come in more than one block, each from where the last ended
+        inst = make_instance(p, n, 2, subgroup_seed=1, label_seed=2, obfuscate=True)
+        res = birthday_solve(QueryLog(inst), seed=7, budget_multiplier=multiplier)
+        rng = random.Random(7)
+        samples = [pack(VectorP(p, [rng.randrange(p) for _ in range(n)])) for _ in range(res.bound)]
+        assert res.bound > 4096 and list(res.log.cache) == list(dict.fromkeys(samples))
+
     def test_monte_carlo_rate(self):
         successes = 0
         for seed in range(200):
