@@ -8,8 +8,10 @@ the checkout (by default the one holding this script), unchanged, as a
 subprocess of the same interpreter.  Its ``meta`` line, ``queries=``,
 ``digest=`` and final JSON line make one record, appended to the JSON list
 in ``<out-dir>/BENCH_<W>.json``: the checkout's git SHA and ``src/gsp`` line
-count, whether its tracked files differ from that SHA (``dirty``: uncommitted
-changes were measured; None without git), the four end-to-end metrics, the
+count, whether its tracked files but the records differ from that SHA
+(``dirty``: uncommitted changes were measured; None without git) and, if they
+do, the SHA-256 of that ``git diff HEAD`` (``diff_sha256``), so that two trees
+measured over one SHA are told apart, the four end-to-end metrics, the
 query total, ``failed``/``attempted``, the digest, where it ran (Python,
 numpy, platform, cores) and the UTC date.
 A run that fails or prints no JSON line stops the recorder before its record
@@ -19,6 +21,7 @@ is written.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import subprocess
@@ -30,15 +33,17 @@ HERE = Path(__file__).resolve().parent
 WORKLOADS = ("scale", "sweep", "quantum", "census")
 
 
-def dirty(checkout: Path) -> bool | None:
-    """Whether the checkout's tracked files differ from its HEAD; None if git cannot tell.  Only the
-    checkout's own .git is asked, as for its SHA."""
-    git = ["git", f"--git-dir={checkout / '.git'}", f"--work-tree={checkout}", "diff", "--quiet", "HEAD"]
+def diff(checkout: Path) -> bytes | None:
+    """``git diff HEAD`` of the checkout's tracked files but the ``BENCH_*.json`` records, which a run in the
+    checkout appends to; empty if they match its HEAD, None if git cannot tell.  Only the checkout's own .git is
+    asked, as for its SHA."""
+    git = ["git", f"--git-dir={checkout / '.git'}", f"--work-tree={checkout}", "diff", "--binary", "--no-color",
+           "--no-ext-diff", "HEAD", "--", ":(glob,exclude)**/BENCH_*.json"]
     try:
-        code = subprocess.run(git, capture_output=True).returncode
+        run = subprocess.run(git, capture_output=True)
     except OSError:
         return None
-    return {0: False, 1: True}.get(code)
+    return run.stdout if run.returncode == 0 else None
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -48,13 +53,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
     meta = json.loads(next(line[5:] for line in lines if line.startswith("meta ")))
-    result = json.loads(lines[-1])
+    result, changes = json.loads(lines[-1]), diff(checkout)
     return {
         "workload": workload,
         "seed": seed,
         "seconds": seconds,
         "git_sha": meta["git_sha"],
-        "dirty": dirty(checkout),
+        "dirty": None if changes is None else bool(changes),
+        **({"diff_sha256": hashlib.sha256(changes).hexdigest()} if changes else {}),
         "src_gsp_lines": meta["src_gsp_lines"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "queries": int(re.search(r"^queries=(\d+) ", out, re.M)[1]),

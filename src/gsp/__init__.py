@@ -5,12 +5,10 @@ from .algebra import (
     Subgroup,
     VectorP,
     canonicalize,
-    complement,
     enumerate_subgroups,
     is_prime,
     orthogonal,
     random_subgroup,
-    trivial_subgroup,
 )
 from .bounds import (
     BoundReport,

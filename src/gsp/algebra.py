@@ -41,7 +41,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import lshift, xor
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -380,11 +380,6 @@ class Subgroup:
         return f"p={p} n={self.n} rows={rows}"
 
 
-def trivial_subgroup(p: int, n: int) -> Subgroup:
-    _check_space(p, n)
-    return Subgroup._unchecked(p, n, ())
-
-
 def _span(p: int, n: int, rows: Iterable[int]) -> Subgroup:
     """The subgroup generated by packed rows, lanes in [0, p), over a valid (p, n): their
     echelon by ``Lanes.insert``, back-substituted to RREF by ``Lanes.reduced``."""
@@ -401,12 +396,6 @@ def canonicalize(p: int, n: int, rows: Iterable[int]) -> Subgroup:
         if not valid(row):
             raise ParameterError(f"generator {row!r} is not a packed vector of Z_{p}^{n}")
     return _span(p, n, rows)
-
-
-def complement(h: Subgroup) -> Subgroup:
-    """A direct complement of H: standard basis vectors at H's non-pivot columns."""
-    pivots, shifts = set(h.pivots()), lanes(h.p, h.n).shifts
-    return Subgroup._unchecked(h.p, h.n, tuple(1 << shifts[j] for j in range(h.n) if j not in pivots))
 
 
 def orthogonal(h: Subgroup) -> Subgroup:
@@ -469,23 +458,11 @@ def enumerate_subgroups(p: int, n: int, k: int) -> Iterator[Subgroup]:
     return (Subgroup._unchecked(p, n, basis) for _, rows in patterns for basis in itertools.product(*rows))
 
 
-def _randbelow(rng: random.Random, p: int) -> Callable[[], int]:
-    """A draw in [0, p) that consumes ``rng`` as ``rng.randrange(p)`` does on CPython 3.10-3.13: the
-    first ``getrandbits(p.bit_length())`` below p, each the top bits of one 32-bit word, unchecked."""
-    getrandbits, bits = rng.getrandbits, p.bit_length()
-    def draw() -> int:
-        while (r := getrandbits(bits)) >= p:
-            pass
-        return r
-    return draw
-
-
 def _draws(rng: random.Random, p: int, count: int) -> Sequence[int]:
-    """``count`` draws of ``_randbelow(rng, p)``, and its end state: bytes for p < 256, else a list.  A round's
-    ``getrandbits(32 * m)`` is m words, the first drawn lowest (CPython 3.10-3.13), one try per missing draw."""
+    """``count`` ``rng.randrange(p)`` draws, and its end state: bytes for p < 256, else a list.  A try is the top bits
+    of one 32-bit word (CPython 3.10-3.13); a round's ``getrandbits(32 * m)`` is m words, one try per missing draw."""
     if p >= 256:
-        draw = _randbelow(rng, p)
-        return [draw() for _ in range(count)]
+        return [rng.randrange(p) for _ in range(count)]
     drop = 8 - p.bit_length()
     table, rejected, out = _SHIFTED[drop], _SHIFTED[0][p << drop :], b""  # top bytes that draw p or more
     while (need := count - len(out)) > 0:

@@ -176,6 +176,12 @@ def full_subgroup(p, n):
     return canonicalize(p, n, [unit(p, n, j) for j in range(n)])
 
 
+def complement(h):
+    """A direct complement of H: standard basis vectors at H's non-pivot columns."""
+    pivots = set(h.pivots())
+    return canonicalize(h.p, h.n, [unit(h.p, h.n, j) for j in range(h.n) if j not in pivots])
+
+
 def subgroup_sum(h, k):
     """H + K; K over another (p, n) raises ``DimensionMismatchError``."""
     if (h.p, h.n) != (k.p, k.n):

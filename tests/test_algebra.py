@@ -13,17 +13,15 @@ from gsp import (
     Subgroup,
     VectorP,
     canonicalize,
-    complement,
     enumerate_subgroups,
     make_instance,
     orthogonal,
     random_subgroup,
-    trivial_subgroup,
 )
 import gsp.algebra
 from gsp.algebra import DEFAULT_ENUMERATION_CAP, _rref_bases, lanes
 from conftest import (
-    add, all_vectors, dot, elements, full_subgroup, index, intersect, pack, reduce, reference_reduce,
+    add, all_vectors, complement, dot, elements, full_subgroup, index, intersect, pack, reduce, reference_reduce,
     reference_rref_bases, rows, scale, span, sub, subgroup_sum, unit, vec, zero
 )
 
@@ -101,7 +99,6 @@ class TestVectorOps:
         # factories given a bare p and n check both before building unchecked values
         factories = [
             lambda p, n: VectorP.from_index(p, n, 0),
-            trivial_subgroup,
             lambda p, n: canonicalize(p, n, []),
             lambda p, n: random_subgroup(p, n, 0, 0),
             lambda p, n: next(enumerate_subgroups(p, n, 0)),
@@ -281,7 +278,7 @@ class TestSetAlgebra:
         a = span(2, 4, [vec(2, "0011")])
         b = span(2, 4, [vec(2, "0110")])
         assert [r.digits() for r in rows(subgroup_sum(a, b))] == ["0101", "0011"]
-        assert subgroup_sum(a, trivial_subgroup(2, 4)) == a
+        assert subgroup_sum(a, canonicalize(2, 4, [])) == a
         assert subgroup_sum(a, a) == a
 
     def test_intersect(self, ref_secret):
@@ -307,7 +304,7 @@ class TestSetAlgebra:
         c = complement(ref_secret)
         assert [r.digits() for r in rows(c)] == ["1000", "0001"]
         assert c.basis == (unit(2, 4, 0), unit(2, 4, 3))
-        assert complement(trivial_subgroup(3, 3)) == full_subgroup(3, 3)
+        assert complement(canonicalize(3, 3, [])) == full_subgroup(3, 3)
         assert complement(full_subgroup(3, 3)).rank == 0
 
     def test_complement_law(self):
@@ -358,7 +355,7 @@ class TestOrthogonal:
         assert frozenset(elements(perp)) == frozenset(brute)
 
     def test_trivial_and_double_dual(self):
-        assert orthogonal(trivial_subgroup(3, 3)) == full_subgroup(3, 3)
+        assert orthogonal(canonicalize(3, 3, [])) == full_subgroup(3, 3)
         for p, n in SMALL_GRID:
             for k in range(n + 1):
                 for h in enumerate_subgroups(p, n, k):
@@ -382,7 +379,7 @@ class TestEnumeration:
         assert {rows(s)[0].digits() for s in subs} == {"01", "10", "11"}
 
     def test_rank0(self):
-        assert list(enumerate_subgroups(3, 3, 0)) == [trivial_subgroup(3, 3)]
+        assert list(enumerate_subgroups(3, 3, 0)) == [canonicalize(3, 3, [])]
 
     def test_count_2_4_2(self):
         subs = list(enumerate_subgroups(2, 4, 2))
@@ -487,7 +484,7 @@ class TestSerialization:
         assert Subgroup.from_text(ref_secret.to_text()) == ref_secret
 
     def test_trivial(self):
-        t = trivial_subgroup(3, 5)
+        t = canonicalize(3, 5, [])
         assert t.to_text() == "p=3 n=5 rows="
         assert Subgroup.from_text(t.to_text()) == t
 

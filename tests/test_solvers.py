@@ -20,7 +20,6 @@ from gsp import (
     brute_force_solve,
     canonicalize,
     choose_d,
-    complement,
     enumerate_subgroups,
     find_group,
     find_s,
@@ -33,7 +32,8 @@ from gsp.algebra import _span, lanes
 from gsp.bounds import det_query_bound
 from gsp.solvers import _lex_smallest_outside
 from conftest import (
-    all_vectors, cache_pairs, checked_find_group, consistent, elements, full_subgroup, intersect, pack, sub, unpack
+    all_vectors, cache_pairs, checked_find_group, complement, consistent, elements, full_subgroup, intersect, pack,
+    sub, unpack,
 )
 
 GOLDEN_TRACES = Path(__file__).parent / "data" / "find_s_traces.txt"
